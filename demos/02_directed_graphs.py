@@ -17,7 +17,7 @@ t = 1.5
 # 6 nodes, each connected to 3 others (offsets 1, 3, 5)
 g6 = dg.validate_circulant(6, [1, 0, 1, 0, 1])
 print(f"6-node graph, {g6.degree} neighbors per node, offsets {g6.offsets}")
-sys6 = dg.circulant_analytic_spectrum(g6, t)
+sys6 = dg.closed_form(g6, t)
 r = t ** (-1 / 6)
 want = r ** np.arange(6)
 worst = max(np.max(np.abs(sys6.profile(n) - want)) for n in range(6))

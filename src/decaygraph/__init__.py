@@ -51,6 +51,7 @@ from .spectra import (
     RingModeSolution,
     alternating_ring_modes,
     circulant_analytic_spectrum,
+    closed_form,
     eigendecompose,
     kron_sum_spectrum,
     least_damped_mode,

@@ -19,7 +19,7 @@ import numpy as np
 from . import decay, figures, io, response, spectra
 from .errors import DecayGraphError
 from .io import LatticeDocument, RawMatrix, RunManifest
-from .lattice import CirculantGraph, ObcChain, ProductLattice, SegmentedRing
+from .lattice import ObcChain, ProductLattice
 
 
 def _load_document(args) -> LatticeDocument:
@@ -43,22 +43,6 @@ def _finish(out_dir: Path, manifest: RunManifest, started: float) -> None:
     (out_dir / "manifest.json").write_text(manifest.to_json())
 
 
-def _analytic_system(doc: LatticeDocument):
-    spec, t = doc.spec, doc.t
-    if isinstance(spec, SegmentedRing) and spec.is_two_segment:
-        return spectra.ring_solutions_as_system(spec, t)
-    if isinstance(spec, CirculantGraph):
-        return spectra.circulant_analytic_spectrum(spec, t)
-    if isinstance(spec, ObcChain):
-        return spectra.obc_analytic_spectrum(spec, t)
-    if isinstance(spec, ProductLattice):
-        axis_systems = [_analytic_system(LatticeDocument(s, at)) for s, at in spec.axes]
-        if any(s is None for s in axis_systems):
-            return None
-        return spectra.kron_sum_spectrum(axis_systems, doc.build())
-    return None
-
-
 def cmd_build(args, out_dir: Path, manifest: RunManifest) -> int:
     h = _load_document(args).build()
     _write(out_dir, "hamiltonian.csv", io.hamiltonian_csv(h), manifest)
@@ -78,13 +62,10 @@ def cmd_spectrum(args, out_dir: Path, manifest: RunManifest) -> int:
         if args.profiles:
             _write(out_dir, "profiles_numeric.csv", io.profiles_csv(numeric), manifest)
     if args.analytic:
-        analytic = _analytic_system(doc)
-        if analytic is None:
-            print(
-                "no analytic spectrum for this lattice kind "
-                "(two-segment rings, circulants, open chains, and their products only)"
-            )
+        if isinstance(doc.spec, RawMatrix):
+            print("no analytic spectrum for a raw matrix (rings, circulants, open chains, products)")
             return 2
+        analytic = spectra.closed_form(doc.spec, doc.t)
         _write(out_dir, "spectrum_analytic.csv", io.spectrum_csv(analytic.values), manifest)
         if args.profiles:
             _write(out_dir, "profiles_analytic.csv", io.profiles_csv(analytic), manifest)
@@ -104,8 +85,7 @@ def cmd_decay(args, out_dir: Path, manifest: RunManifest) -> int:
             "decay analysis runs on validated 1D families (ring, circulant, obc_chain); "
             "product lattices decompose axiswise and raw matrices carry no claim"
         )
-    h = doc.build()
-    sys = spectra.eigendecompose(h)
+    sys = spectra.closed_form(doc.spec, doc.t)
     threshold = args.tolerance if args.tolerance is not None else decay.PURITY_THRESHOLD
     result = decay.pure_decay_check(sys, doc.spec, doc.t, threshold)
     _write(out_dir, "decay_report.json", io.decay_report_json(result.report, result), manifest)

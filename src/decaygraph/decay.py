@@ -41,7 +41,9 @@ from .lattice import (
     validate_hopping_ratio,
 )
 from . import spectra
-from .spectra import EigenSystem, eigendecompose, least_damped_mode
+# eigendecompose is re-exported for callers that hand pure_decay_check a
+# dense system; bench/tracer.py wraps it at this binding site
+from .spectra import EigenSystem, eigendecompose, least_damped_mode  # noqa: F401
 
 PURITY_THRESHOLD = 1e-8
 QUANTIZATION_TOL = 1e-9
@@ -193,34 +195,23 @@ def charges_from_fit(report: DecayReport, spec, h: Hamiltonian) -> np.ndarray:
     return amplitude_charges(np.exp(log_amp), h.edges, h.ts)
 
 
-def _mode_profiles(sys: EigenSystem, spec, t: float) -> list[np.ndarray]:
-    """Amplitude profile per mode, replacing degenerate-subspace vectors.
+def _mode_profiles(sys: EigenSystem, spec, t: float) -> np.ndarray:
+    """Amplitude profile of every mode, one column per mode.
 
-    Numerically mixed eigenvectors inside a degenerate group are swapped
-    for the analytic pure-decay vectors (matched by eigenvalue and
-    individually residual-certified by their constructors); modes with
-    simple eigenvalues keep their numerical profiles.
+    Closed-form modes are used as they are.  In a dense system the
+    numerically mixed vectors inside a degenerate group are swapped for
+    the closed-form vectors matched by eigenvalue; modes with simple
+    eigenvalues keep their numerical profiles.
     """
-    profiles = [sys.profile(n) for n in range(sys.dim)]
-    groups = [g for g in sys.degenerate_groups() if len(g) > 1]
-    if not groups:
+    profiles = np.abs(sys.right_vectors)
+    if sys.meta.get("route") == "closed_form":
         return profiles
-    analytic = _analytic_system(spec, t)
-    if analytic is None:
-        return profiles
-    for group in groups:
-        for n in group:
-            match = int(np.argmin(np.abs(analytic.values - sys.values[n])))
-            profiles[n] = analytic.profile(match)
+    mixed = [n for group in sys.degenerate_groups() if len(group) > 1 for n in group]
+    if mixed:
+        exact = spectra.closed_form(spec, t)
+        for n in mixed:
+            profiles[:, n] = exact.profile(int(np.argmin(np.abs(exact.values - sys.values[n]))))
     return profiles
-
-
-def _analytic_system(spec, t: float) -> EigenSystem | None:
-    if isinstance(spec, SegmentedRing):
-        return spectra.alternating_ring_modes(spec, t)
-    if isinstance(spec, CirculantGraph):
-        return spectra.circulant_analytic_spectrum(spec, t)
-    return None
 
 
 @dataclass(frozen=True)
@@ -237,15 +228,13 @@ def pure_decay_check(
     """Do all modes share one purely geometric amplitude profile?
 
     Passes iff the worst per-chain fit residual (purity) and the worst
-    pairwise profile deviation both stay at or below the threshold.
+    pairwise profile deviation both stay at or below the threshold.  The
+    pairwise deviation is the largest per-site spread across modes.
     """
     profiles = _mode_profiles(sys, spec, t)
-    reports = [extract_decay_constants(p, spec, t) for p in profiles]
+    reports = [extract_decay_constants(p, spec, t) for p in profiles.T]
     purity = float(max(r.purity for r in reports))
-    cross = 0.0
-    for i in range(len(profiles)):
-        for j in range(i + 1, len(profiles)):
-            cross = max(cross, float(np.max(np.abs(profiles[i] - profiles[j]))))
+    cross = float(np.max(np.ptp(profiles, axis=1)))
     sel = least_damped_mode(sys)
     report = DecayReport(
         per_chain=reports[sel].per_chain,
@@ -303,39 +292,26 @@ class ChargeMap:
 
 
 def decay_profile(spec, t: float, sys: EigenSystem | None = None, mode: int | None = None) -> np.ndarray:
-    """Amplitude profile of one mode (least-damped by default),
-    substituting the analytic pure-decay vector when the mode sits in a
-    degenerate subspace where numerical vectors mix."""
+    """Amplitude profile of one mode (least-damped by default) of ``sys``,
+    or of the closed form when no system is given.  A dense mode inside a
+    degenerate subspace, where numerical vectors mix, is replaced by the
+    closed-form vector with its eigenvalue."""
     if sys is None:
-        sys = eigendecompose(build(spec, t))
+        sys = spectra.closed_form(spec, t)
     if mode is None:
         mode = least_damped_mode(sys)
-    if len(sys.degenerate_partners(mode)) > 1:
-        analytic = _analytic_system(spec, t)
-        if analytic is not None:
-            match = int(np.argmin(np.abs(analytic.values - sys.values[mode])))
-            return analytic.profile(match)
-    return sys.profile(mode)
-
-
-_charge_profile = decay_profile
+    return _mode_profiles(sys, spec, t)[:, mode]
 
 
 def _product_profile(p: ProductLattice) -> np.ndarray:
     """Least-damped product profile: Kronecker product of axis profiles."""
-    parts = []
+    out = np.ones(1)
     for spec, t in p.axes:
-        h = build(spec, t)
-        sys = eigendecompose(h)
-        sel = least_damped_mode(sys)
-        parts.append(_charge_profile(spec, t, sys, sel))
-    out = parts[0]
-    for arr in parts[1:]:
-        out = np.kron(out, arr)
+        out = np.kron(out, decay_profile(spec, t))
     return out
 
 
-def charge_map(spec, t: float | None = None, mode: int | None = None) -> ChargeMap:
+def charge_map(spec, t: float | None = None) -> ChargeMap:
     """Build the lattice, pick a pure-decay profile, and compute both charges."""
     if isinstance(spec, SynthesizedChargeGraph):
         q_amp = amplitude_charges(spec.profile, spec.edges, spec.t)
@@ -345,9 +321,7 @@ def charge_map(spec, t: float | None = None, mode: int | None = None) -> ChargeM
     if isinstance(spec, ProductLattice):
         profile = _product_profile(spec)
     else:
-        sys = eigendecompose(h)
-        sel = least_damped_mode(sys) if mode is None else mode
-        profile = _charge_profile(spec, t, sys, sel)
+        profile = decay_profile(spec, t)
     q_amp = amplitude_charges(profile, h.edges, h.ts)
     q_comb = combinatorial_charges(h.edges, h.dim)
     return ChargeMap.from_vectors(q_amp, q_comb)
@@ -371,15 +345,12 @@ def verify_charge_equality(spec, t: float | None = None) -> tuple[int, float]:
         if isinstance(spec, ProductLattice):
             amp_vectors = [amplitude_charges(_product_profile(spec), h.edges, h.ts)]
         else:
-            sys = eigendecompose(h)
+            sys = spectra.closed_form(spec, t)
             sel = least_damped_mode(sys)
             most = int(np.argmin(sys.values.imag))
             if most == sel:
                 most = (sel + 1) % sys.dim
-            amp_vectors = [
-                amplitude_charges(_charge_profile(spec, t, sys, n), h.edges, h.ts)
-                for n in (sel, most)
-            ]
+            amp_vectors = [amplitude_charges(sys.profile(n), h.edges, h.ts) for n in (sel, most)]
     dev_plus = max(float(np.max(np.abs(qa - q_comb))) for qa in amp_vectors)
     dev_minus = max(float(np.max(np.abs(qa + q_comb))) for qa in amp_vectors)
     if dev_minus < dev_plus:

@@ -127,7 +127,7 @@ def fig1d() -> CheckResult:
     sys = spectra.eigendecompose(h)
     purity = decay.pure_decay_check(sys, OBC_12, t)
     res.record("oscillatory_modes_fail_purity", (not purity.passed) and purity.purity > 1e-3, purity.purity)
-    analytic = spectra.obc_analytic_spectrum(OBC_12, t)
+    analytic = spectra.closed_form(OBC_12, t)
     res.record("analytic_modes_certified", float(np.max(analytic.residuals)) <= analytic.tolerance)
     res.record("rho_exponent_recorded", analytic.meta.get("rho_exponent") in (0.5, -0.5),
                analytic.meta.get("rho_exponent"))
@@ -141,7 +141,7 @@ def fig1e() -> CheckResult:
 
 
 def _circulant_checks(res: CheckResult, g: CirculantGraph, t: float):
-    analytic = spectra.circulant_analytic_spectrum(g, t)
+    analytic = spectra.closed_form(g, t)
     res.record("analytic_certified", float(np.max(analytic.residuals)) <= analytic.tolerance,
                float(np.max(analytic.residuals)))
     r = t ** (-1.0 / g.n_nodes)

@@ -241,6 +241,15 @@ class ObcChain:
     def length(self) -> int:
         return self.n_sites
 
+    def potential(self) -> np.ndarray:
+        """Base-t log-amplitudes of the symmetrizing gauge: w_m = m/2.
+
+        Every bond (i+1 -> i) puts t below the diagonal and 1 above it, so
+        diag(t**-w) H diag(t**w) has sqrt(t) on both sides.  The modes are
+        t**w times standing waves, not pure decay.
+        """
+        return np.arange(self.n_sites) / 2.0
+
 
 AxisSpec = Union[SegmentedRing, CirculantGraph, ObcChain]
 

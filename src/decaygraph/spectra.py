@@ -1,7 +1,7 @@
-"""Eigensystems: dense numerics plus analytic forms for the structured families.
+"""Eigensystems: dense numerics plus the closed form of the structured families.
 
 Every returned eigenpair is residual-certified: ||H v - E v||_inf must not
-exceed tol = 1e-9 * ||H||_inf (configurable).  Right eigenvectors are
+exceed tol = 1e-9 * ||H||_inf.  Right eigenvectors are
 normalized so their maximum-magnitude component is exactly 1 (real,
 positive); left eigenvectors are biorthogonal rows of the inverse
 eigenvector matrix, so w_n . v_m = delta_nm.
@@ -9,7 +9,6 @@ eigenvector matrix, so w_n . v_m = delta_nm.
 
 from __future__ import annotations
 
-import cmath
 import warnings
 from dataclasses import dataclass, field
 
@@ -17,14 +16,12 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DegenerateAmbiguity, IllConditioned, NotTwoSegment
 from .lattice import (
-    CHAIN_A,
-    CirculantGraph,
     Hamiltonian,
     ObcChain,
+    ProductLattice,
     SegmentedRing,
-    build_circulant_hamiltonian,
-    build_obc_chain,
-    build_ring_hamiltonian,
+    build_axis,
+    build_product_lattice,
 )
 
 RESIDUAL_FACTOR = 1e-9
@@ -38,6 +35,7 @@ class EigenSystem:
 
     values[n] pairs with right_vectors[:, n] and left_vectors[n, :].
     ``residuals[n]`` is ||H v_n - E_n v_n||_inf for the max-normalized v_n.
+    ``meta["route"]`` is "dense" (eigendecompose) or "closed_form".
     """
 
     values: np.ndarray
@@ -62,11 +60,10 @@ class EigenSystem:
         """Normalized amplitude profile |v_n| (max component is 1)."""
         return np.abs(self.right_vectors[:, n])
 
-    def degenerate_groups(self, tol: float | None = None) -> list[list[int]]:
-        """Mode indices grouped by eigenvalue collision within tolerance
-        (transitive closure over all pairs)."""
-        if tol is None:
-            tol = DEGENERACY_FACTOR * self.h_norm
+    def degenerate_groups(self) -> list[list[int]]:
+        """Mode indices grouped by eigenvalue collision within
+        DEGENERACY_FACTOR * ||H||_inf (transitive closure over all pairs)."""
+        tol = DEGENERACY_FACTOR * self.h_norm
         parent = list(range(self.dim))
 
         def root(i: int) -> int:
@@ -84,25 +81,18 @@ class EigenSystem:
             groups.setdefault(root(i), []).append(i)
         return sorted(groups.values())
 
-    def degenerate_partners(self, n: int, tol: float | None = None) -> list[int]:
-        """Modes sharing mode n's eigenvalue (including n itself)."""
-        for group in self.degenerate_groups(tol):
-            if n in group:
-                return group
-        return [n]
-
 
 def _normalize_columns(vectors: np.ndarray) -> np.ndarray:
-    v = np.array(vectors, dtype=complex)
-    for n in range(v.shape[1]):
-        col = v[:, n]
-        pivot = col[int(np.argmax(np.abs(col)))]
-        v[:, n] = col / pivot
+    """Divide each column by its max-magnitude entry (a complex input is
+    divided in place)."""
+    v = np.asarray(vectors, dtype=complex)
+    v /= v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
     return v
 
 
 def _column_residuals(h: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    r = h @ vectors - vectors * values[None, :]
+    r = h @ vectors
+    r -= vectors * values[None, :]
     return np.max(np.abs(r), axis=0)
 
 
@@ -114,7 +104,7 @@ def _certify(residuals: np.ndarray, tol: float, what: str) -> None:
         )
 
 
-def eigendecompose(h: Hamiltonian, tol_factor: float = RESIDUAL_FACTOR) -> EigenSystem:
+def eigendecompose(h: Hamiltonian) -> EigenSystem:
     """Full certified eigensystem of a dense Hamiltonian.
 
     The raw solver values get a first-order correction through the
@@ -134,7 +124,7 @@ def eigendecompose(h: Hamiltonian, tol_factor: float = RESIDUAL_FACTOR) -> Eigen
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"dense eigensolver failed: {exc}") from exc
     h_norm = h.norm_inf()
-    tol = tol_factor * h_norm
+    tol = RESIDUAL_FACTOR * h_norm
     try:
         inv = np.linalg.inv(vectors)
         residual_mat = m @ vectors - vectors * values[None, :]
@@ -174,7 +164,7 @@ def eigendecompose(h: Hamiltonian, tol_factor: float = RESIDUAL_FACTOR) -> Eigen
         )
     residuals = _column_residuals(m, values, vectors)
     _certify(residuals, tol, "numerical eigendecomposition")
-    return EigenSystem(values, vectors, inv, residuals, h_norm, tol, {"cond_1": cond1})
+    return EigenSystem(values, vectors, inv, residuals, h_norm, tol, {"route": "dense", "cond_1": cond1})
 
 
 @dataclass(frozen=True)
@@ -201,136 +191,94 @@ def ring_mode_values(n_a: int, n_b: int, t: float) -> np.ndarray:
     return t / alpha + alpha
 
 
+def _gauge(spec, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Potential w, eigenvalues and eigenbasis of D**-1 H D, D = diag(t**w),
+    for a ring, circulant graph or open chain.
+
+    Rings and circulant graphs become plain circulants, diagonalized by the
+    Fourier basis with eigenvalues the DFT of the gauged first row; the open
+    chain becomes sqrt(t) times the symmetric hopping chain, diagonalized by
+    the sine basis.  The basis is returned as a fresh complex array.
+    """
+    n = spec.length
+    w = spec.potential()
+    if isinstance(spec, ObcChain):
+        theta = np.pi * np.arange(1, n + 1) / (n + 1)
+        values = (2.0 * np.sqrt(t) * np.cos(theta)).astype(complex)
+        return w, values, np.sin(np.outer(np.arange(1, n + 1), theta)).astype(complex)
+    row = np.zeros(n)
+    if isinstance(spec, SegmentedRing):
+        row[1] = t ** (spec.n_sites_b / n)
+        row[-1] = t ** (spec.n_sites_a / n)
+    else:
+        q = np.arange(1, n)
+        row[1:] = np.array(spec.a) * t ** ((n - q) / n)
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    phase = np.outer(np.arange(n), np.arange(n))
+    phase %= n
+    return w, n * np.fft.ifft(row), roots[phase]
+
+
+def closed_form(spec, t: float | None = None) -> EigenSystem:
+    """Certified eigensystem of a structured lattice via its gauge transform.
+
+    For each ring, circulant graph and open chain, D**-1 H D is normal,
+    with D = diag(t**w) and w the spec's potential (Hatano & Nelson's
+    imaginary gauge transform), so the eigenvectors are t**w times the
+    Fourier or sine basis.  The scale is formed in log space: nothing
+    overflows, and sites beyond the double range underflow to zero (which
+    the decay checks report as UnderflowSites).  Every pair is certified
+    against the built matrix.  Products combine their axes through
+    kron_sum_spectrum.  The open chain's per-site exponent w[1] - w[0] is
+    recorded in meta["rho_exponent"].
+    """
+    if isinstance(spec, ProductLattice):
+        axes = [closed_form(s, at) for s, at in spec.axes]
+        sys = kron_sum_spectrum(axes, build_product_lattice(spec))
+    else:
+        h = build_axis(spec, t)
+        w, values, vectors = _gauge(spec, h.t)
+        log_scale = w * np.log(h.t)
+        vectors *= np.exp(log_scale - log_scale.max())[:, None]
+        vectors = _normalize_columns(vectors)
+        residuals = _column_residuals(h.matrix, values, vectors)
+        h_norm = h.norm_inf()
+        tol = RESIDUAL_FACTOR * h_norm
+        _certify(residuals, tol, f"closed-form {h.kind} modes")
+        sys = EigenSystem(values, vectors, None, residuals, h_norm, tol)
+        if isinstance(spec, ObcChain):
+            sys.meta["rho_exponent"] = float(w[1] - w[0])
+    sys.meta["route"] = "closed_form"
+    return sys
+
+
+# The per-family names stay public (and bench/tracer.py wraps them), all
+# bound to the one closed form.
+alternating_ring_modes = closed_form
+ring_solutions_as_system = closed_form
+circulant_analytic_spectrum = closed_form
+obc_analytic_spectrum = closed_form
+
+
 def ring_analytic_spectrum(ring: SegmentedRing, t: float) -> list[RingModeSolution]:
     """All L mode solutions of a one-A-one-B segmented ring.
 
-    Site m (1-based) carries alpha**m through the A chain and its junction
-    site; the B chain continues with per-site factor alpha/t.  Each profile
-    is certified as an eigenvector of the built matrix; the decay direction
-    therefore comes out of the certification, not out of an assumption.
+    alpha_n = t**(M/L) exp(i k_n) labels mode n of the closed form, whose
+    certified vector is t**w times a Bloch wave: alpha**m through the A
+    chain and its junction site, then per-site factor alpha/t along B.
     """
     if not ring.is_two_segment:
         raise NotTwoSegment(f"expected one A and one B segment, got {len(ring.segments)}")
-    n_a = ring.segments[0][1]
-    n_b = ring.segments[1][1]
-    length = ring.length
-    h = build_ring_hamiltonian(ring, t)
-    tol = RESIDUAL_FACTOR * h.norm_inf()
-    solutions: list[RingModeSolution] = []
-    for n in range(length):
-        k = 2.0 * np.pi * n / length
-        alpha = t ** (n_b / length) * cmath.exp(1j * k)
-        energy = t / alpha + alpha
-        profile = np.empty(length, dtype=complex)
-        for m in range(1, n_a + 2):
-            profile[m - 1] = alpha ** m
-        step = alpha / t
-        for m in range(n_a + 2, length + 1):
-            profile[m - 1] = profile[n_a] * step ** (m - n_a - 1)
-        profile = profile / profile[int(np.argmax(np.abs(profile)))]
-        residual = float(np.max(np.abs(h.matrix @ profile - energy * profile)))
-        if residual > tol:
-            raise ConvergenceFailure(
-                f"ring mode n={n}: residual {residual:.3e} exceeds {tol:.3e}"
-            )
-        solutions.append(RingModeSolution(n, k, alpha, energy, profile, residual))
-    return solutions
-
-
-def ring_solutions_as_system(ring: SegmentedRing, t: float) -> EigenSystem:
-    """Package ring mode solutions as an EigenSystem (mode-index order)."""
-    sols = ring_analytic_spectrum(ring, t)
-    values = np.array([s.energy for s in sols])
-    vectors = np.column_stack([s.profile for s in sols])
-    residuals = np.array([s.residual for s in sols])
-    h_norm = build_ring_hamiltonian(ring, t).norm_inf()
-    return EigenSystem(values, vectors, None, residuals, h_norm, RESIDUAL_FACTOR * h_norm)
-
-
-def alternating_ring_modes(ring: SegmentedRing, t: float) -> EigenSystem:
-    """Exact pure-decay modes of any alternating ring via diagonal similarity.
-
-    D**-1 H D with D = diag(t**w) and w the ring potential is the uniform
-    circulant with first off-diagonals t**(Mtot/L) (forward) and
-    t**(Ntot/L) (backward), so the modes are Bloch waves times t**w.
-    Used for degenerate-subspace handling on multi-segment rings, where no
-    closed form is published; every mode is residual-certified here.
-    """
-    length = ring.length
-    w = ring.potential()
-    h = build_ring_hamiltonian(ring, t)
-    up = t ** (ring.n_sites_b / length)
-    down = t ** (ring.n_sites_a / length)
-    k = 2.0 * np.pi * np.arange(length) / length
-    values = up * np.exp(1j * k) + down * np.exp(-1j * k)
-    m = np.arange(length)
-    vectors = (t ** w)[:, None] * np.exp(1j * np.outer(m, k))
-    vectors = _normalize_columns(vectors)
-    residuals = _column_residuals(h.matrix, values, vectors)
-    h_norm = h.norm_inf()
-    tol = RESIDUAL_FACTOR * h_norm
-    _certify(residuals, tol, "alternating-ring similarity modes")
-    return EigenSystem(values, vectors, None, residuals, h_norm, tol)
-
-
-def circulant_analytic_spectrum(g: CirculantGraph, t: float) -> EigenSystem:
-    """Geometric-times-Fourier eigenbasis of a validated circulant graph.
-
-    psi[m, n] = r**m * exp(i n m theta) with r = t**(-1/N), theta = 2 pi / N
-    (m, n counted from 0); E_n = sum_q a_q t**((N-q)/N) exp(i q n theta).
-    Certified against the built matrix.
-    """
-    n_nodes = g.n_nodes
-    theta = 2.0 * np.pi / n_nodes
-    r = t ** (-1.0 / n_nodes)
-    h = build_circulant_hamiltonian(g, t)
-    q = np.arange(1, n_nodes)
-    coeff = np.array(g.a) * t ** ((n_nodes - q) / n_nodes)
-    n = np.arange(n_nodes)
-    values = np.array([np.sum(coeff * np.exp(1j * q * nn * theta)) for nn in n])
-    m = np.arange(n_nodes)
-    vectors = (r ** m)[:, None] * np.exp(1j * theta * np.outer(m, n))
-    vectors = _normalize_columns(vectors)
-    residuals = _column_residuals(h.matrix, values, vectors)
-    h_norm = h.norm_inf()
-    tol = RESIDUAL_FACTOR * h_norm
-    _certify(residuals, tol, "circulant analytic spectrum")
-    return EigenSystem(values, vectors, None, residuals, h_norm, tol)
-
-
-def obc_analytic_spectrum(chain: ObcChain, t: float) -> EigenSystem:
-    """Standing-wave modes of the open chain: psi_m = rho**m sin(m theta_n).
-
-    E_n = 2 sqrt(t) cos(pi n / (N+1)).  The sign of the exponent in
-    rho = t**(+-1/2) is determined by residual certification against the
-    built matrix, never assumed; the certified sign is recorded in
-    meta["rho_exponent"].
-    """
-    n_sites = chain.n_sites
-    h = build_obc_chain(chain, t)
-    h_norm = h.norm_inf()
-    tol = RESIDUAL_FACTOR * h_norm
-    theta = np.pi * np.arange(1, n_sites + 1) / (n_sites + 1)
-    values = 2.0 * np.sqrt(t) * np.cos(theta)
-    m = np.arange(1, n_sites + 1)
-    for exponent in (0.5, -0.5):
-        rho = t ** exponent
-        vectors = np.array(
-            [(rho ** m) * np.sin(m * th) for th in theta], dtype=complex
-        ).T
-        vectors = _normalize_columns(vectors)
-        residuals = _column_residuals(h.matrix, values.astype(complex), vectors)
-        if float(np.max(residuals)) <= tol:
-            return EigenSystem(
-                values.astype(complex),
-                vectors,
-                None,
-                residuals,
-                h_norm,
-                tol,
-                {"rho_exponent": exponent},
-            )
-    raise ConvergenceFailure("neither exponent sign certifies the open-chain modes")
+    sys = closed_form(ring, t)
+    k = 2.0 * np.pi * np.arange(ring.length) / ring.length
+    alpha = t ** (ring.n_sites_b / ring.length) * np.exp(1j * k)
+    return [
+        RingModeSolution(
+            n, float(k[n]), complex(alpha[n]), complex(sys.values[n]),
+            sys.right_vectors[:, n], float(sys.residuals[n]),
+        )
+        for n in range(ring.length)
+    ]
 
 
 def kron_sum_spectrum(axis_systems: list[EigenSystem], h: Hamiltonian | None = None) -> EigenSystem:
@@ -344,9 +292,9 @@ def kron_sum_spectrum(axis_systems: list[EigenSystem], h: Hamiltonian | None = N
     """
     if not axis_systems:
         raise ConvergenceFailure("no axis systems given")
-    values = axis_systems[0].values
-    vectors = axis_systems[0].right_vectors
-    for sys_k in axis_systems[1:]:
+    values = np.zeros(1, dtype=complex)
+    vectors = np.ones((1, 1), dtype=complex)
+    for sys_k in axis_systems:
         values = (values[:, None] + sys_k.values[None, :]).ravel()
         vectors = np.kron(vectors, sys_k.right_vectors)
     vectors = _normalize_columns(vectors)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import decaygraph as dg
-from decaygraph import decay, spectra
 
 T = 1.5
 
@@ -108,6 +107,17 @@ class TestPureDecayCheck:
         result = dg.pure_decay_check(sys, chain, T)
         assert not result.passed
         assert result.purity > 1e-3
+
+    @pytest.mark.parametrize("spec", [dg.ObcChain(12), RING_FIG1E])
+    def test_cross_mode_deviation_matches_pairwise_loop(self, spec):
+        sys = dg.eigendecompose(dg.build(spec, T))
+        profiles = [sys.profile(n) for n in range(sys.dim)]
+        want = max(
+            float(np.max(np.abs(profiles[i] - profiles[j])))
+            for i in range(len(profiles))
+            for j in range(i + 1, len(profiles))
+        )
+        assert dg.pure_decay_check(sys, spec, T).cross_mode_deviation == want
 
     def test_degenerate_ring_handled(self):
         # equal segments give a real, doubly degenerate spectrum; the check
@@ -271,7 +281,7 @@ class TestChargesFromFit:
         h = dg.build(spec, T)
         sys = dg.eigendecompose(h)
         sel = dg.least_damped_mode(sys)
-        profile = decay._charge_profile(spec, T, sys, sel)
+        profile = dg.decay_profile(spec, T, sys, sel)
         report = dg.extract_decay_constants(profile, spec, T)
         q_raw = dg.amplitude_charges(profile, h.edges, h.ts)
         q_fit = dg.charges_from_fit(report, spec, h)

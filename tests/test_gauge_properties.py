@@ -1,0 +1,72 @@
+"""Property tests: the closed form against the dense eigensolver.
+
+Random valid rings (uniform and one to three A/B pairs), circulant graphs
+and open chains with N <= 40 and t in [1/4, 1/1.01] or [1.01, 4].  Beyond
+t = 4 the dense reference itself stops certifying on some specs, so the
+range is bounded there on purpose.  Inside it, the dense route still
+fails to certify some tiny balanced rings with exactly repeated
+eigenvalues (A1B1A1B1 at t = 0.5: residual 64); those draws have no
+reference and are discarded, and the dense-route defect is tracked in
+ROADMAP.md.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import decaygraph as dg
+
+from oracle_helpers import match_deviation
+
+MAX_N = 40
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+ratios = st.one_of(st.floats(0.25, 1 / 1.01), st.floats(1.01, 4.0))
+
+
+@st.composite
+def rings(draw):
+    pairs = draw(st.integers(0, 3))
+    if pairs == 0:
+        return dg.SegmentedRing((("A", draw(st.integers(3, MAX_N))),))
+    budget = MAX_N // (2 * pairs)
+    segs = []
+    for _ in range(pairs):
+        segs += [("A", draw(st.integers(1, budget))), ("B", draw(st.integers(1, budget)))]
+    if sum(n for _, n in segs) < 3:
+        segs[0] = ("A", 2)
+    return dg.SegmentedRing(tuple(segs))
+
+
+@st.composite
+def circulants(draw):
+    n = draw(st.integers(2, MAX_N))
+    picks = draw(st.lists(st.booleans(), min_size=n // 2, max_size=n // 2))
+    offsets = [q for q, on in enumerate(picks, 1) if on] or [1]
+    a = [0] * (n - 1)
+    for q in offsets:
+        a[q - 1] = a[n - q - 1] = 1
+    return dg.validate_circulant(n, a)
+
+
+chains = st.builds(dg.ObcChain, st.integers(2, MAX_N))
+
+
+@SETTINGS
+@given(st.one_of(rings(), circulants(), chains), ratios)
+def test_closed_form_matches_dense_eigenvalues(spec, t):
+    exact = dg.closed_form(spec, t)
+    try:
+        dense = dg.eigendecompose(dg.build(spec, t))
+    except dg.ConvergenceFailure:
+        assume(False)
+    assert match_deviation(exact.values, dense.values) <= 1e-8
+
+
+@SETTINGS
+@given(st.one_of(rings(), circulants()), ratios)
+def test_every_mode_carries_the_normalized_gauge_profile(spec, t):
+    want = t ** spec.potential()
+    want /= want.max()
+    sys = dg.closed_form(spec, t)
+    assert np.max(np.abs(np.abs(sys.right_vectors) - want[:, None])) <= 1e-12

@@ -239,3 +239,48 @@ class TestCli:
         checks = json.loads((out / "checks.json").read_text())
         assert checks["fig1d"]["expected_fail_control"]
         assert checks["fig1d"]["passed"]
+
+
+def ring_doc(segments, t):
+    return json.dumps({"lattice": {"kind": "ring", "t": t, "segments": [
+        {"type": k, "len": n} for k, n in segments]}})
+
+
+class TestClosedFormRoute:
+    """Inputs inside the cap where the dense eigensolver cannot certify."""
+
+    def run_decay(self, tmp_path, text):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        out = tmp_path / "out"
+        rc = run_cli(tmp_path, "decay", "--spec", spec, "--out", out)
+        return rc, json.loads((out / "decay_report.json").read_text())
+
+    def test_balanced_ring_300_at_t_1_5(self, tmp_path):
+        rc, report = self.run_decay(tmp_path, ring_doc([("A", 150), ("B", 150)], 1.5))
+        assert rc == 0 and report["pure_decay_pass"] is True
+        for chain in report["per_chain"]:
+            assert chain["ratio"] == pytest.approx(1.5 ** -0.5, rel=1e-9)
+        assert report["partition_sum"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_unbalanced_ring_300_at_t_1_5(self, tmp_path):
+        rc, report = self.run_decay(tmp_path, ring_doc([("A", 100), ("B", 200)], 1.5))
+        assert rc == 0 and report["pure_decay_pass"] is True
+        want = {"A": 1.5 ** (-200 / 300), "B": 1.5 ** (-100 / 300)}
+        for chain in report["per_chain"]:
+            assert chain["ratio"] == pytest.approx(want[chain["chain_type"]], rel=1e-9)
+
+    def test_open_chain_with_sine_nodes_fails_cleanly(self, tmp_path):
+        # N + 1 = 14 is composite: some modes have exact sine nodes
+        text = '{"lattice":{"kind":"obc_chain","t":1.5,"n":13}}'
+        rc, report = self.run_decay(tmp_path, text)
+        assert rc == 1 and report["pure_decay_pass"] is False
+
+    def test_analytic_spectrum_of_multi_segment_ring(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(ring_doc([("A", 4), ("B", 11), ("A", 3), ("B", 12)], 1.5))
+        out = tmp_path / "out"
+        assert run_cli(tmp_path, "spectrum", "--spec", spec, "--analytic", "--numeric", "--out", out) == 0
+        raw = tmp_path / "raw.json"
+        raw.write_text(RAW_DOC)
+        assert run_cli(tmp_path, "spectrum", "--spec", raw, "--analytic", "--out", tmp_path / "o") == 2

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import decaygraph as dg
-from decaygraph import decay
 
 from oracle_helpers import (
     all_small_lattices,
@@ -87,7 +86,7 @@ def test_fitted_charges_match_raw_ratio_charges():
         h = dg.build(spec, t)
         sys = dg.eigendecompose(h)
         sel = dg.least_damped_mode(sys)
-        profile = decay._charge_profile(spec, t, sys, sel)
+        profile = dg.decay_profile(spec, t, sys, sel)
         report = dg.extract_decay_constants(profile, spec, t)
         q_raw = dg.amplitude_charges(profile, h.edges, h.ts)
         q_fit = dg.charges_from_fit(report, spec, h)

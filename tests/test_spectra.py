@@ -44,6 +44,14 @@ class TestEigendecompose:
             assert peak == pytest.approx(1.0)
             assert peak.imag == pytest.approx(0.0, abs=1e-15)
 
+    def test_column_normalization_matches_per_column_loop(self):
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=(9, 7)) + 1j * rng.normal(size=(9, 7))
+        want = v.copy()
+        for n in range(7):
+            want[:, n] = v[:, n] / v[np.argmax(np.abs(v[:, n])), n]
+        np.testing.assert_array_equal(spectra._normalize_columns(v.copy()), want)
+
     def test_residual_certificate(self):
         h = dg.build(dg.SegmentedRing((("A", 13), ("B", 17))), 1.5)
         sys = dg.eigendecompose(h)
