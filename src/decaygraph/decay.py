@@ -37,6 +37,7 @@ from .lattice import (
     ObcChain,
     ProductLattice,
     SegmentedRing,
+    _assemble,
     build,
     validate_hopping_ratio,
 )
@@ -485,7 +486,9 @@ def synthesize_charge_graph(target, t: float = 1.5) -> SynthesizedChargeGraph:
                     stitched = True
                     break
 
-    edges_sorted = tuple(sorted(edges, key=lambda e: (e.tail, e.head)))
+    pairs = np.array(edges).reshape(-1, 3)
+    graph = _assemble(n, pairs[:, 0], pairs[:, 1], 0, (t,), "synthesized", None)
+    edges_sorted = graph.edges
     q_comb = combinatorial_charges(edges_sorted, n)
     if np.any(np.abs(q_comb - target) > 1e-12):
         raise DecayGraphError("synthesized edges do not reproduce the target charges")
@@ -500,11 +503,7 @@ def synthesize_charge_graph(target, t: float = 1.5) -> SynthesizedChargeGraph:
     w = w - w.max()
     profile = t ** w
 
-    matrix = np.zeros((n, n))
-    for e in edges_sorted:
-        matrix[e.tail, e.head] = t
-        matrix[e.head, e.tail] = 1.0
-    g = SynthesizedChargeGraph(n, edges_sorted, t, profile, target.copy(), matrix)
+    g = SynthesizedChargeGraph(n, edges_sorted, t, profile, target.copy(), graph.matrix)
     dev = float(np.max(np.abs(amplitude_charges(profile, edges_sorted, t) - target)))
     if dev > QUANTIZATION_TOL:
         raise DecayGraphError(f"potential solve left charge deviation {dev:.3e}")

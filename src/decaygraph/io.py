@@ -182,10 +182,9 @@ def _f(x: float) -> str:
 def hamiltonian_csv(h: Hamiltonian) -> str:
     """Nonzero entries as "row,col,real,imag", 1-based, row-major order."""
     lines = ["row,col,real,imag"]
-    m = np.asarray(h.matrix, dtype=complex)
-    rows, cols = np.nonzero(m)
-    for r, c in sorted(zip(rows.tolist(), cols.tolist())):
-        v = m[r, c]
+    rows, cols = np.nonzero(h.matrix)
+    values = h.matrix[rows, cols].astype(complex)
+    for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
         lines.append(f"{r + 1},{c + 1},{_f(v.real)},{_f(v.imag)}")
     return "\n".join(lines) + "\n"
 

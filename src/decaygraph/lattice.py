@@ -16,12 +16,17 @@ Concretely, with ring sites numbered 0..L-1 (exports are 1-based):
 * a circulant pair {a, b} with a < b is oriented (a -> b): H[a, b] = t;
 * an open chain bond (i, i+1) is oriented (i+1 -> i), like type A.
 
-All builders produce real dense matrices with zero diagonal whose nonzero
-off-diagonal entries are exactly 1.0 or exactly t.
+Each builder only lists its directed edges as (tail, head, axis) arrays;
+one assembler, ``_assemble``, turns them into matrix entries, so every
+builder produces a real dense matrix with zero diagonal whose nonzero
+off-diagonal entries are exactly 1.0 or exactly t.  A product lattice
+repeats each axis's edges at every position of the other axes.
+``edge_list`` reads the edges back from the matrix as an independent check.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 from typing import NamedTuple, Union
@@ -324,10 +329,6 @@ class Hamiltonian:
     def norm_inf(self) -> float:
         return float(np.max(np.sum(np.abs(self.matrix), axis=1)))
 
-    def neighbor_pairs(self) -> list[tuple[int, int]]:
-        """Coupled unordered pairs (i < j), in lexicographic order."""
-        return sorted((min(e.tail, e.head), max(e.tail, e.head)) for e in self.edges)
-
 
 def _check_cap(n: int, size_cap: int | None) -> None:
     cap = node_cap() if size_cap is None else size_cap
@@ -335,8 +336,24 @@ def _check_cap(n: int, size_cap: int | None) -> None:
         raise DimensionOverflow(f"lattice has {n} nodes, exceeding the cap of {cap}")
 
 
-def _sorted_edges(edges: list[Edge]) -> tuple[Edge, ...]:
-    return tuple(sorted(edges, key=lambda e: (e.tail, e.head, e.axis)))
+def _assemble(n, tail, head, axis, ts, kind, spec, labels=None) -> Hamiltonian:
+    """The one place edges become matrix entries.
+
+    Each directed edge sets H[tail, head] = ts[axis] and H[head, tail] = 1;
+    the edges are stored sorted by (tail, head, axis).  ``axis`` may be a
+    scalar for 1D lattices; ``labels`` default to one 1-tuple per node.
+    """
+    tail, head = np.asarray(tail, dtype=np.intp), np.asarray(head, dtype=np.intp)
+    axis = np.broadcast_to(np.asarray(axis, dtype=np.intp), tail.shape)
+    order = np.lexsort((axis, head, tail))
+    tail, head, axis = tail[order], head[order], axis[order]
+    h = np.zeros((n, n))
+    h[tail, head] = np.asarray(ts, dtype=float)[axis]
+    h[head, tail] = 1.0
+    edges = tuple(map(Edge, tail.tolist(), head.tolist(), axis.tolist()))
+    if labels is None:
+        labels = tuple((i,) for i in range(n))
+    return Hamiltonian(h, tuple(ts), edges, labels, kind, spec)
 
 
 def build_ring_hamiltonian(ring: SegmentedRing, t: float, size_cap: int | None = None) -> Hamiltonian:
@@ -344,24 +361,16 @@ def build_ring_hamiltonian(ring: SegmentedRing, t: float, size_cap: int | None =
     t = validate_hopping_ratio(t)
     _check_cap(ring.length, size_cap)
     length = ring.length
-    h = np.zeros((length, length))
-    edges: list[Edge] = []
-    for i, bond_type in enumerate(ring.bond_types()):
-        j = (i + 1) % length
-        if bond_type == CHAIN_A:
-            h[j, i] = t
-            h[i, j] = 1.0
-            edges.append(Edge(j, i))
-        else:
-            h[i, j] = t
-            h[j, i] = 1.0
-            edges.append(Edge(i, j))
-    seg_idx = ring.site_segments()
-    seg_off: list[int] = []
-    for _, seg_len in ring.segments:
-        seg_off.extend(range(seg_len))
-    labels = tuple((seg_idx[i], seg_off[i]) for i in range(length))
-    return Hamiltonian(h, (t,), _sorted_edges(edges), labels, "ring", ring)
+    i = np.arange(length)
+    j = (i + 1) % length
+    is_a = np.array(ring.bond_types()) == CHAIN_A
+    labels = tuple(
+        (seg, off) for seg, (_, seg_len) in enumerate(ring.segments) for off in range(seg_len)
+    )
+    return _assemble(
+        length, np.where(is_a, j, i), np.where(is_a, i, j), 0, (t,),
+        "ring", ring, labels,
+    )
 
 
 def build_circulant_hamiltonian(g: CirculantGraph, t: float, size_cap: int | None = None) -> Hamiltonian:
@@ -371,16 +380,9 @@ def build_circulant_hamiltonian(g: CirculantGraph, t: float, size_cap: int | Non
     t = validate_hopping_ratio(t)
     n = g.n_nodes
     _check_cap(n, size_cap)
-    h = np.zeros((n, n))
-    edges: list[Edge] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if g.a[j - i - 1]:
-                h[i, j] = t
-                h[j, i] = 1.0
-                edges.append(Edge(i, j))
-    labels = tuple((i,) for i in range(n))
-    return Hamiltonian(h, (t,), _sorted_edges(edges), labels, "circulant", g)
+    tail = np.concatenate([np.arange(n - q) for q in g.offsets])
+    head = np.concatenate([np.arange(q, n) for q in g.offsets])
+    return _assemble(n, tail, head, 0, (t,), "circulant", g)
 
 
 def build_obc_chain(chain: ObcChain, t: float, size_cap: int | None = None) -> Hamiltonian:
@@ -388,14 +390,8 @@ def build_obc_chain(chain: ObcChain, t: float, size_cap: int | None = None) -> H
     t = validate_hopping_ratio(t)
     n = chain.n_sites
     _check_cap(n, size_cap)
-    h = np.zeros((n, n))
-    edges: list[Edge] = []
-    for i in range(n - 1):
-        h[i, i + 1] = 1.0
-        h[i + 1, i] = t
-        edges.append(Edge(i + 1, i))
-    labels = tuple((i,) for i in range(n))
-    return Hamiltonian(h, (t,), _sorted_edges(edges), labels, "obc_chain", chain)
+    i = np.arange(n - 1)
+    return _assemble(n, i + 1, i, 0, (t,), "obc_chain", chain)
 
 
 def build_axis(spec: AxisSpec, t: float, size_cap: int | None = None) -> Hamiltonian:
@@ -410,42 +406,29 @@ def build_axis(spec: AxisSpec, t: float, size_cap: int | None = None) -> Hamilto
 
 
 def build_product_lattice(p: ProductLattice, size_cap: int | None = None) -> Hamiltonian:
-    """Kronecker-sum assembly H = sum_k I x ... x H_k x ... x I.
+    """Kronecker-sum lattice H = sum_k I x ... x H_k x ... x I.
 
-    Axis 0 is slowest-varying in the row-major node index; edges carry
-    their axis tag.
+    Axis 0 is slowest-varying in the row-major node index; each axis edge
+    is repeated at every position of the other axes and carries its axis
+    tag.
     """
     _check_cap(p.length, size_cap)
-    axis_hs = [build_axis(spec, t, size_cap=max(p.dims)) for spec, t in p.axes]
     dims = p.dims
-    total = p.length
-    h = np.zeros((total, total))
-    for k, hk in enumerate(axis_hs):
-        left = int(np.prod(dims[:k], initial=1))
-        right = int(np.prod(dims[k + 1:], initial=1))
-        term = np.kron(np.kron(np.eye(left), hk.matrix), np.eye(right))
-        h += term
-    # row-major node addressing: node = multi_index . strides
-    strides = [int(np.prod(dims[k + 1:], initial=1)) for k in range(len(dims))]
-    edges: list[Edge] = []
-    for k, hk in enumerate(axis_hs):
-        left = int(np.prod(dims[:k], initial=1))
-        right = strides[k]
-        for e in hk.edges:
-            for outer in range(left):
-                for inner in range(right):
-                    base = outer * dims[k] * right + inner
-                    edges.append(Edge(base + e.tail * right, base + e.head * right, k))
-    labels = []
-    for node in range(total):
-        idx = []
-        rem = node
-        for k in range(len(dims)):
-            idx.append(rem // strides[k])
-            rem %= strides[k]
-        labels.append(tuple(idx))
-    ts = tuple(t for _, t in p.axes)
-    return Hamiltonian(h, ts, _sorted_edges(edges), tuple(labels), "product", p)
+    nodes = np.arange(p.length).reshape(dims)
+    tails, heads, axes = [], [], []
+    for k, (spec, t) in enumerate(p.axes):
+        axis_edges = np.array(build_axis(spec, t, size_cap=max(dims)).edges).reshape(-1, 3)
+        # along[..., i]: the nodes whose axis-k coordinate is i, one per
+        # position of the other axes (row-major order)
+        along = np.moveaxis(nodes, k, -1)
+        tails.append(along[..., axis_edges[:, 0]].ravel())
+        heads.append(along[..., axis_edges[:, 1]].ravel())
+        axes.append(np.full(tails[-1].size, k))
+    labels = tuple(itertools.product(*map(range, dims)))
+    return _assemble(
+        p.length, np.concatenate(tails), np.concatenate(heads), np.concatenate(axes),
+        tuple(t for _, t in p.axes), "product", p, labels,
+    )
 
 
 def build(spec: LatticeKind, t: float | None = None, size_cap: int | None = None) -> Hamiltonian:
@@ -486,7 +469,7 @@ def edge_list(h: Hamiltonian) -> tuple[Edge, ...]:
                 raise InconsistentEntries(
                     f"pair ({i + 1}, {j + 1}) has entries ({a}, {b}), not a {{1, t}} bond"
                 )
-    return _sorted_edges(edges)
+    return tuple(sorted(edges))
 
 
 def transpose(h: Hamiltonian) -> Hamiltonian:
@@ -495,7 +478,7 @@ def transpose(h: Hamiltonian) -> Hamiltonian:
     return Hamiltonian(
         h.matrix.T.copy(),
         h.ts,
-        _sorted_edges(list(rev)),
+        tuple(sorted(rev)),
         h.node_labels,
         h.kind + "_transposed",
         h.spec,

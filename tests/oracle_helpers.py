@@ -100,6 +100,18 @@ def resolvent_expansion(h: np.ndarray, z: complex, source: int, amplitude: float
     return vectors @ weights
 
 
+def kron_sum_matrix(axis_matrices) -> np.ndarray:
+    """Dense Kronecker sum H = sum_k I x ... x H_k x ... x I, axis 0 slowest."""
+    dims = [m.shape[0] for m in axis_matrices]
+    total = int(np.prod(dims))
+    h = np.zeros((total, total))
+    for k, hk in enumerate(axis_matrices):
+        left = int(np.prod(dims[:k], initial=1))
+        right = int(np.prod(dims[k + 1:], initial=1))
+        h += np.kron(np.kron(np.eye(left), hk), np.eye(right))
+    return h
+
+
 def all_small_lattices(max_dim=8):
     """Every buildable 1D lattice with at most max_dim nodes."""
     import itertools

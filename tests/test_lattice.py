@@ -6,7 +6,7 @@ import pytest
 import decaygraph as dg
 from decaygraph.lattice import node_cap
 
-from oracle_helpers import symmetric_binary_vectors
+from oracle_helpers import kron_sum_matrix, symmetric_binary_vectors
 
 
 class TestHoppingRatio:
@@ -199,6 +199,27 @@ class TestBuildProduct:
         axes = sorted(set(e.axis for e in h.edges))
         assert axes == [0, 1]
 
+    # distinct t per axis: with equal ratios edge_list cannot tell the axes apart
+    MIXED = [
+        ((dg.SegmentedRing((("A", 2), ("B", 1))), 1.5),
+         (dg.validate_circulant(4, [1, 0, 1]), 2.0),
+         (dg.ObcChain(3), 0.5)),
+        ((dg.ObcChain(2), 3.0),
+         (dg.SegmentedRing((("A", 1), ("B", 2), ("A", 1), ("B", 1))), 0.25),
+         (dg.validate_circulant(5, [1, 1, 1, 1]), 1.5)),
+        ((dg.validate_circulant(3, [1, 1]), 4.0),
+         (dg.ObcChain(4), 1.5),
+         (dg.SegmentedRing((("A", 3),)), 2.0)),
+    ]
+
+    @pytest.mark.parametrize("axes", MIXED)
+    def test_mixed_three_axis_against_kron_sum(self, axes):
+        h = dg.build_product_lattice(dg.ProductLattice(axes))
+        want = kron_sum_matrix([dg.build(spec, t).matrix for spec, t in axes])
+        assert np.array_equal(h.matrix, want)
+        assert dg.edge_list(h) == h.edges
+        assert h.node_labels == tuple(np.ndindex(*(spec.length for spec, _ in axes)))
+
     def test_needs_two_axes(self):
         c2 = dg.validate_circulant(2, [1])
         with pytest.raises(dg.InvalidRing):
@@ -223,6 +244,7 @@ class TestEdgeList:
             (dg.SegmentedRing((("A", 5), ("B", 3))), 1.7),
             (dg.validate_circulant(6, [1, 0, 1, 0, 1]), 2.5),
             (dg.ObcChain(6), 0.5),
+            (dg.ProductLattice(((dg.ObcChain(3), 2.0), (dg.validate_circulant(4, [1, 1, 1]), 0.5))), None),
         ]:
             h = dg.build(spec, t)
             assert dg.edge_list(h) == h.edges
