@@ -104,7 +104,7 @@ def cmd_charges(args, out_dir: Path, manifest: RunManifest) -> int:
         )
     cm = decay.charge_map(doc.spec, doc.t)
     _write(out_dir, "charges.csv", io.charges_csv(cm), manifest)
-    sigma, dev = decay.verify_charge_equality(doc.spec, doc.t)
+    sigma, dev = cm.sign()
     tol = args.tolerance if args.tolerance is not None else decay.QUANTIZATION_TOL
     print(
         f"charges: sigma={sigma:+d}, amplitude-vs-combinatorial deviation {dev:.3e}, "

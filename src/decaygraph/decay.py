@@ -247,49 +247,66 @@ def pure_decay_check(
     return PurityResult(purity, cross, purity <= threshold and cross <= threshold, report)
 
 
+def _edge_flow(e: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
+    """Per node: d summed over outgoing minus incoming edges of the (E, 3)
+    array ``e``, in edge order (one bincount over [tail0, head0, tail1, ...]
+    weighted [d0, -d0, d1, ...] adds exactly as a per-edge loop does)."""
+    return np.bincount(e[:, :2].ravel(), np.stack([d, -d], axis=1).ravel(), n)
+
+
 def amplitude_charges(profile: np.ndarray, edges: tuple[Edge, ...], ts) -> np.ndarray:
     """Per-node charge: sum of log_t(|psi_node| / |psi_neighbor|) over neighbors.
 
     The log base is the hopping ratio of the axis each bond lives on (the
     unique base that lands the figures' half-integer values for every t).
+    ``edges`` may also be given as an (E, 3) tail/head/axis array.
     """
-    if np.isscalar(ts):
-        ts = (float(ts),)
     amp = np.abs(np.asarray(profile, dtype=complex))
     if np.any(amp == 0.0):
         raise ZeroAmplitude("profile vanishes at a site; charges undefined")
     log_amp = np.log(amp)
-    q = np.zeros(len(amp))
-    for e in edges:
-        d = (log_amp[e.tail] - log_amp[e.head]) / np.log(ts[e.axis])
-        q[e.tail] += d
-        q[e.head] -= d
-    return q
+    e = np.asarray(edges, dtype=np.intp).reshape(-1, 3)
+    d = (log_amp[e[:, 0]] - log_amp[e[:, 1]]) / np.log(np.atleast_1d(ts))[e[:, 2]]
+    return _edge_flow(e, d, len(amp))
 
 
 def combinatorial_charges(edges: tuple[Edge, ...], n_nodes: int) -> np.ndarray:
     """(outgoing - incoming) / 2 per node; sums to zero exactly."""
-    q = np.zeros(n_nodes)
-    for e in edges:
-        q[e.tail] += 0.5
-        q[e.head] -= 0.5
-    return q
+    e = np.asarray(edges, dtype=np.intp).reshape(-1, 3)
+    return _edge_flow(e, np.full(len(e), 0.5), n_nodes)
 
 
 @dataclass(frozen=True)
 class ChargeMap:
-    """Both charge routes plus the quantization / conservation summary."""
+    """Both charge routes plus the quantization / conservation summary.
+
+    ``dev_plus`` / ``dev_minus``: worst gap of every checked amplitude-charge
+    vector from +/- the combinatorial charges.
+    """
 
     amplitude_charge: np.ndarray
     combinatorial_charge: np.ndarray
     total: float
     quantized: bool
+    dev_plus: float
+    dev_minus: float
 
     @classmethod
-    def from_vectors(cls, q_amp: np.ndarray, q_comb: np.ndarray) -> "ChargeMap":
+    def from_vectors(cls, q_amp: np.ndarray, q_comb: np.ndarray, checked=()) -> "ChargeMap":
         doubled = 2.0 * q_amp
         quantized = bool(np.all(np.abs(doubled - np.round(doubled)) <= 2 * QUANTIZATION_TOL))
-        return cls(q_amp, q_comb, float(np.sum(q_amp)), quantized)
+        vectors = (q_amp, *checked)
+        dev = [max(float(np.max(np.abs(qa - s * q_comb))) for qa in vectors) for s in (1, -1)]
+        return cls(q_amp, q_comb, float(np.sum(q_amp)), quantized, *dev)
+
+    def sign(self) -> tuple[int, float]:
+        """(+1, dev_plus); raises ConventionMismatch when -1 fits better."""
+        if self.dev_minus < self.dev_plus:
+            raise ConventionMismatch(
+                f"amplitude charges match -1 * combinatorial charges "
+                f"(dev {self.dev_minus:.3e} vs {self.dev_plus:.3e}); orientation convention violated"
+            )
+        return 1, self.dev_plus
 
 
 def decay_profile(spec, t: float, sys: EigenSystem | None = None, mode: int | None = None) -> np.ndarray:
@@ -313,53 +330,34 @@ def _product_profile(p: ProductLattice) -> np.ndarray:
 
 
 def charge_map(spec, t: float | None = None) -> ChargeMap:
-    """Build the lattice, pick a pure-decay profile, and compute both charges."""
-    if isinstance(spec, SynthesizedChargeGraph):
-        q_amp = amplitude_charges(spec.profile, spec.edges, spec.t)
-        q_comb = combinatorial_charges(spec.edges, spec.n_nodes)
-        return ChargeMap.from_vectors(q_amp, q_comb)
-    h = build(spec, t)
-    if isinstance(spec, ProductLattice):
-        profile = _product_profile(spec)
-    else:
-        profile = decay_profile(spec, t)
-    q_amp = amplitude_charges(profile, h.edges, h.ts)
-    q_comb = combinatorial_charges(h.edges, h.dim)
-    return ChargeMap.from_vectors(q_amp, q_comb)
+    """Build the lattice once and compute both charges from one solve.
 
-
-def verify_charge_equality(spec, t: float | None = None) -> tuple[int, float]:
-    """Fit the global sign relating the two charge routes and bound their gap.
-
-    Computes amplitude charges from the least-damped profile, cross-checks
-    one other mode, fits sigma in {+1, -1} minimizing the max deviation
-    from sigma times the combinatorial charges, and requires sigma = +1
-    (anything else means the orientation convention leaked somewhere).
+    The reported amplitude charges come from the least-damped profile; a
+    1D lattice also checks its most-damped mode (the next mode if the two
+    coincide).
     """
     if isinstance(spec, SynthesizedChargeGraph):
-        cm = charge_map(spec)
-        amp_vectors = [cm.amplitude_charge]
-        q_comb = cm.combinatorial_charge
+        edges, n, ts, profiles = spec.edges, spec.n_nodes, spec.t, [spec.profile]
     else:
         h = build(spec, t)
-        q_comb = combinatorial_charges(h.edges, h.dim)
+        edges, n, ts = h.edges, h.dim, h.ts
         if isinstance(spec, ProductLattice):
-            amp_vectors = [amplitude_charges(_product_profile(spec), h.edges, h.ts)]
+            profiles = [_product_profile(spec)]
         else:
             sys = spectra.closed_form(spec, t)
             sel = least_damped_mode(sys)
             most = int(np.argmin(sys.values.imag))
             if most == sel:
                 most = (sel + 1) % sys.dim
-            amp_vectors = [amplitude_charges(sys.profile(n), h.edges, h.ts) for n in (sel, most)]
-    dev_plus = max(float(np.max(np.abs(qa - q_comb))) for qa in amp_vectors)
-    dev_minus = max(float(np.max(np.abs(qa + q_comb))) for qa in amp_vectors)
-    if dev_minus < dev_plus:
-        raise ConventionMismatch(
-            f"amplitude charges match -1 * combinatorial charges "
-            f"(dev {dev_minus:.3e} vs {dev_plus:.3e}); orientation convention violated"
-        )
-    return 1, dev_plus
+            profiles = [sys.profile(sel), sys.profile(most)]
+    edges = np.asarray(edges, dtype=np.intp).reshape(-1, 3)
+    q_amp, *checked = [amplitude_charges(p, edges, ts) for p in profiles]
+    return ChargeMap.from_vectors(q_amp, combinatorial_charges(edges, n), checked)
+
+
+def verify_charge_equality(spec, t: float | None = None) -> tuple[int, float]:
+    """Sign relating the two charge routes (+1, else ConventionMismatch) and their gap."""
+    return charge_map(spec, t).sign()
 
 
 @dataclass(frozen=True)
@@ -493,13 +491,8 @@ def synthesize_charge_graph(target, t: float = 1.5) -> SynthesizedChargeGraph:
     if np.any(np.abs(q_comb - target) > 1e-12):
         raise DecayGraphError("synthesized edges do not reproduce the target charges")
 
-    lap = np.zeros((n, n))
-    for e in edges_sorted:
-        lap[e.tail, e.tail] += 1.0
-        lap[e.head, e.head] += 1.0
-        lap[e.tail, e.head] -= 1.0
-        lap[e.head, e.tail] -= 1.0
-    w = np.linalg.lstsq(lap, target, rcond=None)[0]
+    adj = (graph.matrix != 0).astype(int)
+    w = np.linalg.lstsq(np.diag(adj.sum(axis=1)) - adj, target, rcond=None)[0]
     w = w - w.max()
     profile = t ** w
 

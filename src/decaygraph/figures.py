@@ -223,7 +223,7 @@ def fig3a() -> CheckResult:
     want[[0, 14]] = -1.0
     dev = float(np.max(np.abs(cm.amplitude_charge - want)))
     res.record("charge_values", dev <= 1e-9, dev)
-    sigma, eq_dev = decay.verify_charge_equality(RING_FIG3A, t)
+    sigma, eq_dev = cm.sign()
     res.record("sigma_positive", sigma == 1)
     res.record("equality_dev", eq_dev <= 1e-9, eq_dev)
     res.record("conservation", abs(cm.total) <= 1e-9, cm.total)
@@ -236,7 +236,7 @@ def fig3c_vector() -> CheckResult:
     cm = decay.charge_map(CIRCULANT_FIG3C, t)
     dev = float(np.max(np.abs(cm.combinatorial_charge - CHARGES_FIG3C)))
     res.record("combinatorial_vector", dev <= 1e-12, dev)
-    sigma, eq_dev = decay.verify_charge_equality(CIRCULANT_FIG3C, t)
+    sigma, eq_dev = cm.sign()
     res.record("sigma_positive", sigma == 1)
     res.record("equality_dev", eq_dev <= 1e-9, eq_dev)
     synth = decay.synthesize_charge_graph(CHARGES_FIG3C, t)
@@ -253,10 +253,11 @@ def fig3d_vector() -> CheckResult:
         decay.combinatorial_charges(synth.edges, synth.n_nodes) - CHARGES_FIG3D
     )))
     res.record("combinatorial_vector", dev <= 1e-12, dev)
-    sigma, eq_dev = decay.verify_charge_equality(synth)
+    cm = decay.charge_map(synth)
+    sigma, eq_dev = cm.sign()
     res.record("sigma_positive", sigma == 1)
     res.record("equality_dev", eq_dev <= 1e-9, eq_dev)
-    res.record("quantized", decay.charge_map(synth).quantized)
+    res.record("quantized", cm.quantized)
     return res
 
 

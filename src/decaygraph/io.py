@@ -72,10 +72,10 @@ class LatticeDocument:
             RawMatrix: "raw",
         }[type(self.spec)]
 
-    def build(self, size_cap: int | None = None) -> Hamiltonian:
+    def build(self) -> Hamiltonian:
         if isinstance(self.spec, RawMatrix):
-            return raw_hamiltonian(self.spec.matrix(), self.spec.t, size_cap)
-        return build(self.spec, self.t, size_cap)
+            return raw_hamiltonian(self.spec.matrix(), self.spec.t)
+        return build(self.spec, self.t)
 
 
 def _need(obj: dict, key: str, where: str):

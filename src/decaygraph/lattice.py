@@ -138,23 +138,9 @@ class SegmentedRing:
     def is_two_segment(self) -> bool:
         return len(self.segments) == 2
 
-    def site_types(self) -> list[str]:
-        """Chain type of each site, in ring order."""
-        out: list[str] = []
-        for kind, length in self.segments:
-            out.extend([kind] * length)
-        return out
-
-    def site_segments(self) -> list[int]:
-        """Segment index of each site, in ring order."""
-        out: list[int] = []
-        for idx, (_, length) in enumerate(self.segments):
-            out.extend([idx] * length)
-        return out
-
     def bond_types(self) -> list[str]:
-        """Chain type of bond (i, i+1 mod L): the type of the segment owning it."""
-        return self.site_types()
+        """Chain type of bond (i, i+1 mod L): the type of the segment owning site i."""
+        return [kind for kind, length in self.segments for _ in range(length)]
 
     def potential(self) -> np.ndarray:
         """Base-t log-amplitudes of the pure decay profile, site 0 pinned to 0.
@@ -330,8 +316,8 @@ class Hamiltonian:
         return float(np.max(np.sum(np.abs(self.matrix), axis=1)))
 
 
-def _check_cap(n: int, size_cap: int | None) -> None:
-    cap = node_cap() if size_cap is None else size_cap
+def _check_cap(n: int) -> None:
+    cap = node_cap()
     if n > cap:
         raise DimensionOverflow(f"lattice has {n} nodes, exceeding the cap of {cap}")
 
@@ -356,10 +342,10 @@ def _assemble(n, tail, head, axis, ts, kind, spec, labels=None) -> Hamiltonian:
     return Hamiltonian(h, tuple(ts), edges, labels, kind, spec)
 
 
-def build_ring_hamiltonian(ring: SegmentedRing, t: float, size_cap: int | None = None) -> Hamiltonian:
+def build_ring_hamiltonian(ring: SegmentedRing, t: float) -> Hamiltonian:
     """Assemble the L x L matrix of a segmented directed ring."""
     t = validate_hopping_ratio(t)
-    _check_cap(ring.length, size_cap)
+    _check_cap(ring.length)
     length = ring.length
     i = np.arange(length)
     j = (i + 1) % length
@@ -373,51 +359,51 @@ def build_ring_hamiltonian(ring: SegmentedRing, t: float, size_cap: int | None =
     )
 
 
-def build_circulant_hamiltonian(g: CirculantGraph, t: float, size_cap: int | None = None) -> Hamiltonian:
+def build_circulant_hamiltonian(g: CirculantGraph, t: float) -> Hamiltonian:
     """Assemble the matrix with first row [0, a1*t, ..., a_{N-1}*t] and first
     column [0, a1, ..., a_{N-1}]: H[a,b] = t*a_{b-a} above the diagonal and
     a_{a-b} below it."""
     t = validate_hopping_ratio(t)
     n = g.n_nodes
-    _check_cap(n, size_cap)
+    _check_cap(n)
     tail = np.concatenate([np.arange(n - q) for q in g.offsets])
     head = np.concatenate([np.arange(q, n) for q in g.offsets])
     return _assemble(n, tail, head, 0, (t,), "circulant", g)
 
 
-def build_obc_chain(chain: ObcChain, t: float, size_cap: int | None = None) -> Hamiltonian:
+def build_obc_chain(chain: ObcChain, t: float) -> Hamiltonian:
     """Assemble the open-boundary chain: H[i, i+1] = 1, H[i+1, i] = t."""
     t = validate_hopping_ratio(t)
     n = chain.n_sites
-    _check_cap(n, size_cap)
+    _check_cap(n)
     i = np.arange(n - 1)
     return _assemble(n, i + 1, i, 0, (t,), "obc_chain", chain)
 
 
-def build_axis(spec: AxisSpec, t: float, size_cap: int | None = None) -> Hamiltonian:
+def build_axis(spec: AxisSpec, t: float) -> Hamiltonian:
     """Build any 1D lattice."""
     if isinstance(spec, SegmentedRing):
-        return build_ring_hamiltonian(spec, t, size_cap)
+        return build_ring_hamiltonian(spec, t)
     if isinstance(spec, CirculantGraph):
-        return build_circulant_hamiltonian(spec, t, size_cap)
+        return build_circulant_hamiltonian(spec, t)
     if isinstance(spec, ObcChain):
-        return build_obc_chain(spec, t, size_cap)
+        return build_obc_chain(spec, t)
     raise TypeError(f"not a 1D lattice spec: {type(spec).__name__}")
 
 
-def build_product_lattice(p: ProductLattice, size_cap: int | None = None) -> Hamiltonian:
+def build_product_lattice(p: ProductLattice) -> Hamiltonian:
     """Kronecker-sum lattice H = sum_k I x ... x H_k x ... x I.
 
     Axis 0 is slowest-varying in the row-major node index; each axis edge
     is repeated at every position of the other axes and carries its axis
     tag.
     """
-    _check_cap(p.length, size_cap)
+    _check_cap(p.length)
     dims = p.dims
     nodes = np.arange(p.length).reshape(dims)
     tails, heads, axes = [], [], []
     for k, (spec, t) in enumerate(p.axes):
-        axis_edges = np.array(build_axis(spec, t, size_cap=max(dims)).edges).reshape(-1, 3)
+        axis_edges = np.array(build_axis(spec, t).edges).reshape(-1, 3)
         # along[..., i]: the nodes whose axis-k coordinate is i, one per
         # position of the other axes (row-major order)
         along = np.moveaxis(nodes, k, -1)
@@ -431,45 +417,41 @@ def build_product_lattice(p: ProductLattice, size_cap: int | None = None) -> Ham
     )
 
 
-def build(spec: LatticeKind, t: float | None = None, size_cap: int | None = None) -> Hamiltonian:
+def build(spec: LatticeKind, t: float | None = None) -> Hamiltonian:
     """Build any lattice spec; ``t`` is required for 1D specs only."""
     if isinstance(spec, ProductLattice):
-        return build_product_lattice(spec, size_cap)
+        return build_product_lattice(spec)
     if t is None:
         raise InvalidHopping("1D lattice requires a hopping ratio t")
-    return build_axis(spec, t, size_cap)
+    return build_axis(spec, t)
 
 
 def edge_list(h: Hamiltonian) -> tuple[Edge, ...]:
     """Re-derive the directed edge list from the matrix entries.
 
     For every coupled pair the two entries must be {1, t_axis} for some
-    axis; anything else raises InconsistentEntries.  Result is ordered by
-    (tail, head) ascending and must agree with the stored edges.
+    axis (the first matching axis wins, a forward match before a backward
+    one); anything else raises InconsistentEntries for the first such pair
+    in row-major order.  Result is ordered by (tail, head) ascending and
+    must agree with the stored edges.
     """
     m = h.matrix
-    n = h.dim
-    edges: list[Edge] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = m[i, j], m[j, i]
-            if a == 0 and b == 0:
-                continue
-            matched = False
-            for axis, t in enumerate(h.ts):
-                if a == t and b == 1.0:
-                    edges.append(Edge(i, j, axis))
-                    matched = True
-                    break
-                if b == t and a == 1.0:
-                    edges.append(Edge(j, i, axis))
-                    matched = True
-                    break
-            if not matched:
-                raise InconsistentEntries(
-                    f"pair ({i + 1}, {j + 1}) has entries ({a}, {b}), not a {{1, t}} bond"
-                )
-    return tuple(sorted(edges))
+    i, j = np.nonzero(np.triu((m != 0) | (m.T != 0), 1))
+    a, b = m[i, j], m[j, i]
+    tail, head, axis = i.copy(), j.copy(), np.full(i.size, -1)
+    for k, t in enumerate(h.ts):
+        fwd = (axis < 0) & (a == t) & (b == 1.0)
+        axis[fwd] = k
+        bwd = (axis < 0) & (b == t) & (a == 1.0)
+        tail[bwd], head[bwd], axis[bwd] = j[bwd], i[bwd], k
+    bad = np.flatnonzero(axis < 0)
+    if bad.size:
+        p = bad[0]
+        raise InconsistentEntries(
+            f"pair ({i[p] + 1}, {j[p] + 1}) has entries ({a[p]}, {b[p]}), not a {{1, t}} bond"
+        )
+    order = np.lexsort((axis, head, tail))
+    return tuple(map(Edge, tail[order].tolist(), head[order].tolist(), axis[order].tolist()))
 
 
 def transpose(h: Hamiltonian) -> Hamiltonian:
@@ -485,7 +467,7 @@ def transpose(h: Hamiltonian) -> Hamiltonian:
     )
 
 
-def raw_hamiltonian(matrix: np.ndarray, t: float | None = None, size_cap: int | None = None) -> Hamiltonian:
+def raw_hamiltonian(matrix: np.ndarray, t: float | None = None) -> Hamiltonian:
     """Wrap an explicit matrix (the escape hatch for hand-drawn graphs).
 
     The edge list is derived only when ``t`` is given and every coupled
@@ -495,7 +477,7 @@ def raw_hamiltonian(matrix: np.ndarray, t: float | None = None, size_cap: int | 
     m = np.array(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InconsistentEntries("raw matrix must be square")
-    _check_cap(m.shape[0], size_cap)
+    _check_cap(m.shape[0])
     labels = tuple((i,) for i in range(m.shape[0]))
     ts = () if t is None else (validate_hopping_ratio(t),)
     h = Hamiltonian(m, ts, (), labels, "raw", None)

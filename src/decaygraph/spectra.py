@@ -281,14 +281,14 @@ def ring_analytic_spectrum(ring: SegmentedRing, t: float) -> list[RingModeSoluti
     ]
 
 
-def kron_sum_spectrum(axis_systems: list[EigenSystem], h: Hamiltonian | None = None) -> EigenSystem:
+def kron_sum_spectrum(axis_systems: list[EigenSystem], h: Hamiltonian) -> EigenSystem:
     """Combine certified axis systems into the product-lattice eigensystem.
 
     Eigenvalues are all sums across axes; eigenvectors are Kronecker
-    products in row-major node order (axis 0 slowest).  When the summed
+    products in row-major node order (axis 0 slowest), each pair certified
+    against the assembled product Hamiltonian ``h``.  When the summed
     values collide within tolerance a DegenerateAmbiguity warning is
-    issued and meta["degenerate"] is set.  If the assembled product
-    Hamiltonian is supplied the combined pairs are certified against it.
+    issued and meta["degenerate"] is set.
     """
     if not axis_systems:
         raise ConvergenceFailure("no axis systems given")
@@ -298,13 +298,10 @@ def kron_sum_spectrum(axis_systems: list[EigenSystem], h: Hamiltonian | None = N
         values = (values[:, None] + sys_k.values[None, :]).ravel()
         vectors = np.kron(vectors, sys_k.right_vectors)
     vectors = _normalize_columns(vectors)
-    h_norm = h.norm_inf() if h is not None else float(sum(s.h_norm for s in axis_systems))
+    h_norm = h.norm_inf()
     tol = RESIDUAL_FACTOR * h_norm
-    if h is not None:
-        residuals = _column_residuals(h.matrix, values, vectors)
-        _certify(residuals, tol, "kronecker-sum spectrum")
-    else:
-        residuals = np.zeros(len(values))
+    residuals = _column_residuals(h.matrix, values, vectors)
+    _certify(residuals, tol, "kronecker-sum spectrum")
     sys = EigenSystem(values, vectors, None, residuals, h_norm, tol)
     degenerate = any(len(g) > 1 for g in sys.degenerate_groups())
     if degenerate:

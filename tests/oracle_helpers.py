@@ -162,3 +162,54 @@ def symmetric_binary_vectors(n: int, weight: int | None = None):
             continue
         out.append(tuple(a))
     return sorted(set(out))
+
+
+def loop_amplitude_charges(profile, edges, ts) -> np.ndarray:
+    """Amplitude charges accumulated one edge at a time (reference)."""
+    if np.isscalar(ts):
+        ts = (float(ts),)
+    log_amp = np.log(np.abs(np.asarray(profile, dtype=complex)))
+    q = np.zeros(len(log_amp))
+    for e in edges:
+        d = (log_amp[e.tail] - log_amp[e.head]) / np.log(ts[e.axis])
+        q[e.tail] += d
+        q[e.head] -= d
+    return q
+
+
+def loop_combinatorial_charges(edges, n_nodes: int) -> np.ndarray:
+    """(outgoing - incoming) / 2 accumulated one edge at a time (reference)."""
+    q = np.zeros(n_nodes)
+    for e in edges:
+        q[e.tail] += 0.5
+        q[e.head] -= 0.5
+    return q
+
+
+def loop_edge_list(m: np.ndarray, ts):
+    """Directed edges read pair by pair from a matrix (reference).
+
+    Per pair the first matching axis wins, a forward match before a
+    backward one; an inconsistent pair raises InconsistentEntries.
+    """
+    import decaygraph as dg
+
+    n = m.shape[0]
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = m[i, j], m[j, i]
+            if a == 0 and b == 0:
+                continue
+            for axis, t in enumerate(ts):
+                if a == t and b == 1.0:
+                    edges.append(dg.Edge(i, j, axis))
+                    break
+                if b == t and a == 1.0:
+                    edges.append(dg.Edge(j, i, axis))
+                    break
+            else:
+                raise dg.InconsistentEntries(
+                    f"pair ({i + 1}, {j + 1}) has entries ({a}, {b}), not a {{1, t}} bond"
+                )
+    return tuple(sorted(edges))

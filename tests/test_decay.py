@@ -5,6 +5,8 @@ import pytest
 
 import decaygraph as dg
 
+from oracle_helpers import loop_amplitude_charges, loop_combinatorial_charges
+
 T = 1.5
 
 RING_29_1 = dg.SegmentedRing((("A", 29), ("B", 1)))
@@ -197,6 +199,53 @@ class TestCombinatorialCharges:
         h = dg.build(dg.validate_circulant(8, [1, 1, 0, 0, 0, 1, 1]), T)
         q = dg.combinatorial_charges(h.edges, h.dim)
         assert q.sum() == 0.0
+
+
+def kernel_cases():
+    """(edges, ts, n, profiles) on a ring, a three-axis product with distinct
+    t per axis, a transposed ring and a synthesized graph."""
+    rng = np.random.default_rng(3)
+    ring = dg.build(RING_FIG3A, T)
+    product = dg.build(dg.ProductLattice((
+        (dg.SegmentedRing((("A", 4), ("B", 3))), 1.5),
+        (dg.validate_circulant(5, [1, 1, 1, 1]), 0.4),
+        (dg.SegmentedRing((("A", 3),)), 2.75),
+    )))
+    synth = dg.synthesize_charge_graph(FIG3D, T)
+    cases = [(h.edges, h.ts, h.dim) for h in (ring, product, dg.transpose(ring))]
+    cases.append((synth.edges, synth.t, synth.n_nodes))
+    out = []
+    for edges, ts, n in cases:
+        phases = np.exp(1j * rng.uniform(0, 6, n))
+        profiles = [rng.uniform(1e-3, 1.0, n), rng.uniform(1e-3, 1.0, n) * phases]
+        out.append((edges, ts, n, profiles))
+    out[0][3].append(dg.decay_profile(RING_FIG3A, T))
+    out[3][3].append(synth.profile)
+    return out
+
+
+class TestEdgeKernels:
+    @pytest.mark.parametrize("case", range(4), ids=["ring", "product3", "transposed", "synthesized"])
+    def test_bit_identical_to_edge_loops(self, case):
+        edges, ts, n, profiles = kernel_cases()[case]
+        np.testing.assert_array_equal(
+            dg.combinatorial_charges(edges, n), loop_combinatorial_charges(edges, n)
+        )
+        for profile in profiles:
+            np.testing.assert_array_equal(
+                dg.amplitude_charges(profile, edges, ts), loop_amplitude_charges(profile, edges, ts)
+            )
+
+    def test_synthesized_laplacian_matches_edge_loop(self):
+        g = dg.synthesize_charge_graph(FIG3D, T)
+        lap = np.zeros((g.n_nodes, g.n_nodes))
+        for e in g.edges:
+            lap[e.tail, e.tail] += 1.0
+            lap[e.head, e.head] += 1.0
+            lap[e.tail, e.head] -= 1.0
+            lap[e.head, e.tail] -= 1.0
+        w = np.linalg.lstsq(lap, FIG3D, rcond=None)[0]
+        np.testing.assert_array_equal(g.profile, T ** (w - w.max()))
 
 
 class TestVerifyChargeEquality:

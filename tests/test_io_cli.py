@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import decaygraph as dg
-from decaygraph import cli, io
+from decaygraph import cli, decay, io, spectra
 
 RING_DOC = (
     '{"lattice":{"kind":"ring","t":1.5,'
@@ -284,3 +284,33 @@ class TestClosedFormRoute:
         raw = tmp_path / "raw.json"
         raw.write_text(RAW_DOC)
         assert run_cli(tmp_path, "spectrum", "--spec", raw, "--analytic", "--out", tmp_path / "o") == 2
+
+
+class TestChargesSolveOnce:
+    """`charges` builds the lattice and solves its closed form once."""
+
+    def count_calls(self, monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def run_charges(self, tmp_path, text):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        return run_cli(tmp_path, "charges", "--spec", spec, "--out", tmp_path / "out")
+
+    def test_product_builds_once(self, tmp_path, monkeypatch):
+        calls = self.count_calls(monkeypatch, decay, "build")
+        assert self.run_charges(tmp_path, PRODUCT_DOC) == 0
+        assert len(calls) == 1
+
+    def test_ring_solves_once(self, tmp_path, monkeypatch):
+        calls = self.count_calls(monkeypatch, spectra, "closed_form")
+        assert self.run_charges(tmp_path, ring_doc([("A", 6), ("B", 8), ("A", 7), ("B", 4)], 1.5)) == 0
+        assert len(calls) == 1

@@ -6,7 +6,7 @@ import pytest
 import decaygraph as dg
 from decaygraph.lattice import node_cap
 
-from oracle_helpers import kron_sum_matrix, symmetric_binary_vectors
+from oracle_helpers import kron_sum_matrix, loop_edge_list, symmetric_binary_vectors
 
 
 class TestHoppingRatio:
@@ -254,6 +254,42 @@ class TestEdgeList:
         with pytest.raises(dg.InconsistentEntries):
             dg.raw_hamiltonian(m, t=2.0)
 
+    @staticmethod
+    def random_raw(rng, n, ts, dtype):
+        """Random {1, t_axis} bonds; some matrices get one or two corrupted entries."""
+        m = np.zeros((n, n), dtype=dtype)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.4:
+                    t = ts[rng.integers(len(ts))]
+                    m[i, j], m[j, i] = (t, 1.0) if rng.random() < 0.5 else (1.0, t)
+        for _ in range(rng.choice(3, p=[0.7, 0.15, 0.15])):
+            i, j = rng.choice(n, 2, replace=False)
+            m[i, j] = rng.choice([0.7, 1.0, ts[0], 3.0 + 1j if dtype == complex else 3.0])
+        return m
+
+    def test_matches_pairwise_loop_on_random_raw_matrices(self):
+        rng = np.random.default_rng(7)
+        inconsistent = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 10))
+            ts = [(2.0,), (0.5,), (2.0, 0.25), (3.0, 3.0)][rng.integers(4)]
+            dtype = complex if rng.random() < 0.3 else float
+            m = self.random_raw(rng, n, ts, dtype)
+            h = dg.Hamiltonian(m, ts, (), tuple((i,) for i in range(n)), "raw")
+            try:
+                want = loop_edge_list(m, ts)
+            except dg.InconsistentEntries as exc:
+                inconsistent += 1
+                with pytest.raises(dg.InconsistentEntries) as got:
+                    dg.edge_list(h)
+                assert str(got.value) == str(exc)
+                continue
+            got = dg.edge_list(h)
+            assert got == want
+            assert all(type(x) is int for e in got for x in e)
+        assert inconsistent > 20
+
 
 class TestStructuralInvariants:
     SPECS = [
@@ -326,10 +362,6 @@ class TestStructuralInvariants:
 
 
 class TestSizeCap:
-    def test_explicit_cap(self):
-        with pytest.raises(dg.DimensionOverflow):
-            dg.build(dg.ObcChain(100), 1.5, size_cap=50)
-
     def test_env_cap(self, monkeypatch):
         monkeypatch.setenv("DECAYGRAPH_SIZE_CAP", "10")
         assert node_cap() == 10

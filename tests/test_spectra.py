@@ -192,9 +192,11 @@ class TestObcAnalytic:
 
 class TestKronSum:
     def test_pairwise_sums(self):
+        c2 = dg.validate_circulant(2, [1])
+        p = dg.ProductLattice(((dg.ObcChain(2), 4.0), (c2, 9.0)))
         a = dg.eigendecompose(dg.build_obc_chain(dg.ObcChain(2), 4.0))   # {-2, +2}
-        b = dg.eigendecompose(dg.raw_hamiltonian(np.array([[0.0, 9.0], [1.0, 0.0]]), t=9.0))  # {-3, +3}
-        combined = dg.kron_sum_spectrum([a, b])
+        b = dg.eigendecompose(dg.build(c2, 9.0))  # [[0, 9], [1, 0]]: {-3, +3}
+        combined = dg.kron_sum_spectrum([a, b], dg.build(p))
         assert match_deviation(combined.values, [-5.0, -1.0, 1.0, 5.0]) <= 1e-12
 
     def test_certified_against_product(self):
@@ -208,8 +210,9 @@ class TestKronSum:
 
     def test_degeneracy_flagged(self):
         a = dg.eigendecompose(dg.build_obc_chain(dg.ObcChain(2), 4.0))  # {-2, 2}
+        h = dg.build(dg.ProductLattice(((dg.ObcChain(2), 4.0), (dg.ObcChain(2), 4.0))))
         with pytest.warns(dg.DegenerateAmbiguity):
-            combined = dg.kron_sum_spectrum([a, a])  # sums: -4, 0, 0, 4
+            combined = dg.kron_sum_spectrum([a, a], h)  # sums: -4, 0, 0, 4
         assert combined.meta["degenerate"]
 
     def test_vectors_row_major(self):
