@@ -9,6 +9,7 @@ deterministic (byte-identical across reruns of the same invocation).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys as _sys
 import time
@@ -116,17 +117,23 @@ def cmd_charges(args, out_dir: Path, manifest: RunManifest) -> int:
 def cmd_drive(args, out_dir: Path, manifest: RunManifest) -> int:
     doc = _load_document(args)
     h = doc.build()
+    if (args.omega_min is None) != (args.omega_max is None):
+        missing = "--omega-max" if args.omega_max is None else "--omega-min"
+        raise DecayGraphError(f"{missing} is missing: --omega-min and --omega-max go together")
+    source = args.source if args.source is not None else 1
+    if not 1 <= source <= h.dim:
+        raise DecayGraphError(f"--source {source} is outside 1..{h.dim}")
     sys = spectra.eigendecompose(h)
-    source = (args.source - 1) if args.source is not None else 0
+    cfg = response.default_drive_config(h, sys, source - 1)
+    overrides = {"amplitude": args.amplitude}
     if args.gamma is not None:
-        gamma = args.gamma
-    else:
-        gamma = float(np.max(sys.values.imag)) + response.DEFAULT_GAMMA_MARGIN * h.norm_inf()
-    if args.omega_min is not None and args.omega_max is not None:
-        grid = np.linspace(args.omega_min, args.omega_max, args.omega_steps)
-    else:
-        grid = response.default_drive_config(h, sys).omega_grid
-    cfg = response.DriveConfig(source, gamma, grid, args.amplitude)
+        overrides["gamma"] = args.gamma
+    try:
+        if args.omega_min is not None:
+            overrides["omega_grid"] = np.linspace(args.omega_min, args.omega_max, args.omega_steps)
+        cfg = dataclasses.replace(cfg, **overrides)
+    except ValueError as exc:
+        raise DecayGraphError(f"invalid drive option: {exc}") from exc
     sweep = response.frequency_sweep(h, cfg, sys)
     _write(out_dir, "sweep.csv", io.sweep_csv(sweep), manifest)
     peaks = [float(np.max(np.abs(p.x))) for p in sweep]
@@ -176,24 +183,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec_required=True):
+    def common(p, spec_required=True, tolerance=False):
         if spec_required:
             p.add_argument("--spec", required=True, help="JSON lattice document")
             p.add_argument("--t", type=float, default=None, help="override hopping ratio (1D)")
         p.add_argument("--out", default="decaygraph-out", help="output directory")
-        p.add_argument("--tolerance", type=float, default=None, help="override check tolerance")
+        if tolerance:
+            p.add_argument("--tolerance", type=float, help="override check tolerance")
 
     p = sub.add_parser("build", help="assemble the Hamiltonian and export its entries")
     common(p)
     p = sub.add_parser("spectrum", help="numerical and/or analytic eigensystem exports")
-    common(p)
+    common(p, tolerance=True)
     p.add_argument("--numeric", action="store_true", help="dense eigensolver route (default)")
     p.add_argument("--analytic", action="store_true", help="closed-form route for structured families")
     p.add_argument("--profiles", action="store_true", help="also export per-mode profiles")
     p = sub.add_parser("decay", help="pure-decay check and decay-constant report")
-    common(p)
+    common(p, tolerance=True)
     p = sub.add_parser("charges", help="amplitude and combinatorial decay charges")
-    common(p)
+    common(p, tolerance=True)
     p = sub.add_parser("drive", help="steady-state frequency sweep and mode selection")
     common(p)
     p.add_argument("--gamma", type=float, default=None, help="uniform loss rate")

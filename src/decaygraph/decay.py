@@ -17,7 +17,7 @@ convention (positive sign, checked, never assumed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .lattice import (
     ProductLattice,
     SegmentedRing,
     _assemble,
+    _components,
     build,
     validate_hopping_ratio,
 )
@@ -237,13 +238,7 @@ def pure_decay_check(
     purity = float(max(r.purity for r in reports))
     cross = float(np.max(np.ptp(profiles, axis=1)))
     sel = least_damped_mode(sys)
-    report = DecayReport(
-        per_chain=reports[sel].per_chain,
-        partition_sum=reports[sel].partition_sum,
-        localization_node=reports[sel].localization_node,
-        purity=purity,
-        cross_mode_deviation=cross,
-    )
+    report = replace(reports[sel], purity=purity, cross_mode_deviation=cross)
     return PurityResult(purity, cross, purity <= threshold and cross <= threshold, report)
 
 
@@ -454,37 +449,21 @@ def synthesize_charge_graph(target, t: float = 1.5) -> SynthesizedChargeGraph:
     # best-effort: stitch components with charge-neutral directed 3-cycles.
     # A disconnected result stays valid (every greedy edge balances inside
     # its own component, so the potential solve is exact per component).
-    comp = list(range(n))
+    while True:
+        pairs = np.array(edges, dtype=np.intp).reshape(-1, 3)
+        labels = _components(n, pairs[:, :2])
+        if labels.max() == 0:
+            break
+        # the first (a, b, c) in lexicographic order that joins two components
+        cycle = next(((a, b, c) for a in range(n) for b in range(n)
+                      if labels[a] != labels[b] and free(a, b)
+                      for c in range(n) if c not in (a, b) and free(b, c) and free(c, a)), None)
+        if cycle is None:
+            break
+        a, b, c = cycle
+        for i, j in ((a, b), (b, c), (c, a)):
+            add(i, j)
 
-    def root(i: int) -> int:
-        while comp[i] != i:
-            comp[i] = comp[comp[i]]
-            i = comp[i]
-        return i
-
-    for e in edges:
-        comp[root(e.tail)] = root(e.head)
-    stitched = True
-    while stitched and len({root(i) for i in range(n)}) > 1:
-        stitched = False
-        for a in range(n):
-            if stitched:
-                break
-            for b in range(n):
-                if stitched or root(a) == root(b) or not free(a, b):
-                    continue
-                for c in range(n):
-                    if c in (a, b) or not (free(b, c) and free(c, a)):
-                        continue
-                    add(a, b)
-                    add(b, c)
-                    add(c, a)
-                    comp[root(a)] = root(b)
-                    comp[root(b)] = root(c)
-                    stitched = True
-                    break
-
-    pairs = np.array(edges).reshape(-1, 3)
     graph = _assemble(n, pairs[:, 0], pairs[:, 1], 0, (t,), "synthesized", None)
     edges_sorted = graph.edges
     q_comb = combinatorial_charges(edges_sorted, n)

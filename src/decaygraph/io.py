@@ -8,7 +8,7 @@ so identical inputs always produce byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -270,12 +270,4 @@ class RunManifest:
     duration_s: float = 0.0
 
     def to_json(self) -> str:
-        payload = {
-            "spec_path": self.spec_path,
-            "command": self.command,
-            "overrides": self.overrides,
-            "tool_version": self.tool_version,
-            "outputs": self.outputs,
-            "duration_s": self.duration_s,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"

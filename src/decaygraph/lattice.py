@@ -342,6 +342,17 @@ def _assemble(n, tail, head, axis, ts, kind, spec, labels=None) -> Hamiltonian:
     return Hamiltonian(h, tuple(ts), edges, labels, kind, spec)
 
 
+def _components(n: int, pairs: np.ndarray) -> np.ndarray:
+    """Connected-component label of each of ``n`` nodes joined (in either
+    direction) by the rows of the (E, 2) integer index array ``pairs``."""
+    # imported here: loading scipy.sparse at package import costs ~50 ms
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    graph = coo_array((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
+
+
 def build_ring_hamiltonian(ring: SegmentedRing, t: float) -> Hamiltonian:
     """Assemble the L x L matrix of a segmented directed ring."""
     t = validate_hopping_ratio(t)

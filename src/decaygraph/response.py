@@ -44,9 +44,9 @@ class DriveConfig:
         if np.any(np.diff(grid) <= 0):
             raise ValueError("omega grid must be strictly increasing")
         if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+            raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.amplitude <= 0:
-            raise ValueError("drive amplitude must be positive")
+            raise ValueError(f"drive amplitude must be positive, got {self.amplitude}")
 
     def validate_against(self, sys: EigenSystem) -> None:
         """Net decay requires gamma above every Im(E)."""

@@ -20,6 +20,7 @@ from .lattice import (
     ObcChain,
     ProductLattice,
     SegmentedRing,
+    _components,
     build_axis,
     build_product_lattice,
 )
@@ -63,23 +64,19 @@ class EigenSystem:
     def degenerate_groups(self) -> list[list[int]]:
         """Mode indices grouped by eigenvalue collision within
         DEGENERACY_FACTOR * ||H||_inf (transitive closure over all pairs)."""
+        # imported here: loading scipy.spatial at package import costs ~0.13 s
+        from scipy.spatial import cKDTree
+
         tol = DEGENERACY_FACTOR * self.h_norm
-        parent = list(range(self.dim))
-
-        def root(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if abs(self.values[i] - self.values[j]) < tol:
-                    parent[root(i)] = root(j)
-        groups: dict[int, list[int]] = {}
-        for i in range(self.dim):
-            groups.setdefault(root(i), []).append(i)
-        return sorted(groups.values())
+        v = self.values
+        # the 2 * tol radius only screens; the exact |dE| < tol test decides
+        xy = np.column_stack([v.real, v.imag])
+        pairs = cKDTree(xy).query_pairs(2 * tol, output_type="ndarray")
+        pairs = pairs[np.abs(v[pairs[:, 0]] - v[pairs[:, 1]]) < tol]
+        labels = _components(self.dim, pairs)
+        order = np.argsort(labels, kind="stable")
+        groups = np.split(order, np.cumsum(np.bincount(labels))[:-1])
+        return sorted(g.tolist() for g in groups)
 
 
 def _normalize_columns(vectors: np.ndarray) -> np.ndarray:
@@ -96,12 +93,18 @@ def _column_residuals(h: np.ndarray, values: np.ndarray, vectors: np.ndarray) ->
     return np.max(np.abs(r), axis=0)
 
 
-def _certify(residuals: np.ndarray, tol: float, what: str) -> None:
+def _certified(h: Hamiltonian, values, vectors, left, what: str, meta: dict) -> EigenSystem:
+    """The eigensystem of ``h`` with these pairs, once every residual
+    ||H v - E v||_inf stays within RESIDUAL_FACTOR * ||H||_inf."""
+    h_norm = h.norm_inf()
+    tol = RESIDUAL_FACTOR * h_norm
+    residuals = _column_residuals(h.matrix, values, vectors)
     worst = float(np.max(residuals))
     if worst > tol:
         raise ConvergenceFailure(
             f"{what}: residual {worst:.3e} exceeds certified tolerance {tol:.3e}"
         )
+    return EigenSystem(values, vectors, left, residuals, h_norm, tol, meta)
 
 
 def eigendecompose(h: Hamiltonian) -> EigenSystem:
@@ -123,8 +126,6 @@ def eigendecompose(h: Hamiltonian) -> EigenSystem:
         values, vectors = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"dense eigensolver failed: {exc}") from exc
-    h_norm = h.norm_inf()
-    tol = RESIDUAL_FACTOR * h_norm
     try:
         inv = np.linalg.inv(vectors)
         residual_mat = m @ vectors - vectors * values[None, :]
@@ -134,7 +135,7 @@ def eigendecompose(h: Hamiltonian) -> EigenSystem:
         residuals = _column_residuals(m, values, vectors) / np.max(
             np.abs(vectors), axis=0
         )
-        for n in np.flatnonzero(residuals > 0.5 * tol):
+        for n in np.flatnonzero(residuals > 0.5 * RESIDUAL_FACTOR * h.norm_inf()):
             try:
                 refined = np.linalg.solve(
                     m - values[n] * np.eye(h.dim), vectors[:, n]
@@ -162,9 +163,8 @@ def eigendecompose(h: Hamiltonian) -> EigenSystem:
             IllConditioned,
             stacklevel=2,
         )
-    residuals = _column_residuals(m, values, vectors)
-    _certify(residuals, tol, "numerical eigendecomposition")
-    return EigenSystem(values, vectors, inv, residuals, h_norm, tol, {"route": "dense", "cond_1": cond1})
+    meta = {"route": "dense", "cond_1": cond1}
+    return _certified(h, values, vectors, inv, "numerical eigendecomposition", meta)
 
 
 @dataclass(frozen=True)
@@ -240,14 +240,9 @@ def closed_form(spec, t: float | None = None) -> EigenSystem:
         w, values, vectors = _gauge(spec, h.t)
         log_scale = w * np.log(h.t)
         vectors *= np.exp(log_scale - log_scale.max())[:, None]
+        meta = {"rho_exponent": float(w[1] - w[0])} if isinstance(spec, ObcChain) else {}
         vectors = _normalize_columns(vectors)
-        residuals = _column_residuals(h.matrix, values, vectors)
-        h_norm = h.norm_inf()
-        tol = RESIDUAL_FACTOR * h_norm
-        _certify(residuals, tol, f"closed-form {h.kind} modes")
-        sys = EigenSystem(values, vectors, None, residuals, h_norm, tol)
-        if isinstance(spec, ObcChain):
-            sys.meta["rho_exponent"] = float(w[1] - w[0])
+        sys = _certified(h, values, vectors, None, f"closed-form {h.kind} modes", meta)
     sys.meta["route"] = "closed_form"
     return sys
 
@@ -297,12 +292,7 @@ def kron_sum_spectrum(axis_systems: list[EigenSystem], h: Hamiltonian) -> EigenS
     for sys_k in axis_systems:
         values = (values[:, None] + sys_k.values[None, :]).ravel()
         vectors = np.kron(vectors, sys_k.right_vectors)
-    vectors = _normalize_columns(vectors)
-    h_norm = h.norm_inf()
-    tol = RESIDUAL_FACTOR * h_norm
-    residuals = _column_residuals(h.matrix, values, vectors)
-    _certify(residuals, tol, "kronecker-sum spectrum")
-    sys = EigenSystem(values, vectors, None, residuals, h_norm, tol)
+    sys = _certified(h, values, _normalize_columns(vectors), None, "kronecker-sum spectrum", {})
     degenerate = any(len(g) > 1 for g in sys.degenerate_groups())
     if degenerate:
         warnings.warn(

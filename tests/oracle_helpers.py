@@ -213,3 +213,133 @@ def loop_edge_list(m: np.ndarray, ts):
                     f"pair ({i + 1}, {j + 1}) has entries ({a}, {b}), not a {{1, t}} bond"
                 )
     return tuple(sorted(edges))
+
+
+def union_find_groups(values, tol: float) -> list[list[int]]:
+    """Indices grouped by the transitive closure of |E_i - E_j| < tol,
+    joined pair by pair with a union-find (reference)."""
+    parent = list(range(len(values)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            if abs(values[i] - values[j]) < tol:
+                parent[root(i)] = root(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(len(values)):
+        groups.setdefault(root(i), []).append(i)
+    return sorted(groups.values())
+
+
+def union_find_synthesize(target, t: float = 1.5):
+    """Charge-graph synthesis whose component stitching tracks components
+    with a union-find, one directed 3-cycle at a time (reference)."""
+    import decaygraph as dg
+    from decaygraph.errors import DecayGraphError
+    from decaygraph.lattice import _assemble
+
+    t = dg.validate_hopping_ratio(t)
+    target = np.asarray(target, dtype=float)
+    n = len(target)
+    if abs(target.sum()) > 1e-12:
+        raise DecayGraphError(f"target charges must sum to 0, got {target.sum()}")
+    d = 2.0 * target
+    if np.any(np.abs(d - np.round(d)) > 1e-12):
+        raise DecayGraphError("target charges must be half-integers")
+    d = np.round(d).astype(int)
+    used: set[tuple[int, int]] = set()
+    edges = []
+
+    def free(i: int, j: int) -> bool:
+        return i != j and (i, j) not in used and (j, i) not in used
+
+    def add(i: int, j: int) -> None:
+        edges.append(dg.Edge(i, j))
+        used.add((i, j))
+
+    def route(x: int, y: int) -> bool:
+        if free(x, y):
+            add(x, y)
+            return True
+        parent = {x: None}
+        queue = [x]
+        while queue:
+            node = queue.pop(0)
+            for z in range(n):
+                if z in parent or not free(node, z):
+                    continue
+                parent[z] = node
+                if z == y:
+                    path = [y]
+                    while parent[path[-1]] is not None:
+                        path.append(parent[path[-1]])
+                    path.reverse()
+                    for a, b in zip(path, path[1:]):
+                        add(a, b)
+                    return True
+                queue.append(z)
+        return False
+
+    remaining = d.astype(float)
+    guard = 0
+    while np.any(remaining != 0):
+        guard += 1
+        if guard > 4 * n * n:
+            raise DecayGraphError("charge realization did not converge")
+        x = int(np.argmax(remaining))
+        y = int(np.argmin(remaining))
+        if not route(x, y):
+            raise DecayGraphError(
+                "ran out of node pairs while realizing the charges (target too steep "
+                f"for {n} nodes)"
+            )
+        remaining[x] -= 1
+        remaining[y] += 1
+
+    comp = list(range(n))
+
+    def root(i: int) -> int:
+        while comp[i] != i:
+            comp[i] = comp[comp[i]]
+            i = comp[i]
+        return i
+
+    for e in edges:
+        comp[root(e.tail)] = root(e.head)
+    stitched = True
+    while stitched and len({root(i) for i in range(n)}) > 1:
+        stitched = False
+        for a in range(n):
+            if stitched:
+                break
+            for b in range(n):
+                if stitched or root(a) == root(b) or not free(a, b):
+                    continue
+                for c in range(n):
+                    if c in (a, b) or not (free(b, c) and free(c, a)):
+                        continue
+                    add(a, b)
+                    add(b, c)
+                    add(c, a)
+                    comp[root(a)] = root(b)
+                    comp[root(b)] = root(c)
+                    stitched = True
+                    break
+
+    pairs = np.array(edges).reshape(-1, 3)
+    graph = _assemble(n, pairs[:, 0], pairs[:, 1], 0, (t,), "synthesized", None)
+    if np.any(np.abs(dg.combinatorial_charges(graph.edges, n) - target) > 1e-12):
+        raise DecayGraphError("synthesized edges do not reproduce the target charges")
+    adj = (graph.matrix != 0).astype(int)
+    w = np.linalg.lstsq(np.diag(adj.sum(axis=1)) - adj, target, rcond=None)[0]
+    w = w - w.max()
+    profile = t ** w
+    dev = float(np.max(np.abs(dg.amplitude_charges(profile, graph.edges, t) - target)))
+    if dev > 1e-9:
+        raise DecayGraphError(f"potential solve left charge deviation {dev:.3e}")
+    return graph.edges, profile

@@ -5,7 +5,11 @@ import pytest
 
 import decaygraph as dg
 
-from oracle_helpers import loop_amplitude_charges, loop_combinatorial_charges
+from oracle_helpers import (
+    loop_amplitude_charges,
+    loop_combinatorial_charges,
+    union_find_synthesize,
+)
 
 T = 1.5
 
@@ -394,3 +398,31 @@ class TestSynthesizeChargeGraph:
             )
             sigma, dev = dg.verify_charge_equality(g)
             assert sigma == 1 and dev <= 1e-9
+
+    def test_disconnected_greedy_result_is_stitched(self):
+        # the greedy phase leaves nodes 2 and 3 isolated; one 3-cycle joins them
+        g = dg.synthesize_charge_graph([0.5, -0.5, 0, 0], T)
+        assert g.edges == (dg.Edge(0, 1), dg.Edge(0, 2), dg.Edge(2, 3), dg.Edge(3, 0))
+
+    def test_matches_union_find_stitching(self):
+        rng = np.random.default_rng(2024)
+        targets = [[0.5, -0.5, 0, 0], [0, 0, 0], [0, 0, 0, 0, 0, 0], [1.5, -1.5, 0.5, -0.5], FIG3C, FIG3D]
+        while len(targets) < 400:
+            doubled = rng.integers(-3, 4, int(rng.integers(2, 10)))
+            doubled[-1] -= doubled.sum()
+            targets.append(doubled / 2)
+        outcomes = {"ok": 0, "error": 0}
+        for target in targets:
+            try:
+                want = union_find_synthesize(target, T)
+            except dg.DecayGraphError as exc:
+                with pytest.raises(type(exc)) as got:
+                    dg.synthesize_charge_graph(target, T)
+                assert str(got.value) == str(exc)
+                outcomes["error"] += 1
+                continue
+            g = dg.synthesize_charge_graph(target, T)
+            assert g.edges == want[0]
+            assert g.profile.tobytes() == want[1].tobytes()
+            outcomes["ok"] += 1
+        assert outcomes["ok"] > 250 and outcomes["error"] > 0

@@ -178,6 +178,28 @@ class TestCli:
         }
         assert (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("options, named", [
+        (["--gamma", "-1"], "gamma must be positive, got -1.0"),
+        (["--amplitude", "0"], "amplitude must be positive, got 0.0"),
+        (["--source", "0"], "--source 0"),
+        (["--source", "99"], "--source 99"),
+        (["--omega-min", "1", "--omega-max", "2", "--omega-steps", "0"], "omega grid must be nonempty"),
+        (["--omega-min", "-3"], "--omega-max is missing"),
+        (["--omega-max", "3"], "--omega-min is missing"),
+    ], ids=["gamma", "amplitude", "source-0", "source-99", "omega-steps-0", "no-omega-max", "no-omega-min"])
+    def test_drive_option_error_exit_2(self, tmp_path, ring_spec, capsys, options, named):
+        rc = run_cli(tmp_path, "drive", "--spec", ring_spec, *options, "--out", tmp_path / "o")
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+
+    @pytest.mark.parametrize("command", [["build"], ["drive"], ["reproduce", "fig2a"]])
+    def test_tolerance_is_a_usage_error_where_unread(self, tmp_path, ring_spec, command):
+        spec = [] if command[0] == "reproduce" else ["--spec", ring_spec]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, *command, *spec, "--tolerance", 1, "--out", tmp_path / "o")
+        assert exc.value.code == 2
+
     def test_validation_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"lattice":{"kind":"circulant","n":4,"a":[1,0,0],"t":2}}')

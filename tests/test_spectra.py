@@ -1,6 +1,10 @@
 """Numerical and analytic eigensystems, certification, degeneracy handling."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ import pytest
 import decaygraph as dg
 from decaygraph import spectra
 
-from oracle_helpers import match_deviation
+from oracle_helpers import match_deviation, union_find_groups
 
 
 class TestEigendecompose:
@@ -274,3 +278,74 @@ class TestDegenerateSubspaces:
         assert groups
         analytic = dg.circulant_analytic_spectrum(g, 1.5)
         assert np.max(analytic.residuals) <= analytic.tolerance
+
+
+def spectrum_system(values, h_norm):
+    n = len(values)
+    return spectra.EigenSystem(np.asarray(values, dtype=complex), np.eye(n), None, np.zeros(n), h_norm, 0.0)
+
+
+def planted_spectrum(rng):
+    """Random values plus planted clusters, transitive chains, and pairs
+    exactly tol and one ulp below tol apart, in shuffled order."""
+    h_norm = rng.uniform(0.5, 8.0)
+    tol = spectra.DEGENERACY_FACTOR * h_norm
+    n = int(rng.integers(1, 120))
+    parts = [rng.uniform(-4, 4, n) + 1j * rng.uniform(-4, 4, n) * rng.integers(0, 2)]
+    for _ in range(rng.integers(0, 6)):
+        c = complex(*rng.uniform(-4, 4, 2))
+        k = int(rng.integers(2, 6))
+        offsets = (rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k)) * tol / 3
+        parts.append(c + offsets * rng.integers(0, 2))
+    for _ in range(rng.integers(0, 3)):
+        c = complex(*rng.uniform(-4, 4, 2))
+        step = 0.9 * tol * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        parts.append(c + step * np.arange(int(rng.integers(3, 8))))
+    for _ in range(rng.integers(0, 4)):
+        a, b = rng.uniform(-4, 4, 2)
+        parts.append(np.array([a, complex(a, tol), 1j * b, complex(tol, b)]))
+        parts.append(np.array([a + 10, complex(a + 10, np.nextafter(tol, 0))]))
+    values = np.concatenate(parts)
+    return values[rng.permutation(len(values))], h_norm
+
+
+class TestDegenerateGroups:
+    def test_boundary_pairs(self):
+        tol = spectra.DEGENERACY_FACTOR * 2.0
+        sys = spectrum_system([0.0, 1j * tol, 5.0, 5.0 + 1j * np.nextafter(tol, 0)], 2.0)
+        assert sys.degenerate_groups() == [[0], [1], [2, 3]]
+
+    def test_transitive_chain(self):
+        tol = spectra.DEGENERACY_FACTOR
+        sys = spectrum_system([1.8 * tol, 3.0, 0.0, 0.9 * tol], 1.0)
+        assert sys.degenerate_groups() == [[0, 2, 3], [1]]
+
+    def test_matches_union_find_on_planted_spectra(self):
+        rng = np.random.default_rng(11)
+        joined = 0
+        for _ in range(300):
+            values, h_norm = planted_spectrum(rng)
+            groups = spectrum_system(values, h_norm).degenerate_groups()
+            assert groups == union_find_groups(values, spectra.DEGENERACY_FACTOR * h_norm)
+            joined += sum(len(g) > 1 for g in groups)
+        assert joined > 300
+
+    def test_matches_union_find_on_product_spectrum(self):
+        ring = dg.SegmentedRing((("A", 6), ("B", 6)))
+        product = dg.ProductLattice(((ring, 1.5), (dg.SegmentedRing((("A", 8),)), 2.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", dg.DegenerateAmbiguity)
+            sys = dg.closed_form(product)
+        groups = sys.degenerate_groups()
+        assert any(len(g) > 2 for g in groups)
+        assert groups == union_find_groups(sys.values, spectra.DEGENERACY_FACTOR * sys.h_norm)
+
+
+def test_import_leaves_graph_and_spatial_scipy_unloaded():
+    code = (
+        "import sys, decaygraph; "
+        "print([m for m in ('scipy.sparse.csgraph', 'scipy.spatial') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dg.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
