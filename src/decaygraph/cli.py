@@ -34,8 +34,10 @@ def _load_document(args) -> LatticeDocument:
 
 
 def _write(out_dir: Path, name: str, content: str, manifest: RunManifest) -> None:
-    path = out_dir / name
-    path.write_text(content)
+    # written in slices: encoding a sweep export whole would copy tens of MB
+    with (out_dir / name).open("w") as fh:
+        for start in range(0, len(content), 1 << 20):
+            fh.write(content[start:start + (1 << 20)])
     manifest.outputs.append(name)
 
 
@@ -120,25 +122,34 @@ def cmd_drive(args, out_dir: Path, manifest: RunManifest) -> int:
     if (args.omega_min is None) != (args.omega_max is None):
         missing = "--omega-max" if args.omega_max is None else "--omega-min"
         raise DecayGraphError(f"{missing} is missing: --omega-min and --omega-max go together")
+    if args.omega_steps is not None and args.omega_min is None:
+        raise DecayGraphError("--omega-steps needs --omega-min and --omega-max")
     source = args.source if args.source is not None else 1
     if not 1 <= source <= h.dim:
         raise DecayGraphError(f"--source {source} is outside 1..{h.dim}")
-    sys = spectra.eigendecompose(h)
+    if isinstance(doc.spec, RawMatrix):
+        sys = spectra.eigendecompose(h)
+    else:
+        sys = spectra.closed_form(doc.spec, doc.t)
     cfg = response.default_drive_config(h, sys, source - 1)
     overrides = {"amplitude": args.amplitude}
     if args.gamma is not None:
         overrides["gamma"] = args.gamma
     try:
         if args.omega_min is not None:
-            overrides["omega_grid"] = np.linspace(args.omega_min, args.omega_max, args.omega_steps)
+            steps = args.omega_steps
+            if steps is None:
+                steps = response.DEFAULT_OMEGA_POINTS
+            overrides["omega_grid"] = np.linspace(args.omega_min, args.omega_max, steps)
         cfg = dataclasses.replace(cfg, **overrides)
     except ValueError as exc:
         raise DecayGraphError(f"invalid drive option: {exc}") from exc
     sweep = response.frequency_sweep(h, cfg, sys)
-    _write(out_dir, "sweep.csv", io.sweep_csv(sweep), manifest)
     peaks = [float(np.max(np.abs(p.x))) for p in sweep]
     at_peak = sweep[int(np.argmax(peaks))]
     selection = response.mode_selection_check(at_peak, sys)
+    del h, sys  # not held while the sweep is formatted
+    _write(out_dir, "sweep.csv", io.sweep_csv(sweep), manifest)
     _write(out_dir, "selection.json", io.selection_json(selection, at_peak.omega), manifest)
     print(
         f"drive: peak at omega={at_peak.omega:.6g}, overlap with least-damped mode "
@@ -209,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amplitude", type=float, default=1.0, help="drive amplitude")
     p.add_argument("--omega-min", type=float, default=None)
     p.add_argument("--omega-max", type=float, default=None)
-    p.add_argument("--omega-steps", type=int, default=response.DEFAULT_OMEGA_POINTS)
+    p.add_argument("--omega-steps", type=int, default=None)
     p = sub.add_parser("reproduce", help="run canned figure configurations and their checks")
     p.add_argument("figure", choices=sorted(figures.FIGURES) + ["all"])
     common(p, spec_required=False)

@@ -217,11 +217,20 @@ def charges_csv(cm: ChargeMap) -> str:
 
 
 def sweep_csv(profiles: list[ResponseProfile]) -> str:
-    lines = ["omega,node,abs_x,re_x,im_x"]
+    """One row "omega,node,abs_x,re_x,im_x" per frequency and node (1-based).
+
+    Formatted one frequency block at a time from Python numbers: Python's
+    complex abs gives the same bits as numpy's scalar abs, and repr of a
+    Python float is repr of the numpy scalar.
+    """
+    blocks = ["omega,node,abs_x,re_x,im_x\n"]
     for p in profiles:
-        for i, v in enumerate(p.x):
-            lines.append(f"{_f(p.omega)},{i + 1},{_f(abs(v))},{_f(v.real)},{_f(v.imag)}")
-    return "\n".join(lines) + "\n"
+        omega = _f(p.omega)
+        blocks.append("".join(
+            f"{omega},{i},{abs(v)!r},{v.real!r},{v.imag!r}\n"
+            for i, v in enumerate(p.x.tolist(), 1)
+        ))
+    return "".join(blocks)
 
 
 def decay_report_json(report: DecayReport, purity: PurityResult | None = None) -> str:

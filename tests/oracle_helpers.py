@@ -343,3 +343,15 @@ def union_find_synthesize(target, t: float = 1.5):
     if dev > 1e-9:
         raise DecayGraphError(f"potential solve left charge deviation {dev:.3e}")
     return graph.edges, profile
+
+
+def per_row_sweep_csv(profiles) -> str:
+    """sweep.csv formatted one row at a time from numpy scalars (reference)."""
+    lines = ["omega,node,abs_x,re_x,im_x"]
+    for p in profiles:
+        for i, v in enumerate(p.x):
+            lines.append(
+                f"{repr(float(p.omega))},{i + 1},{repr(float(abs(v)))},"
+                f"{repr(float(v.real))},{repr(float(v.imag))}"
+            )
+    return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
-"""Property tests: the closed form against the dense eigensolver.
+"""Property tests: the closed form against the dense eigensolver, and the
+closed form's batched sweep against per-frequency LU solves.
 
 Random valid rings (uniform and one to three A/B pairs), circulant graphs
 and open chains with N <= 40 and t in [1/4, 1/1.01] or [1.01, 4].  Beyond
@@ -10,7 +11,11 @@ reference and are discarded, and the dense-route defect is tracked in
 ROADMAP.md.
 """
 
+import dataclasses
+import re
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -70,3 +75,41 @@ def test_every_mode_carries_the_normalized_gauge_profile(spec, t):
     want /= want.max()
     sys = dg.closed_form(spec, t)
     assert np.max(np.abs(np.abs(sys.right_vectors) - want[:, None])) <= 1e-12
+
+
+@st.composite
+def products(draw):
+    small = st.one_of(rings(), circulants(), chains).filter(lambda spec: spec.length <= 6)
+    return dg.ProductLattice(((draw(small), draw(ratios)), (draw(small), draw(ratios))))
+
+
+@pytest.mark.filterwarnings("ignore::decaygraph.DegenerateAmbiguity")
+@SETTINGS
+@given(st.one_of(rings(), circulants(), chains, products()), ratios, st.data())
+def test_gauge_sweep_matches_lu_where_lu_certifies(spec, t, data):
+    h = dg.build(spec, t)
+    exact = dg.closed_form(spec, t)
+    cfg = dg.default_drive_config(h, exact, data.draw(st.integers(0, h.dim - 1)))
+    cfg = dataclasses.replace(cfg, omega_grid=cfg.omega_grid[::50])
+    bound = dg.response.SOLVE_RESIDUAL_FACTOR * cfg.amplitude
+    lu = {}
+    for omega in cfg.omega_grid.tolist():
+        try:
+            lu[omega] = dg.steady_state(h, cfg, omega).x
+        except dg.SingularSystem:
+            pass
+    try:
+        sweep = dg.frequency_sweep(h, cfg, exact)
+    except dg.SingularSystem as exc:
+        # a row may fail only where rounding x to doubles alone leaves a
+        # residual near the bound, which LU then meets or misses by chance
+        omega = float(re.search(r"omega=(\S+?):", str(exc)).group(1))
+        if omega in lu:
+            scale = abs(omega + 1j * cfg.gamma) + h.norm_inf()
+            assert np.finfo(float).eps * scale * np.max(np.abs(lu[omega])) > 0.1 * bound
+        return
+    assert [p.omega for p in sweep] == cfg.omega_grid.tolist()
+    for p in sweep:
+        assert p.solve_residual <= bound
+        if p.omega in lu:
+            assert np.max(np.abs(p.x - lu[p.omega])) <= 1e-9 * np.max(np.abs(lu[p.omega]))

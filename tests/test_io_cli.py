@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import decaygraph as dg
-from decaygraph import cli, decay, io, spectra
+from decaygraph import cli, decay, io, response, spectra
+
+from oracle_helpers import per_row_sweep_csv
 
 RING_DOC = (
     '{"lattice":{"kind":"ring","t":1.5,'
@@ -113,6 +115,26 @@ class TestExports:
         assert lines[0] == "omega,node,abs_x,re_x,im_x"
         assert len(lines) == 1 + 2 * 2
 
+    def test_sweep_csv_matches_per_row_formatter(self):
+        # magnitudes from 1e-300 to 1e300, signed zeros, subnormals and
+        # non-finite parts, in complex and in real rows
+        rng = np.random.default_rng(7)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                            1e-300, -1e300, np.inf, -np.inf, np.nan])
+        profiles = []
+        for k in range(40):
+            n = int(rng.integers(1, 60))
+            mag = 10.0 ** rng.uniform(-300, 300, (2, n)) * rng.choice([-1.0, 1.0], (2, n))
+            mag[rng.random((2, n)) < 0.2] = rng.choice(special, 1)[0]
+            x = mag[0].copy()
+            if k % 4:
+                x = x.astype(complex)
+                x.imag = mag[1]
+            omega = float(rng.choice([-0.0, 1e-310, rng.uniform(-5, 5)]))
+            profiles.append(response.ResponseProfile(omega, x, 0.0))
+        assert io.sweep_csv(profiles) == per_row_sweep_csv(profiles)
+        assert io.sweep_csv([]) == per_row_sweep_csv([])
+
 
 def run_cli(tmp_path, *argv):
     return cli.main([str(a) for a in argv])
@@ -186,7 +208,9 @@ class TestCli:
         (["--omega-min", "1", "--omega-max", "2", "--omega-steps", "0"], "omega grid must be nonempty"),
         (["--omega-min", "-3"], "--omega-max is missing"),
         (["--omega-max", "3"], "--omega-min is missing"),
-    ], ids=["gamma", "amplitude", "source-0", "source-99", "omega-steps-0", "no-omega-max", "no-omega-min"])
+        (["--omega-steps", "5"], "--omega-steps needs --omega-min and --omega-max"),
+    ], ids=["gamma", "amplitude", "source-0", "source-99", "omega-steps-0", "no-omega-max", "no-omega-min",
+            "lone-omega-steps"])
     def test_drive_option_error_exit_2(self, tmp_path, ring_spec, capsys, options, named):
         rc = run_cli(tmp_path, "drive", "--spec", ring_spec, *options, "--out", tmp_path / "o")
         err = capsys.readouterr().err.splitlines()
@@ -336,3 +360,47 @@ class TestChargesSolveOnce:
         calls = self.count_calls(monkeypatch, spectra, "closed_form")
         assert self.run_charges(tmp_path, ring_doc([("A", 6), ("B", 8), ("A", 7), ("B", 4)], 1.5)) == 0
         assert len(calls) == 1
+
+
+class TestDriveRoute:
+    """`drive` on a structured lattice sweeps through the closed form's gauge."""
+
+    def run_drive(self, tmp_path, text):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        return run_cli(tmp_path, "drive", "--spec", spec, "--out", tmp_path / "out")
+
+    def test_ring_600_at_t_1_02_certifies_every_row(self, tmp_path):
+        n_a, n_b, t = 400, 200, 1.02
+        assert self.run_drive(tmp_path, ring_doc([("A", n_a), ("B", n_b)], t)) == 0
+        ring = dg.SegmentedRing((("A", n_a), ("B", n_b)))
+        cfg = dg.default_drive_config(dg.build(ring, t), dg.closed_form(ring, t))
+        rows = np.loadtxt(tmp_path / "out" / "sweep.csv", delimiter=",", skiprows=1)
+        n = n_a + n_b
+        blocks = rows.reshape(len(cfg.omega_grid), n, 5)
+        np.testing.assert_array_equal(blocks[:, :, 0], np.repeat(cfg.omega_grid[:, None], n, axis=1))
+        x = blocks[:, :, 3] + 1j * blocks[:, :, 4]
+        # bond (i, i+1) of an A site points i+1 -> i: H[i+1, i] = t, H[i, i+1] = 1;
+        # a B bond the other way round
+        is_a = np.arange(n) < n_a
+        right = np.where(is_a, 1.0, t)
+        left = np.roll(np.where(is_a, t, 1.0), 1)
+        hx = right * np.roll(x, -1, axis=1) + left * np.roll(x, 1, axis=1)
+        r = (cfg.omega_grid[:, None] + 1j * cfg.gamma) * x - hx
+        r[:, 0] -= 1.0
+        assert np.max(np.abs(r)) <= response.SOLVE_RESIDUAL_FACTOR
+
+    def test_ring_300_at_t_1_5_fails_naming_residual_and_gauge_range(self, tmp_path, capsys):
+        assert self.run_drive(tmp_path, ring_doc([("A", 150), ("B", 150)], 1.5)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: sweep failed at omega=")
+        assert "gauge solve residual" in err[0] and "exceeds 1e-10 * drive" in err[0]
+        assert "gauge t**w spans 13.2 decades" in err[0]
+
+    def test_sweep_calls_no_dense_solver(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense route taken")
+
+        monkeypatch.setattr(spectra, "eigendecompose", refuse)
+        monkeypatch.setattr(response, "steady_state", refuse)
+        assert self.run_drive(tmp_path, PRODUCT_DOC) == 0

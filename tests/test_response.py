@@ -1,5 +1,7 @@
 """Driven steady states: solves, sweeps, mode selection, log profiles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,21 @@ class TestSteadyState:
         cfg = dg.DriveConfig(0, 1e-13, np.array([2.0]))
         with pytest.raises(dg.SingularSystem):
             dg.steady_state(h, cfg, 2.0, sys)
+
+    def test_failed_certificate_names_residual_and_lu_growth(self):
+        # partial-pivoting growth on (z I - H) rises exponentially with the
+        # length of a two-segment ring, although the shifted matrix is far
+        # from singular
+        ring = dg.SegmentedRing((("A", 200), ("B", 100)))
+        h = dg.build(ring, 1.1)
+        exact = dg.closed_form(ring, 1.1)
+        cfg = dg.default_drive_config(h, exact)
+        omega = -1.626388234917063
+        growth = r"solve residual .* \(LU growth factor max\|U\|/max\|A\| = .*e\+1\d\)"
+        with pytest.raises(dg.SingularSystem, match=growth):
+            dg.steady_state(h, cfg, omega)
+        single = dataclasses.replace(cfg, omega_grid=np.array([omega]))
+        assert dg.frequency_sweep(h, single, exact)[0].solve_residual <= 1e-10
 
     def test_resolvent_identity(self):
         # direct solve equals the biorthogonal eigenmode expansion
