@@ -123,14 +123,9 @@ def _fit_chain(log_amp: np.ndarray, sites: tuple[int, ...]) -> tuple[float, floa
     return float(slope), float(intercept), residual
 
 
-def extract_decay_constants(profile: np.ndarray, spec, t: float) -> DecayReport:
-    """Fit per-chain amplitude ratios of one mode profile.
-
-    The reported ratio is the decay constant in the chain type's canonical
-    direction (see module docstring); partition_sum adds |log_t ratio|
-    over the chain types present.
-    """
-    t = validate_hopping_ratio(t)
+def _amplitude(profile: np.ndarray, spec) -> np.ndarray:
+    """|profile| as a fresh contiguous array, once it spans the spec's sites
+    and no site is zero or below AMPLITUDE_FLOOR times the peak."""
     amp = np.abs(np.asarray(profile, dtype=complex))
     if len(amp) != spec.length:
         raise ChainTooShort(
@@ -143,6 +138,18 @@ def extract_decay_constants(profile: np.ndarray, spec, t: float) -> DecayReport:
         raise UnderflowSites(
             "profile underflows the representable floor; reduce t or the lattice size"
         )
+    return amp
+
+
+def extract_decay_constants(profile: np.ndarray, spec, t: float) -> DecayReport:
+    """Fit per-chain amplitude ratios of one mode profile.
+
+    The reported ratio is the decay constant in the chain type's canonical
+    direction (see module docstring); partition_sum adds |log_t ratio|
+    over the chain types present.
+    """
+    t = validate_hopping_ratio(t)
+    amp = _amplitude(profile, spec)
     log_amp = np.log(amp)
     ln_t = np.log(t)
     fits: list[ChainFit] = []
@@ -229,16 +236,22 @@ def pure_decay_check(
 ) -> PurityResult:
     """Do all modes share one purely geometric amplitude profile?
 
-    Passes iff the worst per-chain fit residual (purity) and the worst
-    pairwise profile deviation both stay at or below the threshold.  The
-    pairwise deviation is the largest per-site spread across modes.
+    Passes iff the worst fit residual over every (mode, chain) pair
+    (purity) and the worst pairwise profile deviation both stay at or
+    below the threshold.  The pairwise deviation is the largest per-site
+    spread across modes.  The report is the least-damped mode's, carrying
+    both figures.
     """
     profiles = _mode_profiles(sys, spec, t)
-    reports = [extract_decay_constants(p, spec, t) for p in profiles.T]
-    purity = float(max(r.purity for r in reports))
+    report = extract_decay_constants(profiles[:, least_damped_mode(sys)], spec, t)
+    chains = [c.sites for c in report.per_chain]
+    purity = float(max(
+        _fit_chain(log_amp, sites)[2]
+        for log_amp in (np.log(_amplitude(p, spec)) for p in profiles.T)
+        for sites in chains
+    ))
     cross = float(np.max(np.ptp(profiles, axis=1)))
-    sel = least_damped_mode(sys)
-    report = replace(reports[sel], purity=purity, cross_mode_deviation=cross)
+    report = replace(report, purity=purity, cross_mode_deviation=cross)
     return PurityResult(purity, cross, purity <= threshold and cross <= threshold, report)
 
 

@@ -17,7 +17,8 @@ Concretely, with ring sites numbered 0..L-1 (exports are 1-based):
 * an open chain bond (i, i+1) is oriented (i+1 -> i), like type A.
 
 Each builder only lists its directed edges as (tail, head, axis) arrays;
-one assembler, ``_assemble``, turns them into matrix entries, so every
+one function, ``_entries``, turns edges into matrix entries, for the dense
+matrix ``_assemble`` fills and for ``Hamiltonian.sparse``, so every
 builder produces a real dense matrix with zero diagonal whose nonzero
 off-diagonal entries are exactly 1.0 or exactly t.  A product lattice
 repeats each axis's edges at every position of the other axes.
@@ -315,6 +316,16 @@ class Hamiltonian:
     def norm_inf(self) -> float:
         return float(np.max(np.sum(np.abs(self.matrix), axis=1)))
 
+    def sparse(self):
+        """The matrix as a scipy CSR array built from the stored edges (a raw
+        matrix wrapped without ``t`` has none)."""
+        # imported here: loading scipy.sparse at package import costs ~50 ms
+        from scipy.sparse import csr_array
+
+        e = np.array(self.edges, dtype=np.intp).reshape(-1, 3)
+        rows, cols, values = _entries(e[:, 0], e[:, 1], e[:, 2], self.ts)
+        return csr_array((values, (rows, cols)), shape=(self.dim, self.dim))
+
 
 def _check_cap(n: int) -> None:
     cap = node_cap()
@@ -322,11 +333,20 @@ def _check_cap(n: int) -> None:
         raise DimensionOverflow(f"lattice has {n} nodes, exceeding the cap of {cap}")
 
 
-def _assemble(n, tail, head, axis, ts, kind, spec, labels=None) -> Hamiltonian:
-    """The one place edges become matrix entries.
+def _entries(tail, head, axis, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values) of the matrix entries of directed edges, the
+    one place edges become entries: first H[tail, head] = ts[axis] for
+    every edge, then H[head, tail] = 1 for every edge."""
+    rows = np.concatenate([tail, head])
+    cols = np.concatenate([head, tail])
+    values = np.concatenate([np.asarray(ts, dtype=float)[axis], np.ones(len(tail))])
+    return rows, cols, values
 
-    Each directed edge sets H[tail, head] = ts[axis] and H[head, tail] = 1;
-    the edges are stored sorted by (tail, head, axis).  ``axis`` may be a
+
+def _assemble(n, tail, head, axis, ts, kind, spec, labels=None) -> Hamiltonian:
+    """Dense Hamiltonian of directed edges given as index arrays.
+
+    The edges are stored sorted by (tail, head, axis).  ``axis`` may be a
     scalar for 1D lattices; ``labels`` default to one 1-tuple per node.
     """
     tail, head = np.asarray(tail, dtype=np.intp), np.asarray(head, dtype=np.intp)
@@ -334,8 +354,8 @@ def _assemble(n, tail, head, axis, ts, kind, spec, labels=None) -> Hamiltonian:
     order = np.lexsort((axis, head, tail))
     tail, head, axis = tail[order], head[order], axis[order]
     h = np.zeros((n, n))
-    h[tail, head] = np.asarray(ts, dtype=float)[axis]
-    h[head, tail] = 1.0
+    rows, cols, values = _entries(tail, head, axis, ts)
+    h[rows, cols] = values
     edges = tuple(map(Edge, tail.tolist(), head.tolist(), axis.tolist()))
     if labels is None:
         labels = tuple((i,) for i in range(n))

@@ -24,7 +24,7 @@ import scipy.linalg
 from .decay import _fit_chain, spec_chains
 from .errors import SingularSystem, ZeroAmplitude
 from .lattice import Hamiltonian, ProductLattice
-from .spectra import EigenSystem, _gauge, eigendecompose, least_damped_mode
+from .spectra import EigenSystem, _gauge, eigendecompose, least_damped_mode, least_damped_set
 
 SOLVE_RESIDUAL_FACTOR = 1e-10
 SINGULAR_DISTANCE = 1e-12
@@ -91,13 +91,22 @@ class ResponseProfile:
         object.__setattr__(self, "x", arr)
 
 
+def _drive_vector(cfg: DriveConfig, n: int) -> np.ndarray:
+    """amplitude * e_source over n nodes, once the source is one of them."""
+    if not 0 <= cfg.source_node < n:
+        raise ValueError(f"source node {cfg.source_node} outside 0..{n - 1}")
+    b = np.zeros(n, dtype=complex)
+    b[cfg.source_node] = cfg.amplitude
+    return b
+
+
 def steady_state(
     h: Hamiltonian, cfg: DriveConfig, omega: float, sys: EigenSystem | None = None
 ) -> ResponseProfile:
     """Solve ((omega + i gamma) I - H) x = amplitude * e_source, certified.
 
-    Passing the precomputed eigensystem avoids one diagonalization per
-    call; it is also used for the singularity pre-check.
+    A given eigensystem is used for the loss check and the pre-check that
+    omega + i gamma does not sit on an eigenvalue.
     """
     if sys is not None:
         cfg.validate_against(sys)
@@ -105,10 +114,7 @@ def steady_state(
         if float(np.min(np.abs(sys.values - z))) < SINGULAR_DISTANCE:
             raise SingularSystem(f"omega + i gamma = {z} sits on an eigenvalue")
     n = h.dim
-    if not 0 <= cfg.source_node < n:
-        raise ValueError(f"source node {cfg.source_node} outside 0..{n - 1}")
-    rhs = np.zeros(n, dtype=complex)
-    rhs[cfg.source_node] = cfg.amplitude
+    rhs = _drive_vector(cfg, n)
     a = (omega + 1j * cfg.gamma) * np.eye(n) - h.matrix
     try:
         lu = scipy.linalg.lu_factor(a)
@@ -145,9 +151,7 @@ def _gauge_sweep(h: Hamiltonian, cfg: DriveConfig) -> list[ResponseProfile]:
     D is scaled to 1 at the source.  Each row is certified through the
     edges, with up to 3 refinement steps by the same solve.
     """
-    # imported here: loading scipy.sparse at package import costs ~50 ms
-    from scipy.sparse import csr_array
-
+    b = _drive_vector(cfg, h.dim)
     spec = h.spec
     axes = spec.axes if isinstance(spec, ProductLattice) else ((spec, h.t),)
     dims = tuple(s.length for s, _ in axes)
@@ -180,18 +184,7 @@ def _gauge_sweep(h: Hamiltonian, cfg: DriveConfig) -> list[ResponseProfile]:
         y *= d
         return y.reshape(len(zs), -1)
 
-    n = h.dim
-    e = np.array(h.edges).reshape(-1, 3)
-    hop = csr_array(
-        (
-            np.concatenate([np.asarray(h.ts)[e[:, 2]], np.ones(len(e))]),
-            (np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]])),
-        ),
-        shape=(n, n),
-    )
-
-    b = np.zeros((1, n), dtype=complex)
-    b[0, cfg.source_node] = cfg.amplitude
+    hop = h.sparse()
 
     def misfit(x, zs):
         """b - (z I - H) x, one row per frequency, with H x through the edges."""
@@ -226,16 +219,13 @@ def _gauge_sweep(h: Hamiltonian, cfg: DriveConfig) -> list[ResponseProfile]:
     ]
 
 
-def frequency_sweep(
-    h: Hamiltonian, cfg: DriveConfig, sys: EigenSystem | None = None
-) -> list[ResponseProfile]:
+def frequency_sweep(h: Hamiltonian, cfg: DriveConfig, sys: EigenSystem) -> list[ResponseProfile]:
     """One steady state per grid frequency, in grid order.
 
     A closed-form ``sys`` (spectra.closed_form of ``h.spec``) takes the
-    batched gauge solve; any other takes one LU solve per frequency.
+    batched gauge solve; any other (eigendecompose of ``h``) takes one LU
+    solve per frequency.
     """
-    if sys is None:
-        sys = eigendecompose(h)
     cfg.validate_against(sys)
     if sys.meta.get("route") == "closed_form":
         return _gauge_sweep(h, cfg)
@@ -273,15 +263,21 @@ class ModeSelection:
 def mode_selection_check(profile: ResponseProfile, sys: EigenSystem) -> ModeSelection:
     """Overlap |<v_hat, x_hat>| of the response with the least-damped mode,
     plus the mode that maximizes the overlap (they should agree when the
-    loss sits just above the least-damped line)."""
+    loss sits just above the least-damped line).
+
+    Every mode tied for the largest Im(E) (spectra.least_damped_set) is
+    least damped: when the selected mode is one of them, it is reported
+    as the least-damped mode, with its own overlap.
+    """
     x_hat = profile.x / np.linalg.norm(profile.x)
     overlaps = np.empty(sys.dim)
     for n in range(sys.dim):
         v = sys.right_vectors[:, n]
         overlaps[n] = abs(np.vdot(v / np.linalg.norm(v), x_hat))
-    ld = least_damped_mode(sys)
     best = int(np.argmax(overlaps))
-    return ModeSelection(best, ld, float(overlaps[ld]), best == ld)
+    matches = best in least_damped_set(sys)
+    ld = best if matches else least_damped_mode(sys)
+    return ModeSelection(best, ld, float(overlaps[ld]), matches)
 
 
 @dataclass(frozen=True)

@@ -304,14 +304,19 @@ def kron_sum_spectrum(axis_systems: list[EigenSystem], h: Hamiltonian) -> EigenS
     return sys
 
 
+def least_damped_set(sys: EigenSystem) -> np.ndarray:
+    """Indices of the modes tied for the largest Im(E): imaginary parts
+    within the system's certified tolerance of the maximum (a numerically
+    real spectrum carries ~1e-16 noise)."""
+    im = sys.values.imag
+    return np.flatnonzero(im >= im.max() - sys.tolerance)
+
+
 def least_damped_mode(sys: EigenSystem) -> int:
     """Mode with the largest Im(E): slowest-decaying once uniform loss is added.
 
-    Imaginary parts within the system's certified tolerance of the maximum
-    count as tied (a numerically real spectrum carries ~1e-16 noise);
-    ties resolve to the smallest |Re(E)|, then to the lowest index.
+    Ties (least_damped_set) resolve to the smallest |Re(E)|, then to the
+    lowest index.
     """
-    im = sys.values.imag
-    tied = np.flatnonzero(im >= im.max() - sys.tolerance)
-    best = min(tied, key=lambda n: (abs(sys.values[n].real), n))
+    best = min(least_damped_set(sys), key=lambda n: (abs(sys.values[n].real), n))
     return int(best)

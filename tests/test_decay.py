@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import decaygraph as dg
+from decaygraph import decay
 
 from oracle_helpers import (
     loop_amplitude_charges,
     loop_combinatorial_charges,
+    per_mode_pure_decay_check,
     union_find_synthesize,
 )
 
@@ -140,6 +142,64 @@ class TestPureDecayCheck:
         assert any(len(grp) > 1 for grp in sys.degenerate_groups())
         result = dg.pure_decay_check(sys, g, 2.0)
         assert result.passed
+
+
+def decay_system(spec, t, route):
+    if route == "closed_form":
+        return dg.closed_form(spec, t)
+    return dg.eigendecompose(dg.build(spec, t))
+
+
+class TestPureDecayOnePass:
+    """One chain list and one report per check, equal to the per-mode reference."""
+
+    @pytest.mark.parametrize("spec, t, route", [
+        (dg.SegmentedRing((("A", 13), ("B", 17))), T, "closed_form"),
+        (dg.SegmentedRing((("A", 13), ("B", 17))), T, "dense"),
+        (dg.SegmentedRing((("A", 100), ("B", 200))), 1.05, "closed_form"),
+        (RING_FIG1E, T, "closed_form"),
+        (RING_FIG1E, T, "dense"),
+        (dg.SegmentedRing((("A", 8),)), T, "closed_form"),
+        (dg.SegmentedRing((("A", 8),)), T, "dense"),
+        (dg.SegmentedRing((("A", 6), ("B", 6))), 2.0, "dense"),
+        (dg.SegmentedRing((("A", 150), ("B", 150))), 1.5, "closed_form"),
+        (dg.validate_circulant(8, [1, 1, 0, 0, 0, 1, 1]), T, "closed_form"),
+        (dg.validate_circulant(8, [1, 1, 0, 0, 0, 1, 1]), T, "dense"),
+        (dg.validate_circulant(4, [0, 1, 0]), 2.0, "dense"),
+        (dg.ObcChain(12), T, "closed_form"),
+        (dg.ObcChain(12), T, "dense"),
+        (dg.ObcChain(13), T, "closed_form"),
+    ], ids=[
+        "two-segment", "two-segment-dense", "two-segment-300", "four-segment",
+        "four-segment-dense", "uniform", "uniform-dense", "balanced-dense-swap",
+        "balanced-300", "circulant", "circulant-dense", "circulant-dense-swap",
+        "open-chain", "open-chain-dense", "open-chain-sine-nodes",
+    ])
+    def test_equals_per_mode_reference(self, spec, t, route):
+        sys = decay_system(spec, t, route)
+        assert dg.pure_decay_check(sys, spec, t) == per_mode_pure_decay_check(sys, spec, t)
+
+    def test_underflow_raises_as_reference(self):
+        ring = dg.SegmentedRing((("A", 500), ("B", 500)))
+        sys = dg.closed_form(ring, 64.0)
+        with pytest.raises(dg.DecayGraphError) as got:
+            dg.pure_decay_check(sys, ring, 64.0)
+        with pytest.raises(dg.DecayGraphError) as want:
+            per_mode_pure_decay_check(sys, ring, 64.0)
+        assert type(got.value) is type(want.value) is dg.UnderflowSites
+        assert str(got.value) == str(want.value)
+
+    def test_one_chain_list_and_one_report(self, monkeypatch):
+        calls = []
+        for name in ("spec_chains", "extract_decay_constants"):
+            def counted(*args, _name=name, _original=getattr(decay, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(decay, name, counted)
+        ring = dg.SegmentedRing((("A", 13), ("B", 17)))
+        assert dg.pure_decay_check(dg.closed_form(ring, T), ring, T).passed
+        assert sorted(calls) == ["extract_decay_constants", "spec_chains"]
 
 
 class TestAmplitudeCharges:

@@ -250,6 +250,28 @@ class TestCli:
         ratios = {c["chain_id"]: c["ratio"] for c in report["per_chain"]}
         assert ratios["A1"] == pytest.approx(2.5 ** (-1 / 30), rel=1e-9)
 
+    @pytest.mark.parametrize("doc", [PRODUCT_DOC, RAW_DOC], ids=["product", "raw"])
+    def test_t_override_rejected_off_1d(self, tmp_path, capsys, doc):
+        spec = tmp_path / "spec.json"
+        spec.write_text(doc)
+        assert run_cli(tmp_path, "build", "--spec", spec, "--t", 2.5, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == "error: --t override applies to 1D lattice documents only\n"
+
+    def test_spectrum_mismatch_beyond_tolerance_exits_1(self, tmp_path, ring_spec, capsys):
+        out = tmp_path / "out"
+        argv = ["spectrum", "--spec", ring_spec, "--numeric", "--analytic", "--tolerance", 0, "--out", out]
+        assert run_cli(tmp_path, *argv) == 1
+        assert "(tolerance 0.0e+00)" in capsys.readouterr().out
+        assert (out / "spectrum_numeric.csv").exists() and (out / "spectrum_analytic.csv").exists()
+
+    def test_drive_grid_bounds_without_steps_take_default_count(self, tmp_path, ring_spec):
+        out = tmp_path / "out"
+        assert run_cli(
+            tmp_path, "drive", "--spec", ring_spec, "--omega-min", -3, "--omega-max", 3, "--out", out,
+        ) == 0
+        omegas = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1, usecols=0)
+        np.testing.assert_array_equal(np.unique(omegas), np.linspace(-3, 3, 401))
+
     def test_size_cap_env(self, tmp_path, ring_spec, monkeypatch):
         monkeypatch.setenv("DECAYGRAPH_SIZE_CAP", "8")
         assert run_cli(tmp_path, "build", "--spec", ring_spec, "--out", tmp_path / "o") == 2

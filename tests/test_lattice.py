@@ -327,6 +327,13 @@ class TestStructuralInvariants:
             (e.head, e.tail) for e in h.edges
         )
 
+    @pytest.mark.parametrize("spec,t", SPECS + [(dg.ProductLattice((
+        (dg.SegmentedRing((("A", 3), ("B", 4))), 1.5), (dg.ObcChain(5), 3.0),
+    )), None)])
+    def test_sparse_matches_matrix(self, spec, t):
+        h = dg.build(spec, t)
+        assert np.array_equal(h.sparse().toarray(), h.matrix)
+
     def test_circulant_scaled_similarity(self):
         # D^-1 H D must be the circulant with c_q = a_q t**((N-q)/N)
         t = 1.7

@@ -142,6 +142,31 @@ class TestFrequencySweep:
         assert np.ptp(peak_idx) <= 1
 
 
+class TestSweepContract:
+    """Both sweep routes: closed form (gauge) and dense (LU)."""
+
+    RING = dg.SegmentedRing((("A", 5), ("B", 7)))
+
+    def system(self, route):
+        h = dg.build(self.RING, T)
+        return h, dg.closed_form(self.RING, T) if route == "closed_form" else dg.eigendecompose(h)
+
+    @pytest.mark.parametrize("route", ["closed_form", "dense"])
+    def test_source_outside_the_lattice(self, route):
+        h, sys = self.system(route)
+        cfg = dataclasses.replace(dg.default_drive_config(h, sys), source_node=12)
+        with pytest.raises(ValueError, match=r"^source node 12 outside 0\.\.11$"):
+            dg.frequency_sweep(h, cfg, sys)
+
+    @pytest.mark.parametrize("route", ["closed_form", "dense"])
+    def test_pole_on_the_grid(self, route):
+        h, sys = self.system(route)
+        pole = sys.values[int(np.argmax(sys.values.imag))]
+        cfg = dg.DriveConfig(0, float(np.nextafter(pole.imag, np.inf)), np.array([pole.real]))
+        with pytest.raises(dg.SingularSystem, match=r"^sweep failed at omega=.* sits on an eigenvalue$"):
+            dg.frequency_sweep(h, cfg, sys)
+
+
 class TestModeSelection:
     def test_overlap_monotone_in_gamma(self):
         h, sys, sel, omega, g_min = selected_setup(RING_12)
@@ -159,6 +184,27 @@ class TestModeSelection:
         cfg = dg.DriveConfig(0, g_min + 1e-3, np.array([omega]))
         check = dg.mode_selection_check(dg.steady_state(h, cfg, omega, sys), sys)
         assert check.matches and check.selected_mode == sel
+
+    def test_selected_mode_tied_for_least_damped_is_reported(self):
+        # modes 7 and 8 of this ring share the largest Im(E) and have
+        # opposite Re(E); the drive peak selects mode 8
+        ring = dg.SegmentedRing((("A", 13), ("B", 17)))
+        h, sys = dg.build(ring, T), dg.closed_form(ring, T)
+        cfg = dataclasses.replace(
+            dg.default_drive_config(h, sys), omega_grid=np.array([-0.24152692817136856])
+        )
+        check = dg.mode_selection_check(dg.frequency_sweep(h, cfg, sys)[0], sys)
+        assert (check.selected_mode, check.least_damped, check.matches) == (8, 8, True)
+        assert check.overlap == pytest.approx(0.8602059548277289, rel=1e-9)
+        assert dg.least_damped_mode(sys) == 7 and list(spectra.least_damped_set(sys)) == [7, 8]
+
+    def test_selected_mode_outside_the_tie_is_not_least_damped(self):
+        h, sys, sel, omega, g_min = selected_setup(RING_12)
+        other = int(np.argmin(sys.values.imag))
+        prof = dg.ResponseProfile(omega, sys.right_vectors[:, other], 0.0)
+        check = dg.mode_selection_check(prof, sys)
+        assert (check.selected_mode, check.least_damped, check.matches) == (other, sel, False)
+        assert check.overlap < 1.0
 
     def test_complete_graph_profile_pure_exponential(self):
         g4 = dg.validate_circulant(4, [1, 1, 1])

@@ -61,6 +61,14 @@ class TestEigendecompose:
         sys = dg.eigendecompose(h)
         assert np.max(sys.residuals) <= 1e-9 * h.norm_inf()
 
+    def test_failed_certificate_names_residual_and_tolerance(self):
+        h = dg.build(dg.SegmentedRing((("A", 3), ("B", 2))), 1.5)
+        exact = dg.closed_form(h.spec, 1.5)
+        with pytest.raises(dg.ConvergenceFailure, match=(
+            r"^shifted modes: residual 1\.000e\+00 exceeds certified tolerance \d\.\d{3}e-09$"
+        )):
+            spectra._certified(h, exact.values + 1.0, exact.right_vectors, None, "shifted modes", {})
+
     def test_left_vectors_biorthogonal(self):
         h = dg.build(dg.SegmentedRing((("A", 5), ("B", 3))), 1.5)
         sys = dg.eigendecompose(h)
