@@ -49,12 +49,16 @@ def _finish(out_dir: Path, manifest: RunManifest, started: float) -> None:
 def cmd_build(args, out_dir: Path, manifest: RunManifest) -> int:
     h = _load_document(args).build()
     _write(out_dir, "hamiltonian.csv", io.hamiltonian_csv(h), manifest)
-    print(f"built {h.kind} lattice: {h.dim} nodes, {len(h.edges)} edges")
+    print(f"built {h.kind} lattice: {h.dim} nodes, {len(h.edge_array)} edges")
     return 0
 
 
 def cmd_spectrum(args, out_dir: Path, manifest: RunManifest) -> int:
     doc = _load_document(args)
+    if args.analytic and isinstance(doc.spec, RawMatrix):
+        raise DecayGraphError(
+            "no analytic spectrum for a raw matrix (rings, circulants, open chains, products)"
+        )
     h = doc.build()
     want_numeric = args.numeric or not args.analytic
     rc = 0
@@ -65,9 +69,6 @@ def cmd_spectrum(args, out_dir: Path, manifest: RunManifest) -> int:
         if args.profiles:
             _write(out_dir, "profiles_numeric.csv", io.profiles_csv(numeric), manifest)
     if args.analytic:
-        if isinstance(doc.spec, RawMatrix):
-            print("no analytic spectrum for a raw matrix (rings, circulants, open chains, products)")
-            return 2
         analytic = spectra.closed_form(doc.spec, doc.t)
         _write(out_dir, "spectrum_analytic.csv", io.spectrum_csv(analytic.values), manifest)
         if args.profiles:

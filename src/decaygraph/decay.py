@@ -201,7 +201,7 @@ def charges_from_fit(report: DecayReport, spec, h: Hamiltonian) -> np.ndarray:
             log_amp[site] = c.ln_intercept + c.ln_slope * pos
     if np.any(np.isnan(log_amp)):
         raise ChainTooShort("fitted chains do not cover every site")
-    return amplitude_charges(np.exp(log_amp), h.edges, h.ts)
+    return amplitude_charges(np.exp(log_amp), h.edge_array, h.ts)
 
 
 def _mode_profiles(sys: EigenSystem, spec, t: float) -> np.ndarray:
@@ -348,7 +348,7 @@ def charge_map(spec, t: float | None = None) -> ChargeMap:
         edges, n, ts, profiles = spec.edges, spec.n_nodes, spec.t, [spec.profile]
     else:
         h = build(spec, t)
-        edges, n, ts = h.edges, h.dim, h.ts
+        edges, n, ts = h.edge_array, h.dim, h.ts
         if isinstance(spec, ProductLattice):
             profiles = [_product_profile(spec)]
         else:

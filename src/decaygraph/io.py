@@ -175,57 +175,52 @@ def serialize_spec(doc: LatticeDocument) -> str:
     return json.dumps({"lattice": _lattice_payload(doc)}, sort_keys=True, indent=2) + "\n"
 
 
-def _f(x: float) -> str:
-    return repr(float(x))
-
-
 def hamiltonian_csv(h: Hamiltonian) -> str:
-    """Nonzero entries as "row,col,real,imag", 1-based, row-major order."""
-    lines = ["row,col,real,imag"]
-    rows, cols = np.nonzero(h.matrix)
-    values = h.matrix[rows, cols].astype(complex)
-    for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
-        lines.append(f"{r + 1},{c + 1},{_f(v.real)},{_f(v.imag)}")
-    return "\n".join(lines) + "\n"
+    """Nonzero entries as "row,col,real,imag", 1-based, row-major order,
+    read from ``Hamiltonian.entries`` (the edges of a built lattice)."""
+    rows, cols, values = h.entries()
+    return "row,col,real,imag\n" + "".join(
+        f"{r},{c},{v.real!r},{v.imag!r}\n"
+        for r, c, v in zip((rows + 1).tolist(), (cols + 1).tolist(), values.tolist())
+    )
 
 
 def spectrum_csv(values: np.ndarray) -> str:
     """Eigenvalues as "n,re_E,im_E" in the system's mode order (1-based n)."""
-    lines = ["n,re_E,im_E"]
-    for n, e in enumerate(values):
-        lines.append(f"{n + 1},{_f(e.real)},{_f(e.imag)}")
-    return "\n".join(lines) + "\n"
+    return "n,re_E,im_E\n" + "".join(
+        f"{n},{e.real!r},{e.imag!r}\n" for n, e in enumerate(np.asarray(values).tolist(), 1)
+    )
 
 
 def profiles_csv(sys: EigenSystem) -> str:
     """Per-mode profiles as "n,site,re_psi,im_psi,abs_psi" (1-based)."""
-    lines = ["n,site,re_psi,im_psi,abs_psi"]
-    for n in range(sys.dim):
-        col = sys.right_vectors[:, n]
-        for site, v in enumerate(col):
-            lines.append(
-                f"{n + 1},{site + 1},{_f(v.real)},{_f(v.imag)},{_f(abs(v))}"
-            )
-    return "\n".join(lines) + "\n"
+    blocks = ["n,site,re_psi,im_psi,abs_psi\n"]
+    for n, col in enumerate(sys.right_vectors.T.tolist(), 1):
+        blocks.append("".join(
+            f"{n},{site},{v.real!r},{v.imag!r},{abs(v)!r}\n" for site, v in enumerate(col, 1)
+        ))
+    return "".join(blocks)
 
 
 def charges_csv(cm: ChargeMap) -> str:
-    lines = ["node,Q_amplitude,Q_combinatorial"]
-    for i, (qa, qc) in enumerate(zip(cm.amplitude_charge, cm.combinatorial_charge)):
-        lines.append(f"{i + 1},{_f(qa)},{_f(qc)}")
-    return "\n".join(lines) + "\n"
+    return "node,Q_amplitude,Q_combinatorial\n" + "".join(
+        f"{i},{qa!r},{qc!r}\n"
+        for i, (qa, qc) in enumerate(
+            zip(cm.amplitude_charge.tolist(), cm.combinatorial_charge.tolist()), 1
+        )
+    )
 
 
 def sweep_csv(profiles: list[ResponseProfile]) -> str:
     """One row "omega,node,abs_x,re_x,im_x" per frequency and node (1-based).
 
-    Formatted one frequency block at a time from Python numbers: Python's
-    complex abs gives the same bits as numpy's scalar abs, and repr of a
-    Python float is repr of the numpy scalar.
+    All five CSV exports are formatted from Python numbers (``.tolist()``)
+    with ``repr``: repr of a Python float is repr of the numpy scalar, and
+    Python's complex abs gives the same bits as numpy's scalar abs.
     """
     blocks = ["omega,node,abs_x,re_x,im_x\n"]
     for p in profiles:
-        omega = _f(p.omega)
+        omega = repr(float(p.omega))
         blocks.append("".join(
             f"{omega},{i},{abs(v)!r},{v.real!r},{v.imag!r}\n"
             for i, v in enumerate(p.x.tolist(), 1)

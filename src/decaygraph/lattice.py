@@ -16,20 +16,23 @@ Concretely, with ring sites numbered 0..L-1 (exports are 1-based):
 * a circulant pair {a, b} with a < b is oriented (a -> b): H[a, b] = t;
 * an open chain bond (i, i+1) is oriented (i+1 -> i), like type A.
 
-Each builder only lists its directed edges as (tail, head, axis) arrays;
-one function, ``_entries``, turns edges into matrix entries, for the dense
-matrix ``_assemble`` fills and for ``Hamiltonian.sparse``, so every
-builder produces a real dense matrix with zero diagonal whose nonzero
-off-diagonal entries are exactly 1.0 or exactly t.  A product lattice
-repeats each axis's edges at every position of the other axes.
-``edge_list`` reads the edges back from the matrix as an independent check.
+Each builder only lists its directed edges as (tail, head, axis) arrays,
+and a built ``Hamiltonian`` stores just those edges, sorted.  One method,
+``Hamiltonian.entries``, turns edges into matrix entries, for the CSV
+export, ``Hamiltonian.sparse`` and the dense matrix, which is assembled
+only when it is first read.  So every builder produces a real matrix with
+zero diagonal whose nonzero off-diagonal entries are exactly 1.0 or
+exactly t.  A product lattice repeats each axis's edges at every
+position of the other axes.  ``edge_list`` reads the edges back from the
+dense matrix as an independent check.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -282,29 +285,38 @@ class Edge(NamedTuple):
     axis: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hamiltonian:
-    """Dense lattice Hamiltonian plus its directed edge list and node labels.
+    """Lattice Hamiltonian: its sorted directed edges plus node labels.
 
-    ``ts`` holds one hopping ratio per axis (length 1 for 1D lattices);
-    ``Edge.axis`` indexes into it.  The matrix is immutable.
+    ``edge_array`` holds one (tail, head, axis) row per edge, sorted, and
+    may be given as ``Edge`` tuples; ``ts`` holds one hopping ratio per
+    axis (length 1 for 1D lattices), which ``axis`` indexes into.  A
+    lattice built from its edges passes ``raw_matrix=None`` and its dense
+    ``matrix`` is assembled from the edges on first read; an explicit
+    (raw) matrix is passed in as ``raw_matrix`` and is the matrix.  Both
+    are immutable.
     """
 
-    matrix: np.ndarray
+    raw_matrix: np.ndarray | None
     ts: tuple[float, ...]
-    edges: tuple[Edge, ...]
+    edge_array: np.ndarray
     node_labels: tuple[tuple, ...]
     kind: str
-    spec: object = field(compare=False, default=None)
+    spec: object = None
 
     def __post_init__(self):
-        m = np.asarray(self.matrix)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        if self.raw_matrix is not None:
+            m = np.asarray(self.raw_matrix)
+            m.setflags(write=False)
+            object.__setattr__(self, "raw_matrix", m)
+        e = np.asarray(self.edge_array, dtype=np.intp).reshape(-1, 3)
+        e.setflags(write=False)
+        object.__setattr__(self, "edge_array", e)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.node_labels)
 
     @property
     def t(self) -> float:
@@ -313,17 +325,51 @@ class Hamiltonian:
             raise ValueError("multi-axis Hamiltonian: use .ts")
         return self.ts[0]
 
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The stored edges as ``Edge`` tuples of Python ints, in stored order."""
+        return tuple(map(Edge, *self.edge_array.T.tolist()))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix (read-only): a raw matrix as given, otherwise
+        the edges' entries scattered into zeros on first read."""
+        if self.raw_matrix is not None:
+            return self.raw_matrix
+        m = np.zeros((self.dim, self.dim))
+        rows, cols, values = self.entries()
+        m[rows, cols] = values
+        m.setflags(write=False)
+        return m
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nonzero entries (rows, cols, values) in row-major order.
+
+        A raw matrix gives ``np.nonzero`` of itself, its values as float64
+        or complex128.  A built lattice gives its edges' entries, the one
+        place edges become entries: H[tail, head] = ts[axis] and
+        H[head, tail] = 1 for every edge.
+        """
+        if self.raw_matrix is not None:
+            m = self.raw_matrix
+            rows, cols = np.nonzero(m)
+            return rows, cols, m[rows, cols].astype(np.result_type(m.dtype, float), copy=False)
+        tail, head, axis = self.edge_array.T
+        rows = np.concatenate([tail, head])
+        cols = np.concatenate([head, tail])
+        values = np.concatenate([np.asarray(self.ts, dtype=float)[axis], np.ones(len(tail))])
+        order = np.lexsort((cols, rows))
+        return rows[order], cols[order], values[order]
+
     def norm_inf(self) -> float:
         return float(np.max(np.sum(np.abs(self.matrix), axis=1)))
 
     def sparse(self):
-        """The matrix as a scipy CSR array built from the stored edges (a raw
-        matrix wrapped without ``t`` has none)."""
+        """The matrix as a scipy CSR array built from ``entries()``."""
         # imported here: loading scipy.sparse at package import costs ~50 ms
         from scipy.sparse import csr_array
 
-        e = np.array(self.edges, dtype=np.intp).reshape(-1, 3)
-        rows, cols, values = _entries(e[:, 0], e[:, 1], e[:, 2], self.ts)
+        rows, cols, values = self.entries()
         return csr_array((values, (rows, cols)), shape=(self.dim, self.dim))
 
 
@@ -333,33 +379,23 @@ def _check_cap(n: int) -> None:
         raise DimensionOverflow(f"lattice has {n} nodes, exceeding the cap of {cap}")
 
 
-def _entries(tail, head, axis, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, values) of the matrix entries of directed edges, the
-    one place edges become entries: first H[tail, head] = ts[axis] for
-    every edge, then H[head, tail] = 1 for every edge."""
-    rows = np.concatenate([tail, head])
-    cols = np.concatenate([head, tail])
-    values = np.concatenate([np.asarray(ts, dtype=float)[axis], np.ones(len(tail))])
-    return rows, cols, values
+def _sorted_edges(tail, head, axis) -> np.ndarray:
+    """(E, 3) intp array of directed edges sorted by (tail, head, axis);
+    ``axis`` may be a scalar for 1D lattices."""
+    tail, head = np.asarray(tail, dtype=np.intp), np.asarray(head, dtype=np.intp)
+    axis = np.broadcast_to(np.asarray(axis, dtype=np.intp), tail.shape)
+    return np.stack([tail, head, axis], axis=1)[np.lexsort((axis, head, tail))]
 
 
 def _assemble(n, tail, head, axis, ts, kind, spec, labels=None) -> Hamiltonian:
-    """Dense Hamiltonian of directed edges given as index arrays.
+    """Hamiltonian of directed edges given as index arrays, stored sorted.
 
-    The edges are stored sorted by (tail, head, axis).  ``axis`` may be a
-    scalar for 1D lattices; ``labels`` default to one 1-tuple per node.
+    No dense matrix is allocated here.  ``labels`` default to one 1-tuple
+    per node.
     """
-    tail, head = np.asarray(tail, dtype=np.intp), np.asarray(head, dtype=np.intp)
-    axis = np.broadcast_to(np.asarray(axis, dtype=np.intp), tail.shape)
-    order = np.lexsort((axis, head, tail))
-    tail, head, axis = tail[order], head[order], axis[order]
-    h = np.zeros((n, n))
-    rows, cols, values = _entries(tail, head, axis, ts)
-    h[rows, cols] = values
-    edges = tuple(map(Edge, tail.tolist(), head.tolist(), axis.tolist()))
     if labels is None:
         labels = tuple((i,) for i in range(n))
-    return Hamiltonian(h, tuple(ts), edges, labels, kind, spec)
+    return Hamiltonian(None, tuple(ts), _sorted_edges(tail, head, axis), labels, kind, spec)
 
 
 def _components(n: int, pairs: np.ndarray) -> np.ndarray:
@@ -434,7 +470,7 @@ def build_product_lattice(p: ProductLattice) -> Hamiltonian:
     nodes = np.arange(p.length).reshape(dims)
     tails, heads, axes = [], [], []
     for k, (spec, t) in enumerate(p.axes):
-        axis_edges = np.array(build_axis(spec, t).edges).reshape(-1, 3)
+        axis_edges = build_axis(spec, t).edge_array
         # along[..., i]: the nodes whose axis-k coordinate is i, one per
         # position of the other axes (row-major order)
         along = np.moveaxis(nodes, k, -1)
@@ -487,11 +523,12 @@ def edge_list(h: Hamiltonian) -> tuple[Edge, ...]:
 
 def transpose(h: Hamiltonian) -> Hamiltonian:
     """Hamiltonian with every bond orientation reversed (matrix transpose)."""
-    rev = tuple(Edge(e.head, e.tail, e.axis) for e in h.edges)
+    e = h.edge_array
+    raw = None if h.raw_matrix is None else h.raw_matrix.T.copy()
     return Hamiltonian(
-        h.matrix.T.copy(),
+        raw,
         h.ts,
-        tuple(sorted(rev)),
+        _sorted_edges(e[:, 1], e[:, 0], e[:, 2]),
         h.node_labels,
         h.kind + "_transposed",
         h.spec,

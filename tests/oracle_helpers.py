@@ -345,6 +345,70 @@ def union_find_synthesize(target, t: float = 1.5):
     return graph.edges, profile
 
 
+def eager_matrix(n: int, edges, ts) -> np.ndarray:
+    """Dense matrix of directed edges filled at once from the (E, 3)
+    tail/head/axis array: every H[tail, head] = t_axis, then every
+    H[head, tail] = 1 (reference for the lazily assembled matrix)."""
+    e = np.asarray(edges, dtype=np.intp).reshape(-1, 3)
+    h = np.zeros((n, n))
+    h[e[:, 0], e[:, 1]] = np.asarray(ts, dtype=float)[e[:, 2]]
+    h[e[:, 1], e[:, 0]] = 1.0
+    return h
+
+
+def edge_order_csr(h):
+    """CSR array built from the stored edges in edge order, t entries
+    first, then the 1 entries (reference for Hamiltonian.sparse)."""
+    from scipy.sparse import csr_array
+
+    e = h.edge_array
+    rows = np.concatenate([e[:, 0], e[:, 1]])
+    cols = np.concatenate([e[:, 1], e[:, 0]])
+    values = np.concatenate([np.asarray(h.ts, dtype=float)[e[:, 2]], np.ones(len(e))])
+    return csr_array((values, (rows, cols)), shape=(h.dim, h.dim))
+
+
+def dense_hamiltonian_csv(h) -> str:
+    """hamiltonian.csv scanned from the dense matrix with np.nonzero and
+    formatted one row at a time from numpy scalars (reference)."""
+    lines = ["row,col,real,imag"]
+    rows, cols = np.nonzero(h.matrix)
+    values = h.matrix[rows, cols].astype(complex)
+    for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
+        lines.append(f"{r + 1},{c + 1},{repr(float(v.real))},{repr(float(v.imag))}")
+    return "\n".join(lines) + "\n"
+
+
+def per_row_spectrum_csv(values) -> str:
+    """spectrum.csv formatted one row at a time from numpy scalars (reference)."""
+    lines = ["n,re_E,im_E"]
+    for n, e in enumerate(values):
+        lines.append(f"{n + 1},{repr(float(e.real))},{repr(float(e.imag))}")
+    return "\n".join(lines) + "\n"
+
+
+def per_row_profiles_csv(sys) -> str:
+    """profiles.csv formatted one row at a time from numpy scalars, with
+    numpy's scalar abs (reference)."""
+    lines = ["n,site,re_psi,im_psi,abs_psi"]
+    for n in range(sys.dim):
+        col = sys.right_vectors[:, n]
+        for site, v in enumerate(col):
+            lines.append(
+                f"{n + 1},{site + 1},{repr(float(v.real))},{repr(float(v.imag))},"
+                f"{repr(float(abs(v)))}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def per_row_charges_csv(cm) -> str:
+    """charges.csv formatted one row at a time from numpy scalars (reference)."""
+    lines = ["node,Q_amplitude,Q_combinatorial"]
+    for i, (qa, qc) in enumerate(zip(cm.amplitude_charge, cm.combinatorial_charge)):
+        lines.append(f"{i + 1},{repr(float(qa))},{repr(float(qc))}")
+    return "\n".join(lines) + "\n"
+
+
 def per_row_sweep_csv(profiles) -> str:
     """sweep.csv formatted one row at a time from numpy scalars (reference)."""
     lines = ["omega,node,abs_x,re_x,im_x"]

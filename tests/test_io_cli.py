@@ -1,14 +1,25 @@
 """Spec documents, exports, and the command-line pipeline."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import decaygraph as dg
-from decaygraph import cli, decay, io, response, spectra
+from decaygraph import cli, decay, io, lattice, response, spectra
 
-from oracle_helpers import per_row_sweep_csv
+from oracle_helpers import (
+    dense_hamiltonian_csv,
+    per_row_charges_csv,
+    per_row_profiles_csv,
+    per_row_spectrum_csv,
+    per_row_sweep_csv,
+)
+
+# signed zeros, subnormals, extremes and non-finite values
+SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e-300, -1e300,
+                    1.7976931348623157e308, np.inf, -np.inf, np.nan, -np.nan, 1.0, -3.5])
 
 RING_DOC = (
     '{"lattice":{"kind":"ring","t":1.5,'
@@ -134,6 +145,58 @@ class TestExports:
             profiles.append(response.ResponseProfile(omega, x, 0.0))
         assert io.sweep_csv(profiles) == per_row_sweep_csv(profiles)
         assert io.sweep_csv([]) == per_row_sweep_csv([])
+
+    @staticmethod
+    def seeded(rng, shape):
+        """Magnitudes from 1e-300 to 1e300 with about a third replaced by SPECIAL."""
+        x = 10.0 ** rng.uniform(-300, 300, shape) * rng.choice([-1.0, 1.0], shape)
+        mask = rng.random(shape) < 0.3
+        x[mask] = rng.choice(SPECIAL, int(mask.sum()))
+        return x
+
+    def test_exports_match_per_row_formatters(self):
+        rng = np.random.default_rng(11)
+        for k in range(40):
+            n = int(rng.integers(1, 25))
+            parts = self.seeded(rng, (2, n, n))
+            x = parts[0].copy()
+            if k % 4:
+                x = x.astype(complex)
+                x.imag = parts[1]
+            # max-normalized like every solver's right vectors, so |v| <= 1
+            with np.errstate(invalid="ignore"):
+                vectors = x / np.maximum(np.abs(x), 1.0)
+            sys = dg.EigenSystem(x[0], vectors, None, np.zeros(n), 1.0, 1e-10)
+            assert io.spectrum_csv(x[0]) == per_row_spectrum_csv(x[0])
+            assert io.profiles_csv(sys) == per_row_profiles_csv(sys)
+            cm = dg.ChargeMap(parts[0, 0], parts[1, 0], 0.0, True, 0.0, 0.0)
+            assert io.charges_csv(cm) == per_row_charges_csv(cm)
+            h = dg.raw_hamiltonian(x)
+            assert io.hamiltonian_csv(h) == dense_hamiltonian_csv(h)
+        empty = dg.EigenSystem(np.zeros(0), np.zeros((0, 0)), None, np.zeros(0), 1.0, 1e-10)
+        assert io.profiles_csv(empty) == per_row_profiles_csv(empty)
+        assert io.spectrum_csv(np.zeros(0)) == per_row_spectrum_csv(np.zeros(0))
+
+    def test_python_abs_has_numpy_scalar_abs_bits(self):
+        # profiles_csv and sweep_csv take Python's complex abs where the
+        # per-row formatters took numpy's scalar abs
+        re, im = np.meshgrid(SPECIAL, SPECIAL)
+        rng = np.random.default_rng(3)
+        z = np.concatenate([re.ravel(), self.seeded(rng, 4000)]).astype(complex)
+        z.imag = np.concatenate([im.ravel(), self.seeded(rng, 4000)])
+        with np.errstate(over="ignore"):
+            overflows = np.isfinite(z) & np.isinf(np.hypot(z.real, z.imag))
+        for v in z[overflows].tolist():
+            # a finite modulus above the float max: numpy gives inf, Python
+            # raises; max-normalized mode vectors never get there
+            with pytest.raises(OverflowError):
+                abs(v)
+        z = z[~overflows]
+        ours = np.array([abs(v) for v in z.tolist()])
+        theirs = np.array([abs(v) for v in z])
+        nan = np.isnan(theirs)
+        assert np.array_equal(np.isnan(ours), nan)  # NaN payloads differ; repr does not show them
+        assert np.array_equal(ours[~nan].view(np.uint64), theirs[~nan].view(np.uint64))
 
 
 def run_cli(tmp_path, *argv):
@@ -344,14 +407,24 @@ class TestClosedFormRoute:
         rc, report = self.run_decay(tmp_path, text)
         assert rc == 1 and report["pure_decay_pass"] is False
 
-    def test_analytic_spectrum_of_multi_segment_ring(self, tmp_path):
+    def test_analytic_spectrum_of_multi_segment_ring(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(ring_doc([("A", 4), ("B", 11), ("A", 3), ("B", 12)], 1.5))
         out = tmp_path / "out"
         assert run_cli(tmp_path, "spectrum", "--spec", spec, "--analytic", "--numeric", "--out", out) == 0
         raw = tmp_path / "raw.json"
         raw.write_text(RAW_DOC)
-        assert run_cli(tmp_path, "spectrum", "--spec", raw, "--analytic", "--out", tmp_path / "o") == 2
+        capsys.readouterr()
+        for routes in (["--analytic"], ["--numeric", "--analytic"]):
+            out = tmp_path / "o" / routes[0]
+            assert run_cli(tmp_path, "spectrum", "--spec", raw, *routes, "--out", out) == 2
+            got = capsys.readouterr()
+            assert got.out == ""
+            assert got.err == (
+                "error: no analytic spectrum for a raw matrix "
+                "(rings, circulants, open chains, products)\n"
+            )
+            assert list(out.iterdir()) == []
 
 
 class TestChargesSolveOnce:
@@ -382,6 +455,40 @@ class TestChargesSolveOnce:
         calls = self.count_calls(monkeypatch, spectra, "closed_form")
         assert self.run_charges(tmp_path, ring_doc([("A", 6), ("B", 8), ("A", 7), ("B", 4)], 1.5)) == 0
         assert len(calls) == 1
+
+
+class TestProductAtCapReadsEdges:
+    """`build` and `charges` on a 16x16x16 product never assemble, or
+    allocate, a dense N x N matrix."""
+
+    CUBE = json.dumps({"lattice": {"kind": "product", "axes": [
+        {"kind": "ring", "t": 1.5, "segments": [{"type": "A", "len": 10}, {"type": "B", "len": 6}]},
+        {"kind": "circulant", "t": 2.0, "n": 16, "a": [1] + [0] * 13 + [1]},
+        {"kind": "ring", "t": 0.5, "segments": [{"type": "A", "len": 16}]},
+    ]}})
+
+    @pytest.mark.parametrize("command", ["build", "charges"])
+    def test_no_dense_matrix(self, tmp_path, monkeypatch, command):
+        assembled = []
+        lazy = lattice.Hamiltonian.__dict__["matrix"]
+
+        def spy(h):
+            if h.raw_matrix is None and "matrix" not in vars(h):
+                assembled.append(h.dim)
+            return lazy.__get__(h, type(h))
+
+        monkeypatch.setattr(lattice.Hamiltonian, "matrix", property(spy))
+        spec = tmp_path / "cube.json"
+        spec.write_text(self.CUBE)
+        tracemalloc.start()
+        try:
+            rc = run_cli(tmp_path, command, "--spec", spec, "--out", tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert all(n <= 16 for n in assembled)  # axis matrices only
+        assert peak < 4096 * 4096 * 8 / 4
 
 
 class TestDriveRoute:

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 import decaygraph as dg
-from decaygraph.lattice import node_cap
+from decaygraph import io
+from decaygraph.lattice import _assemble, node_cap
 
-from oracle_helpers import kron_sum_matrix, loop_edge_list, symmetric_binary_vectors
+from oracle_helpers import (
+    dense_hamiltonian_csv,
+    eager_matrix,
+    edge_order_csr,
+    kron_sum_matrix,
+    loop_edge_list,
+    symmetric_binary_vectors,
+)
 
 
 class TestHoppingRatio:
@@ -366,6 +374,120 @@ class TestStructuralInvariants:
         h = dg.build(dg.ObcChain(3), 2.0)
         with pytest.raises(ValueError):
             h.matrix[0, 1] = 5.0
+
+
+def _synthesized(target) -> dg.Hamiltonian:
+    g = dg.synthesize_charge_graph(target)
+    e = np.array(g.edges).reshape(-1, 3)
+    return _assemble(g.n_nodes, e[:, 0], e[:, 1], 0, (g.t,), "synthesized", None)
+
+
+EDGE_BUILT = {
+    "ring-A29-B1": lambda: dg.build(dg.SegmentedRing((("A", 29), ("B", 1))), 1.5),
+    "ring-4seg": lambda: dg.build(dg.SegmentedRing((("A", 6), ("B", 8), ("A", 7), ("B", 4))), 2.0),
+    "ring-uniform": lambda: dg.build(dg.SegmentedRing((("A", 12),)), 0.5),
+    "circulant-8": lambda: dg.build(dg.validate_circulant(8, [1, 1, 0, 0, 0, 1, 1]), 1.5),
+    "circulant-2": lambda: dg.build(dg.validate_circulant(2, [1]), 2.0),
+    "circulant-complete-5": lambda: dg.build(dg.validate_circulant(5, [1, 1, 1, 1]), 64.0),
+    "obc-12": lambda: dg.build(dg.ObcChain(12), 4.0),
+    "obc-2": lambda: dg.build(dg.ObcChain(2), 1 / 64),
+    **{f"product-3axis-{i}": (lambda axes=axes: dg.build(dg.ProductLattice(axes)))
+       for i, axes in enumerate(TestBuildProduct.MIXED)},
+    "transpose-ring": lambda: dg.transpose(dg.build(dg.SegmentedRing((("A", 5), ("B", 3))), 1.7)),
+    "transpose-circulant": lambda: dg.transpose(dg.build(dg.validate_circulant(6, [1, 0, 1, 0, 1]), 2.5)),
+    "transpose-product": lambda: dg.transpose(dg.build(dg.ProductLattice(TestBuildProduct.MIXED[1]))),
+    "synthesized-fig3c": lambda: _synthesized([2.0, 1.0, 0.0, 0.0, 0.0, -1.0, -2.0]),
+    "synthesized-fig3d": lambda: _synthesized([2.5, 1.5, 0.5, 0.0, 0.0, -0.5, -1.5, -2.5]),
+}
+
+
+def _raw(dtype, t):
+    """A 6-node raw matrix of {1, t} bonds, in the given dtype."""
+    m = np.zeros((6, 6), dtype=dtype)
+    for a, b in [(0, 1), (2, 1), (3, 4), (5, 0), (2, 5)]:
+        m[a, b], m[b, a] = 2, 1
+    return dg.raw_hamiltonian(m, t)
+
+
+RAW = {
+    "raw-real-t": lambda: _raw(float, 2.0),
+    "raw-real": lambda: _raw(float, None),
+    "raw-complex-t": lambda: _raw(complex, 2.0),
+    "raw-complex": lambda: dg.raw_hamiltonian(np.array([[0, 2.0], [0.5j, 0]])),
+    "raw-int": lambda: _raw(int, None),
+    "raw-special": lambda: dg.raw_hamiltonian(np.array(
+        [[0.0, -0.0, 5e-324, np.nan], [np.inf, 1e300, 0.0, -2.5], [0.0, 0.0, 0.0, 0.0],
+         [1.0 + 1j, -1e-310j, np.nan * 1j, 3.0]]
+    )),
+}
+
+
+class TestEdgesFirst:
+    """A built lattice stores its sorted edges; the dense matrix is
+    assembled only on first read, with the bytes of an eager assembly."""
+
+    @pytest.mark.parametrize("name", EDGE_BUILT)
+    def test_exports_read_no_dense_matrix(self, name):
+        h = EDGE_BUILT[name]()
+        io.hamiltonian_csv(h)
+        h.sparse()
+        h.entries()
+        assert "matrix" not in vars(h) and "edges" not in vars(h)
+
+    @pytest.mark.parametrize("name", EDGE_BUILT)
+    def test_matrix_bytes_equal_eager_assembly(self, name):
+        h = EDGE_BUILT[name]()
+        want = eager_matrix(h.dim, np.array(dg.edge_list(h)), h.ts)
+        assert h.matrix.dtype == np.float64 and h.matrix.tobytes() == want.tobytes()
+        assert h.matrix is h.matrix and not h.matrix.flags.writeable
+        assert h.edge_array.dtype == np.intp and not h.edge_array.flags.writeable
+
+    @pytest.mark.parametrize("i", range(len(TestBuildProduct.MIXED)))
+    def test_product_matrix_bytes_equal_kron_sum(self, i):
+        axes = TestBuildProduct.MIXED[i]
+        h = dg.build(dg.ProductLattice(axes))
+        want = kron_sum_matrix([dg.build(spec, t).matrix for spec, t in axes])
+        assert h.matrix.tobytes() == want.tobytes()
+
+    def test_transpose_matrix_bytes_equal_copied_transpose(self):
+        for name in ("ring-4seg", "circulant-8", "product-3axis-2", "synthesized-fig3d", "raw-complex-t"):
+            h = {**EDGE_BUILT, **RAW}[name]()
+            ht = dg.transpose(h)
+            assert ht.matrix.tobytes() == h.matrix.T.copy().tobytes()
+            assert ht.edges == tuple(sorted(dg.Edge(e.head, e.tail, e.axis) for e in h.edges))
+
+    def test_synthesized_matrix_equals_graph_matrix(self):
+        g = dg.synthesize_charge_graph([2.5, 1.5, 0.5, 0.0, 0.0, -0.5, -1.5, -2.5])
+        assert _synthesized(g.target).matrix.tobytes() == g.matrix.tobytes()
+
+    @pytest.mark.parametrize("name", [*EDGE_BUILT, *RAW])
+    def test_hamiltonian_csv_equals_dense_scan(self, name):
+        h = {**EDGE_BUILT, **RAW}[name]()
+        assert io.hamiltonian_csv(h) == dense_hamiltonian_csv(h)
+
+    @pytest.mark.parametrize("name", [*EDGE_BUILT, "raw-real-t", "raw-complex-t"])
+    def test_edges_equal_edge_list(self, name):
+        h = {**EDGE_BUILT, **RAW}[name]()
+        assert h.edges == dg.edge_list(h) == loop_edge_list(np.asarray(h.matrix), h.ts)
+        assert all(type(x) is int for e in h.edges for x in e)
+        assert h.edge_array.tolist() == [list(e) for e in h.edges]
+
+    @pytest.mark.parametrize("name", EDGE_BUILT)
+    def test_sparse_keeps_edge_order_layout(self, name):
+        h = EDGE_BUILT[name]()
+        got, want = h.sparse(), edge_order_csr(h)
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", [n for n in RAW if n != "raw-special"])
+    def test_raw_sparse_holds_the_matrix_entries(self, name):
+        h = RAW[name]()
+        assert np.array_equal(h.sparse().toarray(), h.matrix)
+
+    def test_raw_without_t_sparse_is_not_empty(self):
+        m = np.array([[0, 2.0], [0.5j, 0]])
+        assert np.array_equal(dg.raw_hamiltonian(m).sparse().toarray(), m)
 
 
 class TestSizeCap:
