@@ -409,39 +409,16 @@ def synthesize_charge_graph(target, t: float = 1.5) -> SynthesizedChargeGraph:
     if np.any(np.abs(d - np.round(d)) > 1e-12):
         raise DecayGraphError("target charges must be half-integers")
     d = np.round(d).astype(int)
-    used: set[tuple[int, int]] = set()
-    edges: list[Edge] = []
+    # imported here: loading scipy.sparse at package import costs ~50 ms
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import breadth_first_order
 
-    def free(i: int, j: int) -> bool:
-        return i != j and (i, j) not in used and (j, i) not in used
+    free = ~np.eye(n, dtype=bool)  # node pairs joined by no edge yet, either way
+    edges: list[Edge] = []
 
     def add(i: int, j: int) -> None:
         edges.append(Edge(i, j))
-        used.add((i, j))
-
-    def route(x: int, y: int) -> bool:
-        """Send one unit x -> y along a shortest path of fresh pairs."""
-        if free(x, y):
-            add(x, y)
-            return True
-        parent = {x: None}
-        queue = [x]
-        while queue:
-            node = queue.pop(0)
-            for z in range(n):
-                if z in parent or not free(node, z):
-                    continue
-                parent[z] = node
-                if z == y:
-                    path = [y]
-                    while parent[path[-1]] is not None:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    for a, b in zip(path, path[1:]):
-                        add(a, b)
-                    return True
-                queue.append(z)
-        return False
+        free[i, j] = free[j, i] = False
 
     remaining = d.astype(float)
     guard = 0
@@ -451,11 +428,17 @@ def synthesize_charge_graph(target, t: float = 1.5) -> SynthesizedChargeGraph:
             raise DecayGraphError("charge realization did not converge")
         x = int(np.argmax(remaining))
         y = int(np.argmin(remaining))
-        if not route(x, y):
+        # one unit x -> y along a shortest path of free pairs
+        _, parent = breadth_first_order(csr_array(free), x, return_predecessors=True)
+        if parent[y] < 0:
             raise DecayGraphError(
                 "ran out of node pairs while realizing the charges (target too steep "
                 f"for {n} nodes)"
             )
+        node = y
+        while node != x:
+            add(int(parent[node]), node)
+            node = int(parent[node])
         remaining[x] -= 1
         remaining[y] += 1
 
@@ -467,13 +450,14 @@ def synthesize_charge_graph(target, t: float = 1.5) -> SynthesizedChargeGraph:
         labels = _components(n, pairs[:, :2])
         if labels.max() == 0:
             break
-        # the first (a, b, c) in lexicographic order that joins two components
-        cycle = next(((a, b, c) for a in range(n) for b in range(n)
-                      if labels[a] != labels[b] and free(a, b)
-                      for c in range(n) if c not in (a, b) and free(b, c) and free(c, a)), None)
-        if cycle is None:
+        # the first (a, b, c) in lexicographic order that joins two
+        # components: (a, b) the first free pair across components with a
+        # common free neighbour c (free @ free), then the first such c
+        joins = np.argwhere((labels[:, None] != labels) & free & (free @ free))
+        if joins.size == 0:
             break
-        a, b, c = cycle
+        a, b = map(int, joins[0])
+        c = int(np.argmax(free[a] & free[b]))
         for i, j in ((a, b), (b, c), (c, a)):
             add(i, j)
 

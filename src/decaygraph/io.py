@@ -177,11 +177,19 @@ def serialize_spec(doc: LatticeDocument) -> str:
 
 def hamiltonian_csv(h: Hamiltonian) -> str:
     """Nonzero entries as "row,col,real,imag", 1-based, row-major order,
-    read from ``Hamiltonian.entries`` (the edges of a built lattice)."""
+    read from ``Hamiltonian.entries`` (the edges of a built lattice).  Each
+    distinct real or imaginary part, told apart by its bits, is formatted once."""
     rows, cols, values = h.entries()
+
+    def text(parts: np.ndarray) -> list[str]:
+        bits, inverse = np.unique(parts.view(np.uint64), return_inverse=True)
+        reprs = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+        return reprs[inverse].tolist()
+
     return "row,col,real,imag\n" + "".join(
-        f"{r},{c},{v.real!r},{v.imag!r}\n"
-        for r, c, v in zip((rows + 1).tolist(), (cols + 1).tolist(), values.tolist())
+        f"{r},{c},{re},{im}\n"
+        for r, c, re, im in zip((rows + 1).tolist(), (cols + 1).tolist(),
+                                text(values.real), text(values.imag))
     )
 
 
@@ -192,13 +200,23 @@ def spectrum_csv(values: np.ndarray) -> str:
     )
 
 
+def _with_abs(block) -> str:
+    """``block(abs)``, or ``block`` with numpy's scalar abs where Python's
+    complex abs overflows on a finite value (numpy gives inf there)."""
+    try:
+        return block(abs)
+    except OverflowError:
+        with np.errstate(over="ignore"):
+            return block(lambda v: float(np.abs(v)))
+
+
 def profiles_csv(sys: EigenSystem) -> str:
     """Per-mode profiles as "n,site,re_psi,im_psi,abs_psi" (1-based)."""
     blocks = ["n,site,re_psi,im_psi,abs_psi\n"]
     for n, col in enumerate(sys.right_vectors.T.tolist(), 1):
-        blocks.append("".join(
-            f"{n},{site},{v.real!r},{v.imag!r},{abs(v)!r}\n" for site, v in enumerate(col, 1)
-        ))
+        blocks.append(_with_abs(lambda mod: "".join(
+            f"{n},{site},{v.real!r},{v.imag!r},{mod(v)!r}\n" for site, v in enumerate(col, 1)
+        )))
     return "".join(blocks)
 
 
@@ -216,15 +234,14 @@ def sweep_csv(profiles: list[ResponseProfile]) -> str:
 
     All five CSV exports are formatted from Python numbers (``.tolist()``)
     with ``repr``: repr of a Python float is repr of the numpy scalar, and
-    Python's complex abs gives the same bits as numpy's scalar abs.
+    Python's complex abs gives the bits of numpy's scalar abs (``_with_abs``).
     """
     blocks = ["omega,node,abs_x,re_x,im_x\n"]
     for p in profiles:
         omega = repr(float(p.omega))
-        blocks.append("".join(
-            f"{omega},{i},{abs(v)!r},{v.real!r},{v.imag!r}\n"
-            for i, v in enumerate(p.x.tolist(), 1)
-        ))
+        blocks.append(_with_abs(lambda mod: "".join(
+            f"{omega},{i},{mod(v)!r},{v.real!r},{v.imag!r}\n" for i, v in enumerate(p.x.tolist(), 1)
+        )))
     return "".join(blocks)
 
 

@@ -7,11 +7,11 @@ With gamma above the largest Im(E) the system is net-decaying and the
 response near omega = Re(E) of the least-damped mode is dominated by
 that mode.
 
-A sweep takes one of two routes, chosen by the eigensystem it is given:
-a closed-form system (``meta["route"] == "closed_form"``) solves the whole
-grid at once through the structured family's gauge, and a dense one
-solves each frequency by LU.  Both certify every row with the same
-drive-scaled residual bound.
+``steady_state`` and ``frequency_sweep`` run one solve loop on one of two
+routes, chosen by the eigensystem given: a closed-form system
+(``meta["route"] == "closed_form"``) solves the whole grid at once through
+the structured family's gauge, and any other call solves each frequency by
+LU.  Both share the pole check, the certificate, refinement and failure text.
 """
 
 from __future__ import annotations
@@ -91,55 +91,12 @@ class ResponseProfile:
         object.__setattr__(self, "x", arr)
 
 
-def _drive_vector(cfg: DriveConfig, n: int) -> np.ndarray:
-    """amplitude * e_source over n nodes, once the source is one of them."""
-    if not 0 <= cfg.source_node < n:
-        raise ValueError(f"source node {cfg.source_node} outside 0..{n - 1}")
-    b = np.zeros(n, dtype=complex)
-    b[cfg.source_node] = cfg.amplitude
-    return b
+def _fail(omega, what: str) -> SingularSystem:
+    """The one failure text of a drive solve, naming the grid frequency."""
+    return SingularSystem(f"sweep failed at omega={float(omega)}: {what}")
 
 
-def steady_state(
-    h: Hamiltonian, cfg: DriveConfig, omega: float, sys: EigenSystem | None = None
-) -> ResponseProfile:
-    """Solve ((omega + i gamma) I - H) x = amplitude * e_source, certified.
-
-    A given eigensystem is used for the loss check and the pre-check that
-    omega + i gamma does not sit on an eigenvalue.
-    """
-    if sys is not None:
-        cfg.validate_against(sys)
-        z = omega + 1j * cfg.gamma
-        if float(np.min(np.abs(sys.values - z))) < SINGULAR_DISTANCE:
-            raise SingularSystem(f"omega + i gamma = {z} sits on an eigenvalue")
-    n = h.dim
-    rhs = _drive_vector(cfg, n)
-    a = (omega + 1j * cfg.gamma) * np.eye(n) - h.matrix
-    try:
-        lu = scipy.linalg.lu_factor(a)
-        x = scipy.linalg.lu_solve(lu, rhs)
-        # near a resolvent pole ||x|| is large and one solve pass leaves a
-        # residual ~ eps ||A|| ||x||; refine until the drive-scaled
-        # certificate holds
-        residual = float(np.max(np.abs(a @ x - rhs)))
-        for _ in range(3):
-            if residual <= SOLVE_RESIDUAL_FACTOR * cfg.amplitude:
-                break
-            x = x + scipy.linalg.lu_solve(lu, rhs - a @ x)
-            residual = float(np.max(np.abs(a @ x - rhs)))
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SingularSystem(f"shifted matrix is numerically singular at omega={omega}") from exc
-    if not residual <= SOLVE_RESIDUAL_FACTOR * cfg.amplitude:
-        growth = float(np.max(np.abs(np.triu(lu[0])))) / float(np.max(np.abs(a)))
-        raise SingularSystem(
-            f"solve residual {residual:.3e} exceeds {SOLVE_RESIDUAL_FACTOR:.0e} * drive "
-            f"at omega={omega} (LU growth factor max|U|/max|A| = {growth:.1e})"
-        )
-    return ResponseProfile(float(omega), x, residual)
-
-
-def _gauge_sweep(h: Hamiltonian, cfg: DriveConfig) -> list[ResponseProfile]:
+def _gauge_route(h: Hamiltonian, z: np.ndarray, source: int):
     """Every grid frequency at once from the closed form's gauge.
 
     Per axis, H_k = D_k B_k diag(E_k) B_k**-1 D_k**-1 with D_k = diag(t_k**w_k)
@@ -148,14 +105,12 @@ def _gauge_sweep(h: Hamiltonian, cfg: DriveConfig) -> list[ResponseProfile]:
     factor acts on its own axis of the (F, n_0, n_1, ...) array; the N x N
     product basis is never formed.  The gauged axis matrices are normal
     with orthogonal basis columns, so B_k**-1 = diag(1 / |b_m|**2) B_k**H.
-    D is scaled to 1 at the source.  Each row is certified through the
-    edges, with up to 3 refinement steps by the same solve.
+    D is scaled to 1 at the source.
     """
-    b = _drive_vector(cfg, h.dim)
     spec = h.spec
     axes = spec.axes if isinstance(spec, ProductLattice) else ((spec, h.t),)
     dims = tuple(s.length for s, _ in axes)
-    src = np.unravel_index(cfg.source_node, dims)
+    src = np.unravel_index(source, dims)
     energies = log_d = np.zeros(())
     bases = []
     for (s, t), i in zip(axes, src):
@@ -164,26 +119,75 @@ def _gauge_sweep(h: Hamiltonian, cfg: DriveConfig) -> list[ResponseProfile]:
         log_d = np.add.outer(log_d, (w - w[i]) * np.log(t))
         bases.append((basis, np.sum(np.abs(basis) ** 2, axis=0)))
     d = np.exp(log_d)
-    z = cfg.omega_grid + 1j * cfg.gamma
-    near = np.min(np.abs(z[:, None] - energies.ravel()), axis=1)
-    if np.any(near < SINGULAR_DISTANCE):
-        f = int(np.argmax(near < SINGULAR_DISTANCE))
-        raise SingularSystem(
-            f"sweep failed at omega={float(cfg.omega_grid[f])}: omega + i gamma = {z[f]} "
-            "sits on an eigenvalue"
-        )
 
-    def solve(rhs, zs):
+    def solve(rhs, rows):
         y = rhs.reshape((-1,) + dims) / d
         for k, (basis, norms) in enumerate(bases):
             y = np.tensordot(y.conj(), basis, axes=(k + 1, 0)).conj() / norms
             y = np.moveaxis(y, -1, k + 1)
-        y = y / (zs.reshape((-1,) + (1,) * len(dims)) - energies)
+        y = y / (z[rows].reshape((-1,) + (1,) * len(dims)) - energies)
         for k, (basis, _) in enumerate(bases):
             y = np.moveaxis(np.tensordot(y, basis, axes=(k + 1, 1)), -1, k + 1)
         y *= d
-        return y.reshape(len(zs), -1)
+        return y.reshape(len(rows), -1)
 
+    def cause(x):
+        spans = np.ptp(log_d) / np.log(10)
+        return f"max|x| {np.max(np.abs(x)):.1e}, gauge t**w spans {spans:.1f} decades"
+
+    return [(np.arange(len(z)), solve, cause)]
+
+
+def _lu_route(h: Hamiltonian, z: np.ndarray, omegas: np.ndarray):
+    """One grid frequency at a time: one LU of z I - H, kept for refinement."""
+    eye = np.eye(h.dim)
+    for f in range(len(z)):
+        a = z[f] * eye - h.matrix
+
+        def lu(call, *args, omega=float(omegas[f])):
+            try:  # a non-finite matrix, or a non-finite residual left to refine
+                return call(*args)
+            except (np.linalg.LinAlgError, ValueError) as exc:
+                singular = f"shifted matrix is numerically singular at omega={omega}"
+                raise _fail(omega, singular) from exc
+
+        factors = lu(scipy.linalg.lu_factor, a)
+
+        def solve(rhs, rows, factors=factors, lu=lu):
+            return lu(scipy.linalg.lu_solve, factors, np.atleast_2d(rhs).T).T
+
+        def cause(x, factors=factors, a=a):
+            growth = float(np.max(np.abs(np.triu(factors[0])))) / float(np.max(np.abs(a)))
+            return f"LU growth factor max|U|/max|A| = {growth:.1e}"
+
+        yield np.array([f]), solve, cause
+
+
+def _drive(
+    h: Hamiltonian, cfg: DriveConfig, omegas: np.ndarray, sys: EigenSystem | None
+) -> list[ResponseProfile]:
+    """The certified steady state at every frequency of ``omegas``.
+
+    With ``sys``, the loss and pole checks run on the whole grid before any
+    solve.  A route yields blocks (rows, solve, cause): grid rows, the solve
+    of a right-hand side per row, and the cause named when a row fails.  Each
+    row must meet max|b - (z I - H) x| <= SOLVE_RESIDUAL_FACTOR * amplitude,
+    H x through ``h.sparse()``, within 3 refinement steps of its own solve
+    (iterative refinement, Higham, Accuracy and Stability, ch. 12).
+    """
+    if not 0 <= cfg.source_node < h.dim:
+        raise ValueError(f"source node {cfg.source_node} outside 0..{h.dim - 1}")
+    b = np.zeros(h.dim, dtype=complex)
+    b[cfg.source_node] = cfg.amplitude
+    z = omegas + 1j * cfg.gamma
+    if sys is not None:
+        cfg.validate_against(sys)
+        on_pole = np.min(np.abs(z[:, None] - sys.values), axis=1) < SINGULAR_DISTANCE
+        if np.any(on_pole):
+            f = int(np.argmax(on_pole))
+            raise _fail(omegas[f], f"omega + i gamma = {z[f]} sits on an eigenvalue")
+    gauge = sys is not None and sys.meta.get("route") == "closed_form"
+    blocks = _gauge_route(h, z, cfg.source_node) if gauge else _lu_route(h, z, omegas)
     hop = h.sparse()
 
     def misfit(x, zs):
@@ -193,49 +197,43 @@ def _gauge_sweep(h: Hamiltonian, cfg: DriveConfig) -> list[ResponseProfile]:
         r += b
         return r
 
-    x = solve(b, z)
-    r = misfit(x, z)
-    residual = np.max(np.abs(r), axis=1)
     bound = SOLVE_RESIDUAL_FACTOR * cfg.amplitude
-    for _ in range(3):
+    out = []
+    for rows, solve, cause in blocks:
+        x = solve(b, rows)
+        r = misfit(x, z[rows])
+        residual = np.max(np.abs(r), axis=1)
+        for _ in range(3):
+            bad = np.flatnonzero(~(residual <= bound))
+            if bad.size == 0:
+                break
+            x[bad] += solve(r[bad], rows[bad])
+            r[bad] = misfit(x[bad], z[rows[bad]])
+            residual[bad] = np.max(np.abs(r[bad]), axis=1)
         bad = np.flatnonzero(~(residual <= bound))
-        if bad.size == 0:
-            break
-        x[bad] += solve(r[bad], z[bad])
-        r[bad] = misfit(x[bad], z[bad])
-        residual[bad] = np.max(np.abs(r[bad]), axis=1)
-    bad = np.flatnonzero(~(residual <= bound))
-    if bad.size:
-        f = bad[0]
-        raise SingularSystem(
-            f"sweep failed at omega={float(cfg.omega_grid[f])}: gauge solve residual "
-            f"{residual[f]:.3e} exceeds {SOLVE_RESIDUAL_FACTOR:.0e} * drive after 3 "
-            f"refinement steps (max|x| {np.max(np.abs(x[f])):.1e}, gauge t**w spans "
-            f"{np.ptp(log_d) / np.log(10):.1f} decades)"
-        )
-    return [
-        ResponseProfile(float(omega), row, float(res))
-        for omega, row, res in zip(cfg.omega_grid, x, residual)
-    ]
+        if bad.size:
+            f = bad[0]
+            raise _fail(omegas[rows[f]], f"{'gauge' if gauge else 'LU'} solve residual "
+                        f"{residual[f]:.3e} exceeds {SOLVE_RESIDUAL_FACTOR:.0e} * drive "
+                        f"after 3 refinement steps ({cause(x[f])})")
+        out += [ResponseProfile(float(omegas[i]), row, float(res))
+                for i, row, res in zip(rows, x, residual)]
+    return out
+
+
+def steady_state(
+    h: Hamiltonian, cfg: DriveConfig, omega: float, sys: EigenSystem | None = None
+) -> ResponseProfile:
+    """Solve ((omega + i gamma) I - H) x = amplitude * e_source, certified: the
+    one-frequency call of the sweep, by LU unless ``sys`` is a closed form."""
+    return _drive(h, cfg, np.array([float(omega)]), sys)[0]
 
 
 def frequency_sweep(h: Hamiltonian, cfg: DriveConfig, sys: EigenSystem) -> list[ResponseProfile]:
-    """One steady state per grid frequency, in grid order.
-
-    A closed-form ``sys`` (spectra.closed_form of ``h.spec``) takes the
-    batched gauge solve; any other (eigendecompose of ``h``) takes one LU
-    solve per frequency.
-    """
-    cfg.validate_against(sys)
-    if sys.meta.get("route") == "closed_form":
-        return _gauge_sweep(h, cfg)
-    out = []
-    for omega in cfg.omega_grid:
-        try:
-            out.append(steady_state(h, cfg, float(omega), sys))
-        except SingularSystem as exc:
-            raise SingularSystem(f"sweep failed at omega={float(omega)}: {exc}") from exc
-    return out
+    """One steady state per grid frequency, in grid order: the batched gauge
+    solve for a closed-form ``sys`` (spectra.closed_form of ``h.spec``), one
+    LU per frequency for any other (eigendecompose of ``h``)."""
+    return _drive(h, cfg, cfg.omega_grid, sys)
 
 
 def resolvent_response(

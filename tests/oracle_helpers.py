@@ -237,7 +237,8 @@ def union_find_groups(values, tol: float) -> list[list[int]]:
 
 
 def union_find_synthesize(target, t: float = 1.5):
-    """Charge-graph synthesis whose component stitching tracks components
+    """Charge-graph synthesis with the hand-written breadth-first routing
+    over a set of used pairs, and component stitching that tracks components
     with a union-find, one directed 3-cycle at a time (reference)."""
     import decaygraph as dg
     from decaygraph.errors import DecayGraphError

@@ -486,3 +486,33 @@ class TestSynthesizeChargeGraph:
             assert g.profile.tobytes() == want[1].tobytes()
             outcomes["ok"] += 1
         assert outcomes["ok"] > 250 and outcomes["error"] > 0
+
+    def test_unit_routed_through_an_intermediate_node(self):
+        # the second unit 0 -> 1 finds the pair used and goes 0 -> 2 -> 1
+        g = dg.synthesize_charge_graph([1.0, -1.0, 0.0], T)
+        assert g.edges == (dg.Edge(0, 1), dg.Edge(0, 2), dg.Edge(2, 1))
+
+    def test_matches_the_hand_written_search_on_steep_targets(self):
+        # |2 q| up to n - 1: units need routing, components need stitching,
+        # and some targets run out of node pairs
+        rng = np.random.default_rng(11)
+        outcomes = {"ok": 0, "error": 0, "more edges than units": 0}
+        for _ in range(600):
+            n = int(rng.integers(2, 12))
+            doubled = rng.integers(1 - n, n, n)
+            doubled[-1] -= doubled.sum()
+            target = doubled / 2
+            try:
+                want = union_find_synthesize(target, T)
+            except dg.DecayGraphError as exc:
+                with pytest.raises(type(exc)) as got:
+                    dg.synthesize_charge_graph(target, T)
+                assert str(got.value) == str(exc)
+                outcomes["error"] += 1
+                continue
+            g = dg.synthesize_charge_graph(target, T)
+            assert g.edges == want[0]
+            assert g.profile.tobytes() == want[1].tobytes()
+            outcomes["ok"] += 1
+            outcomes["more edges than units"] += len(g.edges) > doubled[doubled > 0].sum()
+        assert min(outcomes.values()) > 100, outcomes

@@ -177,6 +177,18 @@ class TestExports:
         assert io.profiles_csv(empty) == per_row_profiles_csv(empty)
         assert io.spectrum_csv(np.zeros(0)) == per_row_spectrum_csv(np.zeros(0))
 
+    def test_modulus_above_the_float_max_is_written_as_inf(self):
+        big = 1.7976931348623157e308 + 1.7976931348623157e308j
+        x = np.array([1.0 - 2.0j, big, -0.0j])
+        profiles = [response.ResponseProfile(0.5, x, 0.0), response.ResponseProfile(1.0, x[[0, 2]], 0.0)]
+        sys = dg.EigenSystem(x, np.stack([x, x[::-1], x], axis=1), None, np.zeros(3), 1.0, 1e-10)
+        with np.errstate(over="ignore"):
+            assert io.sweep_csv(profiles) == per_row_sweep_csv(profiles)
+            assert io.profiles_csv(sys) == per_row_profiles_csv(sys)
+        assert io.sweep_csv(profiles).splitlines()[2] == (
+            "0.5,2,inf,1.7976931348623157e+308,1.7976931348623157e+308"
+        )
+
     def test_python_abs_has_numpy_scalar_abs_bits(self):
         # profiles_csv and sweep_csv take Python's complex abs where the
         # per-row formatters took numpy's scalar abs

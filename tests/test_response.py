@@ -167,6 +167,72 @@ class TestSweepContract:
             dg.frequency_sweep(h, cfg, sys)
 
 
+class TestOneDriveLoop:
+    """steady_state and frequency_sweep share one pole check, one
+    certificate and one failure format across the LU and gauge routes."""
+
+    FAILURE = (
+        r"^sweep failed at omega=\S+: (gauge|LU) solve residual \S+ exceeds 1e-10 \* drive "
+        r"after 3 refinement steps \((LU growth factor max\|U\|/max\|A\| = \S+|"
+        r"max\|x\| \S+, gauge t\*\*w spans \S+ decades)\)$"
+    )
+
+    def test_pole_at_the_last_grid_point_raises_before_any_lu(self, monkeypatch):
+        h, sys, sel, omega, g_min = selected_setup(RING_12)
+        pole = sys.values[sel]
+        gamma = float(np.nextafter(pole.imag, np.inf))
+        cfg = dg.DriveConfig(0, gamma, np.array([pole.real - 2.0, pole.real - 1.0, pole.real]))
+        calls = []
+        lu_factor = response.scipy.linalg.lu_factor
+        monkeypatch.setattr(
+            response.scipy.linalg, "lu_factor", lambda *a: calls.append(1) or lu_factor(*a)
+        )
+        with pytest.raises(dg.SingularSystem, match=r"^sweep failed at omega=.* sits on an eigenvalue$"):
+            dg.frequency_sweep(h, cfg, sys)
+        assert calls == []
+        dg.steady_state(h, cfg, float(pole.real - 1.0), sys)
+        assert calls == [1]
+
+    @pytest.mark.parametrize(
+        "spec", [TestSweepContract.RING, dg.ProductLattice(((dg.ObcChain(4), T), (RING_12, 1.2)))]
+    )
+    def test_steady_state_follows_a_closed_form_system(self, spec):
+        h, exact = dg.build(spec, T), dg.closed_form(spec, T)
+        cfg = dg.default_drive_config(h, exact, 3)
+        sweep = dg.frequency_sweep(h, cfg, exact)
+        for f in (0, 123, 400):
+            omega = float(cfg.omega_grid[f])
+            prof = dg.steady_state(h, cfg, omega, exact)
+            single = dg.frequency_sweep(h, dataclasses.replace(cfg, omega_grid=np.array([omega])), exact)
+            assert prof.x.tobytes() == single[0].x.tobytes()
+            assert prof.solve_residual == single[0].solve_residual
+            # the batched grid rounds the back-transform as a matrix product
+            np.testing.assert_allclose(prof.x, sweep[f].x, rtol=1e-13, atol=0)
+
+    def test_lu_residual_is_taken_through_the_stored_entries(self):
+        # a full complex matrix, where the dense a @ x sums in another order
+        rng = np.random.default_rng(5)
+        h = dg.raw_hamiltonian(rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30)))
+        cfg = dg.DriveConfig(3, 50.0, np.array([0.3]))
+        prof = dg.steady_state(h, cfg, 0.3)
+        r = h.sparse() @ prof.x - (0.3 + 50j) * prof.x
+        r[3] += 1.0
+        assert prof.solve_residual == float(np.max(np.abs(r)))
+
+    def test_both_routes_fail_in_one_format(self):
+        ring = dg.SegmentedRing((("A", 200), ("B", 100)))
+        h = dg.build(ring, 1.1)
+        cfg = dg.default_drive_config(h, dg.closed_form(ring, 1.1))
+        with pytest.raises(dg.SingularSystem, match=self.FAILURE) as lu:
+            dg.steady_state(h, cfg, -1.626388234917063)
+        assert " LU solve residual " in str(lu.value)
+        ring = dg.SegmentedRing((("A", 150), ("B", 150)))
+        h, exact = dg.build(ring, 1.5), dg.closed_form(ring, 1.5)
+        with pytest.raises(dg.SingularSystem, match=self.FAILURE) as gauge:
+            dg.frequency_sweep(h, dg.default_drive_config(h, exact), exact)
+        assert " gauge solve residual " in str(gauge.value)
+
+
 class TestModeSelection:
     def test_overlap_monotone_in_gamma(self):
         h, sys, sel, omega, g_min = selected_setup(RING_12)
