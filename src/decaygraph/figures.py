@@ -304,7 +304,8 @@ def fig4c() -> CheckResult:
     t = T_DEFAULT
     _, sys, sel, prof = _selected_drive(COMPLETE_4, t, ISOLATION_EXCESS)
     amp = np.abs(prof.x)
-    res.record("monotone_decay_over_nodes", bool(np.all(np.diff(amp) < 0)), list(amp / amp.max()))
+    res.record("monotone_decay_over_nodes", bool(np.all(np.diff(amp) < 0)),
+               (amp / amp.max()).tolist())
     iso = response.log_profile(prof, COMPLETE_4).residual
     res.record("log_linear_when_isolated", iso <= 1e-3, iso)
     res.record("selects_least_damped", response.mode_selection_check(prof, sys).matches)

@@ -9,9 +9,10 @@ that mode.
 
 ``steady_state`` and ``frequency_sweep`` run one solve loop on one of two
 routes, chosen by the eigensystem given: a closed-form system
-(``meta["route"] == "closed_form"``) solves the whole grid at once through
-the structured family's gauge, and any other call solves each frequency by
-LU.  Both share the pole check, the certificate, refinement and failure text.
+(``meta["route"] == "closed_form"``) solves through the structured family's
+gauge, and any other call through one complex Schur form of H.  Each route
+solves the whole grid at once; both share the pole check, the certificate,
+refinement and failure text.
 """
 
 from __future__ import annotations
@@ -47,12 +48,16 @@ class DriveConfig:
         object.__setattr__(self, "omega_grid", grid)
         if grid.size == 0:
             raise ValueError("omega grid must be nonempty")
+        for name, values in (("omega grid", grid), ("gamma", self.gamma),
+                             ("drive amplitude", self.amplitude)):
+            bad = np.extract(~np.isfinite(values), values)
+            if bad.size:
+                raise ValueError(f"{name} must be finite, got {bad[0]}")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("omega grid must be strictly increasing")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.amplitude <= 0:
-            raise ValueError(f"drive amplitude must be positive, got {self.amplitude}")
+        for name, value in (("gamma", self.gamma), ("drive amplitude", self.amplitude)):
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
     def validate_against(self, sys: EigenSystem) -> None:
         """Net decay requires gamma above every Im(E)."""
@@ -96,8 +101,8 @@ def _fail(omega, what: str) -> SingularSystem:
     return SingularSystem(f"sweep failed at omega={float(omega)}: {what}")
 
 
-def _gauge_route(h: Hamiltonian, z: np.ndarray, source: int):
-    """Every grid frequency at once from the closed form's gauge.
+def _gauge_route(h: Hamiltonian, source: int):
+    """Poles and batched solve from the closed form's gauge.
 
     Per axis, H_k = D_k B_k diag(E_k) B_k**-1 D_k**-1 with D_k = diag(t_k**w_k)
     (spectra._gauge), and a product is the Kronecker sum of its axes, so
@@ -105,7 +110,7 @@ def _gauge_route(h: Hamiltonian, z: np.ndarray, source: int):
     factor acts on its own axis of the (F, n_0, n_1, ...) array; the N x N
     product basis is never formed.  The gauged axis matrices are normal
     with orthogonal basis columns, so B_k**-1 = diag(1 / |b_m|**2) B_k**H.
-    D is scaled to 1 at the source.
+    D is scaled to 1 at the source.  The poles are the energies E.
     """
     spec = h.spec
     axes = spec.axes if isinstance(spec, ProductLattice) else ((spec, h.t),)
@@ -120,47 +125,35 @@ def _gauge_route(h: Hamiltonian, z: np.ndarray, source: int):
         bases.append((basis, np.sum(np.abs(basis) ** 2, axis=0)))
     d = np.exp(log_d)
 
-    def solve(rhs, rows):
+    def solve(rhs, zs):
         y = rhs.reshape((-1,) + dims) / d
         for k, (basis, norms) in enumerate(bases):
             y = np.tensordot(y.conj(), basis, axes=(k + 1, 0)).conj() / norms
             y = np.moveaxis(y, -1, k + 1)
-        y = y / (z[rows].reshape((-1,) + (1,) * len(dims)) - energies)
+        y = y / (zs.reshape((-1,) + (1,) * len(dims)) - energies)
         for k, (basis, _) in enumerate(bases):
             y = np.moveaxis(np.tensordot(y, basis, axes=(k + 1, 1)), -1, k + 1)
         y *= d
-        return y.reshape(len(rows), -1)
+        return y.reshape(len(zs), -1)
 
-    def cause(x):
-        spans = np.ptp(log_d) / np.log(10)
-        return f"max|x| {np.max(np.abs(x)):.1e}, gauge t**w spans {spans:.1f} decades"
-
-    return [(np.arange(len(z)), solve, cause)]
+    return energies.ravel(), solve
 
 
-def _lu_route(h: Hamiltonian, z: np.ndarray, omegas: np.ndarray):
-    """One grid frequency at a time: one LU of z I - H, kept for refinement."""
-    eye = np.eye(h.dim)
-    for f in range(len(z)):
-        a = z[f] * eye - h.matrix
+def _schur_route(h: Hamiltonian):
+    """Poles diag(T) and batched solve from one complex Schur form H = Q T Q**H:
+    (z I - H) x = r is (z I - T) y = Q**H r with x = Q y, one back-substitution
+    over the rows of T for every frequency at once.  A unitary reduction has no
+    pivot growth (Golub & Van Loan, Matrix Computations, ch. 7)."""
+    t, q = scipy.linalg.schur(h.matrix, output="complex")
 
-        def lu(call, *args, omega=float(omegas[f])):
-            try:  # a non-finite matrix, or a non-finite residual left to refine
-                return call(*args)
-            except (np.linalg.LinAlgError, ValueError) as exc:
-                singular = f"shifted matrix is numerically singular at omega={omega}"
-                raise _fail(omega, singular) from exc
+    def solve(rhs, zs):
+        c = q.conj().T @ np.atleast_2d(rhs).T
+        y = np.empty((h.dim, len(zs)), dtype=complex)
+        for i in range(h.dim - 1, -1, -1):
+            y[i] = (c[i] + t[i, i + 1:] @ y[i + 1:]) / (zs - t[i, i])
+        return (q @ y).T
 
-        factors = lu(scipy.linalg.lu_factor, a)
-
-        def solve(rhs, rows, factors=factors, lu=lu):
-            return lu(scipy.linalg.lu_solve, factors, np.atleast_2d(rhs).T).T
-
-        def cause(x, factors=factors, a=a):
-            growth = float(np.max(np.abs(np.triu(factors[0])))) / float(np.max(np.abs(a)))
-            return f"LU growth factor max|U|/max|A| = {growth:.1e}"
-
-        yield np.array([f]), solve, cause
+    return np.diag(t), solve
 
 
 def _drive(
@@ -168,71 +161,74 @@ def _drive(
 ) -> list[ResponseProfile]:
     """The certified steady state at every frequency of ``omegas``.
 
-    With ``sys``, the loss and pole checks run on the whole grid before any
-    solve.  A route yields blocks (rows, solve, cause): grid rows, the solve
-    of a right-hand side per row, and the cause named when a row fails.  Each
-    row must meet max|b - (z I - H) x| <= SOLVE_RESIDUAL_FACTOR * amplitude,
-    H x through ``h.sparse()``, within 3 refinement steps of its own solve
-    (iterative refinement, Higham, Accuracy and Stability, ch. 12).
+    A closed-form ``sys`` takes the gauge route, anything else the Schur
+    route; each gives its poles and a solve of one right-hand side per
+    frequency.  The loss (with ``sys``) and the poles are checked on the whole
+    grid before any solve.  Each row must meet max|b - (z I - H) x| <=
+    SOLVE_RESIDUAL_FACTOR * amplitude, H x through ``h.sparse()``, within 3
+    refinement steps (Higham, Accuracy and Stability, ch. 12).  A failing row
+    names max|x|, the float64 floor eps (|z| + ||H||_inf) max|x| that
+    rounding x alone leaves, and the normwise backward error.
     """
     if not 0 <= cfg.source_node < h.dim:
         raise ValueError(f"source node {cfg.source_node} outside 0..{h.dim - 1}")
+    if sys is not None:
+        cfg.validate_against(sys)
     b = np.zeros(h.dim, dtype=complex)
     b[cfg.source_node] = cfg.amplitude
     z = omegas + 1j * cfg.gamma
-    if sys is not None:
-        cfg.validate_against(sys)
-        on_pole = np.min(np.abs(z[:, None] - sys.values), axis=1) < SINGULAR_DISTANCE
-        if np.any(on_pole):
-            f = int(np.argmax(on_pole))
-            raise _fail(omegas[f], f"omega + i gamma = {z[f]} sits on an eigenvalue")
-    gauge = sys is not None and sys.meta.get("route") == "closed_form"
-    blocks = _gauge_route(h, z, cfg.source_node) if gauge else _lu_route(h, z, omegas)
+    if sys is not None and sys.meta.get("route") == "closed_form":
+        route, (poles, solve) = "gauge", _gauge_route(h, cfg.source_node)
+    else:
+        try:  # scipy refuses a non-finite matrix
+            route, (poles, solve) = "Schur", _schur_route(h)
+        except ValueError as exc:
+            raise _fail(omegas[0], f"no Schur form of H: {exc}") from exc
+    on_pole = np.flatnonzero(np.min(np.abs(z[:, None] - poles), axis=1) < SINGULAR_DISTANCE)
+    if on_pole.size:
+        raise _fail(omegas[on_pole[0]], f"omega + i gamma = {z[on_pole[0]]} sits on an eigenvalue")
     hop = h.sparse()
 
     def misfit(x, zs):
-        """b - (z I - H) x, one row per frequency, with H x through the edges."""
+        """b - (z I - H) x, one row per frequency, with H x through the edges,
+        and its max-abs per row."""
         r = (hop @ x.T).T
         r -= zs[:, None] * x
         r += b
-        return r
+        return r, np.max(np.abs(r), axis=1)
 
     bound = SOLVE_RESIDUAL_FACTOR * cfg.amplitude
-    out = []
-    for rows, solve, cause in blocks:
-        x = solve(b, rows)
-        r = misfit(x, z[rows])
-        residual = np.max(np.abs(r), axis=1)
-        for _ in range(3):
-            bad = np.flatnonzero(~(residual <= bound))
-            if bad.size == 0:
-                break
-            x[bad] += solve(r[bad], rows[bad])
-            r[bad] = misfit(x[bad], z[rows[bad]])
-            residual[bad] = np.max(np.abs(r[bad]), axis=1)
+    x = solve(b, z)
+    r, residual = misfit(x, z)
+    for _ in range(3):
         bad = np.flatnonzero(~(residual <= bound))
-        if bad.size:
-            f = bad[0]
-            raise _fail(omegas[rows[f]], f"{'gauge' if gauge else 'LU'} solve residual "
-                        f"{residual[f]:.3e} exceeds {SOLVE_RESIDUAL_FACTOR:.0e} * drive "
-                        f"after 3 refinement steps ({cause(x[f])})")
-        out += [ResponseProfile(float(omegas[i]), row, float(res))
-                for i, row, res in zip(rows, x, residual)]
-    return out
+        if bad.size == 0:
+            break
+        x[bad] += solve(r[bad], z[bad])
+        r[bad], residual[bad] = misfit(x[bad], z[bad])
+    bad = np.flatnonzero(~(residual <= bound))
+    if bad.size:
+        f = bad[0]
+        size, scale = np.max(np.abs(x[f])), abs(z[f]) + h.norm_inf()
+        raise _fail(omegas[f], f"{route} solve residual {residual[f]:.3e} exceeds "
+                    f"{SOLVE_RESIDUAL_FACTOR:.0e} * drive after 3 refinement steps "
+                    f"(max|x| {size:.1e}, float64 floor {np.finfo(float).eps * scale * size:.1e}, "
+                    f"backward error {residual[f] / (scale * size + cfg.amplitude):.1e})")
+    return [ResponseProfile(float(w), row, float(res)) for w, row, res in zip(omegas, x, residual)]
 
 
 def steady_state(
     h: Hamiltonian, cfg: DriveConfig, omega: float, sys: EigenSystem | None = None
 ) -> ResponseProfile:
     """Solve ((omega + i gamma) I - H) x = amplitude * e_source, certified: the
-    one-frequency call of the sweep, by LU unless ``sys`` is a closed form."""
+    one-frequency call of the sweep, by Schur unless ``sys`` is a closed form."""
     return _drive(h, cfg, np.array([float(omega)]), sys)[0]
 
 
 def frequency_sweep(h: Hamiltonian, cfg: DriveConfig, sys: EigenSystem) -> list[ResponseProfile]:
     """One steady state per grid frequency, in grid order: the batched gauge
-    solve for a closed-form ``sys`` (spectra.closed_form of ``h.spec``), one
-    LU per frequency for any other (eigendecompose of ``h``)."""
+    solve for a closed-form ``sys`` (spectra.closed_form of ``h.spec``), the
+    batched Schur solve for any other (eigendecompose of ``h``)."""
     return _drive(h, cfg, cfg.omega_grid, sys)
 
 

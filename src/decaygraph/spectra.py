@@ -114,9 +114,11 @@ def eigendecompose(h: Hamiltonian) -> EigenSystem:
     biorthogonal left vectors (delta E_n = w_n . (H v_n - E_n v_n)); for
     strongly non-normal skin-effect matrices this buys several digits of
     eigenvalue accuracy.  Modes whose residual then exceeds half the
-    certificate are polished with one inverse-iteration step.  Eigenvalues
-    are sorted by (Re, Im) for determinism.  Warns IllConditioned when the
-    eigenvector-matrix 1-norm condition estimate exceeds 1e12
+    certificate are polished with one inverse-iteration step.  A mode still
+    above the certificate gets its raw solver pair back (on repeated
+    eigenvalues the near-singular eigenvector matrix spoils the correction).
+    Eigenvalues are sorted by (Re, Im) for determinism.  Warns IllConditioned
+    when the eigenvector-matrix 1-norm condition estimate exceeds 1e12
     (skin-effect lattices approach this quickly as t**N grows).
     """
     m = h.matrix
@@ -126,25 +128,25 @@ def eigendecompose(h: Hamiltonian) -> EigenSystem:
         values, vectors = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"dense eigensolver failed: {exc}") from exc
+    raw_values, tol = values, RESIDUAL_FACTOR * h.norm_inf()
     try:
-        inv = np.linalg.inv(vectors)
-        residual_mat = m @ vectors - vectors * values[None, :]
-        values = values + np.einsum("ij,ji->i", inv, residual_mat) / np.einsum(
-            "ij,ji->i", inv, vectors
-        )
-        residuals = _column_residuals(m, values, vectors) / np.max(
-            np.abs(vectors), axis=0
-        )
-        for n in np.flatnonzero(residuals > 0.5 * RESIDUAL_FACTOR * h.norm_inf()):
-            try:
-                refined = np.linalg.solve(
-                    m - values[n] * np.eye(h.dim), vectors[:, n]
-                )
-                refined /= np.max(np.abs(refined))
-            except np.linalg.LinAlgError:
-                continue
-            if np.max(np.abs(m @ refined - values[n] * refined)) < residuals[n]:
-                vectors[:, n] = refined
+        with np.errstate(divide="ignore", invalid="ignore"):  # repeated eigenvalues
+            inv = np.linalg.inv(vectors)
+            residual_mat = m @ vectors - vectors * values[None, :]
+            values = values + np.einsum("ij,ji->i", inv, residual_mat) / np.einsum(
+                "ij,ji->i", inv, vectors)
+            residuals = _column_residuals(m, values, vectors) / np.max(np.abs(vectors), axis=0)
+            for n in np.flatnonzero(residuals > 0.5 * tol):
+                try:
+                    refined = np.linalg.solve(m - values[n] * np.eye(h.dim), vectors[:, n])
+                    refined /= np.max(np.abs(refined))
+                except np.linalg.LinAlgError:
+                    continue
+                polished = np.max(np.abs(m @ refined - values[n] * refined))
+                if polished < residuals[n] and polished <= tol:
+                    vectors[:, n], residuals[n] = refined, polished
+            restore = ~(residuals <= tol)
+            values[restore] = raw_values[restore]  # their vectors were never replaced
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigenvector matrix is numerically singular: {exc}") from exc
     order = np.lexsort((values.imag, values.real))

@@ -1,6 +1,7 @@
 """Spec documents, exports, and the command-line pipeline."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -284,8 +285,13 @@ class TestCli:
         (["--omega-min", "-3"], "--omega-max is missing"),
         (["--omega-max", "3"], "--omega-min is missing"),
         (["--omega-steps", "5"], "--omega-steps needs --omega-min and --omega-max"),
+        (["--gamma", "nan"], "invalid drive option: gamma must be finite, got nan"),
+        (["--gamma", "inf"], "invalid drive option: gamma must be finite, got inf"),
+        (["--amplitude", "nan"], "invalid drive option: drive amplitude must be finite, got nan"),
+        (["--omega-min", "nan", "--omega-max", "1", "--omega-steps", "3"],
+         "invalid drive option: omega grid must be finite, got nan"),
     ], ids=["gamma", "amplitude", "source-0", "source-99", "omega-steps-0", "no-omega-max", "no-omega-min",
-            "lone-omega-steps"])
+            "lone-omega-steps", "gamma-nan", "gamma-inf", "amplitude-nan", "omega-min-nan"])
     def test_drive_option_error_exit_2(self, tmp_path, ring_spec, capsys, options, named):
         rc = run_cli(tmp_path, "drive", "--spec", ring_spec, *options, "--out", tmp_path / "o")
         err = capsys.readouterr().err.splitlines()
@@ -375,6 +381,11 @@ class TestCli:
         assert "[fig2a] PASS" in stdout
         checks = json.loads((out / "checks.json").read_text())
         assert checks["fig2a"]["passed"]
+
+    def test_reproduce_prints_plain_floats(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "reproduce", "fig4c", "--out", tmp_path / "rep") == 0
+        stdout = capsys.readouterr().out
+        assert "[fig4c] PASS" in stdout and "np.float64" not in stdout
 
     def test_reproduce_expected_fail_control(self, tmp_path, capsys):
         out = tmp_path / "rep"
@@ -504,7 +515,8 @@ class TestProductAtCapReadsEdges:
 
 
 class TestDriveRoute:
-    """`drive` on a structured lattice sweeps through the closed form's gauge."""
+    """`drive` sweeps a structured lattice through the closed form's gauge and a
+    raw matrix through one Schur form."""
 
     def run_drive(self, tmp_path, text):
         spec = tmp_path / "spec.json"
@@ -516,6 +528,21 @@ class TestDriveRoute:
         assert self.run_drive(tmp_path, ring_doc([("A", n_a), ("B", n_b)], t)) == 0
         ring = dg.SegmentedRing((("A", n_a), ("B", n_b)))
         cfg = dg.default_drive_config(dg.build(ring, t), dg.closed_form(ring, t))
+        assert self.sweep_residual(tmp_path, n_a, n_b, t, cfg) <= response.SOLVE_RESIDUAL_FACTOR
+
+    @pytest.mark.parametrize("n_a, n_b, t", [(200, 100, 1.1), (400, 200, 1.02)])
+    def test_raw_ring_certifies_every_row(self, tmp_path, n_a, n_b, t):
+        # the same rings given as raw matrices take the Schur route
+        h = dg.build(dg.SegmentedRing((("A", n_a), ("B", n_b))), t)
+        entries = [[i + 1, j + 1, v, 0.0] for i, j, v in zip(*(a.tolist() for a in h.entries()))]
+        doc = json.dumps({"lattice": {"kind": "raw", "dim": h.dim, "entries": entries}})
+        assert self.run_drive(tmp_path, doc) == 0
+        cfg = dg.default_drive_config(h, dg.eigendecompose(h))
+        assert self.sweep_residual(tmp_path, n_a, n_b, t, cfg) <= 1e-10
+
+    @staticmethod
+    def sweep_residual(tmp_path, n_a, n_b, t, cfg):
+        """Largest |b - (z I - H) x| over sweep.csv, H x by the ring's bonds."""
         rows = np.loadtxt(tmp_path / "out" / "sweep.csv", delimiter=",", skiprows=1)
         n = n_a + n_b
         blocks = rows.reshape(len(cfg.omega_grid), n, 5)
@@ -529,14 +556,36 @@ class TestDriveRoute:
         hx = right * np.roll(x, -1, axis=1) + left * np.roll(x, 1, axis=1)
         r = (cfg.omega_grid[:, None] + 1j * cfg.gamma) * x - hx
         r[:, 0] -= 1.0
-        assert np.max(np.abs(r)) <= response.SOLVE_RESIDUAL_FACTOR
+        return np.max(np.abs(r))
 
-    def test_ring_300_at_t_1_5_fails_naming_residual_and_gauge_range(self, tmp_path, capsys):
+    def test_ring_300_at_t_1_5_fails_naming_residual_and_float64_floor(self, tmp_path, capsys):
         assert self.run_drive(tmp_path, ring_doc([("A", 150), ("B", 150)], 1.5)) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: sweep failed at omega=")
         assert "gauge solve residual" in err[0] and "exceeds 1e-10 * drive" in err[0]
-        assert "gauge t**w spans 13.2 decades" in err[0]
+        found = re.fullmatch(
+            r"error: sweep failed at omega=(\S+): gauge solve residual (\S+) exceeds 1e-10 \* drive "
+            r"after 3 refinement steps \(max\|x\| (\S+), float64 floor (\S+), backward error (\S+)\)",
+            err[0])
+        assert found is not None
+        omega, residual, size, floor, backward = map(float, found.groups())
+        # the failing row is one of the grid's, and max|x| is that of a dense
+        # solve there (condition number about 1e7, so max|x| is good to ~1e-9)
+        ring = dg.SegmentedRing((("A", 150), ("B", 150)))
+        h = dg.build(ring, 1.5)
+        cfg = dg.default_drive_config(h, dg.closed_form(ring, 1.5))
+        assert omega in cfg.omega_grid
+        b = np.zeros(h.dim, dtype=complex)
+        b[cfg.source_node] = cfg.amplitude
+        x = np.linalg.solve((omega + 1j * cfg.gamma) * np.eye(h.dim) - h.matrix, b)
+        assert size == pytest.approx(np.max(np.abs(x)), rel=0.06)
+        # the floor is eps (|z| + ||H||_inf) max|x|, the residual sits under it,
+        # and the backward error is at rounding level
+        scale = abs(omega + 1j * cfg.gamma) + h.norm_inf()
+        assert floor == pytest.approx(np.finfo(float).eps * scale * size, rel=0.06)
+        assert residual <= floor
+        assert backward == pytest.approx(residual / (scale * size + cfg.amplitude), rel=0.06)
+        assert backward < 1e-15
 
     def test_sweep_calls_no_dense_solver(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):

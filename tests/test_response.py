@@ -86,20 +86,30 @@ class TestSteadyState:
         with pytest.raises(dg.SingularSystem):
             dg.steady_state(h, cfg, 2.0, sys)
 
-    def test_failed_certificate_names_residual_and_lu_growth(self):
-        # partial-pivoting growth on (z I - H) rises exponentially with the
+    def test_two_segment_ring_certifies_through_schur(self):
+        # partial-pivoting LU growth on (z I - H) rises exponentially with the
         # length of a two-segment ring, although the shifted matrix is far
-        # from singular
+        # from singular; the Schur route has no pivot growth
         ring = dg.SegmentedRing((("A", 200), ("B", 100)))
         h = dg.build(ring, 1.1)
         exact = dg.closed_form(ring, 1.1)
         cfg = dg.default_drive_config(h, exact)
         omega = -1.626388234917063
-        growth = r"solve residual .* \(LU growth factor max\|U\|/max\|A\| = .*e\+1\d\)"
-        with pytest.raises(dg.SingularSystem, match=growth):
-            dg.steady_state(h, cfg, omega)
+        assert dg.steady_state(h, cfg, omega).solve_residual <= 1e-10
         single = dataclasses.replace(cfg, omega_grid=np.array([omega]))
         assert dg.frequency_sweep(h, single, exact)[0].solve_residual <= 1e-10
+
+    def test_singular_guard_without_a_system(self):
+        # the Schur route checks the grid against its own poles diag(T)
+        h = dg.build_obc_chain(dg.ObcChain(2), 4.0)  # eigenvalues +-2, real
+        cfg = dg.DriveConfig(0, 1e-13, np.array([2.0]))
+        with pytest.raises(dg.SingularSystem, match=r"^sweep failed at omega=2\.0: .* sits on an eigenvalue$"):
+            dg.steady_state(h, cfg, 2.0)
+
+    def test_non_finite_matrix_fails_as_a_solve(self):
+        h = dg.raw_hamiltonian(np.array([[0.0, np.nan], [1.0, 0.0]]))
+        with pytest.raises(dg.SingularSystem, match=r"^sweep failed at omega=0\.0: no Schur form of H"):
+            dg.steady_state(h, dg.DriveConfig(0, 1.0, np.array([0.0])), 0.0)
 
     def test_resolvent_identity(self):
         # direct solve equals the biorthogonal eigenmode expansion
@@ -143,7 +153,7 @@ class TestFrequencySweep:
 
 
 class TestSweepContract:
-    """Both sweep routes: closed form (gauge) and dense (LU)."""
+    """Both sweep routes: closed form (gauge) and dense (Schur)."""
 
     RING = dg.SegmentedRing((("A", 5), ("B", 7)))
 
@@ -166,32 +176,43 @@ class TestSweepContract:
         with pytest.raises(dg.SingularSystem, match=r"^sweep failed at omega=.* sits on an eigenvalue$"):
             dg.frequency_sweep(h, cfg, sys)
 
+    @pytest.mark.parametrize("spec", [RING, dg.ProductLattice(((dg.ObcChain(4), T), (RING_12, 1.2)))])
+    def test_schur_row_matches_the_gauge_row(self, spec):
+        h, exact = dg.build(spec, T), dg.closed_form(spec, T)
+        cfg = dg.default_drive_config(h, exact, 2)
+        for omega in cfg.omega_grid[::100].tolist():
+            schur, gauge = dg.steady_state(h, cfg, omega), dg.steady_state(h, cfg, omega, exact)
+            assert schur.solve_residual <= 1e-10 and gauge.solve_residual <= 1e-10
+            assert np.max(np.abs(schur.x - gauge.x)) <= 1e-9 * np.max(np.abs(gauge.x))
+
 
 class TestOneDriveLoop:
     """steady_state and frequency_sweep share one pole check, one
-    certificate and one failure format across the LU and gauge routes."""
+    certificate and one failure format across the Schur and gauge routes."""
 
     FAILURE = (
-        r"^sweep failed at omega=\S+: (gauge|LU) solve residual \S+ exceeds 1e-10 \* drive "
-        r"after 3 refinement steps \((LU growth factor max\|U\|/max\|A\| = \S+|"
-        r"max\|x\| \S+, gauge t\*\*w spans \S+ decades)\)$"
+        r"^sweep failed at omega=\S+: (gauge|Schur) solve residual \S+ exceeds 1e-10 \* drive "
+        r"after 3 refinement steps \(max\|x\| \S+, float64 floor \S+, backward error \S+\)$"
     )
 
-    def test_pole_at_the_last_grid_point_raises_before_any_lu(self, monkeypatch):
+    def test_pole_at_the_last_grid_point_raises_before_any_solve(self, monkeypatch):
         h, sys, sel, omega, g_min = selected_setup(RING_12)
         pole = sys.values[sel]
         gamma = float(np.nextafter(pole.imag, np.inf))
         cfg = dg.DriveConfig(0, gamma, np.array([pole.real - 2.0, pole.real - 1.0, pole.real]))
-        calls = []
-        lu_factor = response.scipy.linalg.lu_factor
-        monkeypatch.setattr(
-            response.scipy.linalg, "lu_factor", lambda *a: calls.append(1) or lu_factor(*a)
-        )
+        solved = []
+        schur_route = response._schur_route
+
+        def counted(h):
+            poles, solve = schur_route(h)
+            return poles, lambda rhs, zs: solved.append(len(zs)) or solve(rhs, zs)
+
+        monkeypatch.setattr(response, "_schur_route", counted)
         with pytest.raises(dg.SingularSystem, match=r"^sweep failed at omega=.* sits on an eigenvalue$"):
             dg.frequency_sweep(h, cfg, sys)
-        assert calls == []
+        assert solved == []
         dg.steady_state(h, cfg, float(pole.real - 1.0), sys)
-        assert calls == [1]
+        assert solved == [1]
 
     @pytest.mark.parametrize(
         "spec", [TestSweepContract.RING, dg.ProductLattice(((dg.ObcChain(4), T), (RING_12, 1.2)))]
@@ -220,16 +241,15 @@ class TestOneDriveLoop:
         assert prof.solve_residual == float(np.max(np.abs(r)))
 
     def test_both_routes_fail_in_one_format(self):
-        ring = dg.SegmentedRing((("A", 200), ("B", 100)))
-        h = dg.build(ring, 1.1)
-        cfg = dg.default_drive_config(h, dg.closed_form(ring, 1.1))
-        with pytest.raises(dg.SingularSystem, match=self.FAILURE) as lu:
-            dg.steady_state(h, cfg, -1.626388234917063)
-        assert " LU solve residual " in str(lu.value)
+        # |x| near 8e5 leaves a rounding floor above the bound on both routes
         ring = dg.SegmentedRing((("A", 150), ("B", 150)))
         h, exact = dg.build(ring, 1.5), dg.closed_form(ring, 1.5)
+        cfg = dg.default_drive_config(h, exact)
+        with pytest.raises(dg.SingularSystem, match=self.FAILURE) as schur:
+            dg.steady_state(h, cfg, -2.0869412943838226)
+        assert " Schur solve residual " in str(schur.value)
         with pytest.raises(dg.SingularSystem, match=self.FAILURE) as gauge:
-            dg.frequency_sweep(h, dg.default_drive_config(h, exact), exact)
+            dg.frequency_sweep(h, cfg, exact)
         assert " gauge solve residual " in str(gauge.value)
 
 

@@ -84,6 +84,22 @@ class TestEigendecompose:
         with pytest.warns(dg.IllConditioned):
             dg.eigendecompose(h)
 
+    @pytest.mark.filterwarnings("ignore::decaygraph.IllConditioned")
+    @pytest.mark.parametrize("segments, t", [
+        *[((("A", 1), ("B", 1), ("A", 1), ("B", 1)), t) for t in (0.25, 0.5, 1 / 1.01, 2.0)],
+        *[((("A", 2), ("B", 2)), t) for t in (0.25, 0.5, 4.0)],
+    ])
+    def test_repeated_eigenvalues_keep_the_raw_pair(self, segments, t):
+        # exactly repeated eigenvalues leave the eigenvector matrix singular,
+        # and the first-order correction through its inverse is garbage
+        ring = dg.SegmentedRing(segments)
+        h = dg.build(ring, t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sys = dg.eigendecompose(h)
+        assert np.max(sys.residuals) <= 1e-14 * h.norm_inf()
+        assert match_deviation(sys.values, dg.closed_form(ring, t).values) <= 1e-8
+
 
 class TestRingAnalytic:
     def test_29_1_decay_constants(self):
