@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import decay, response, spectra
 from .lattice import (
@@ -71,6 +70,9 @@ class CheckResult:
 
 def match_deviation(a: np.ndarray, b: np.ndarray) -> float:
     """Max eigenvalue deviation after optimal (assignment) pairing."""
+    # imported here: loading scipy.optimize at package import costs ~0.5 s
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())

@@ -84,6 +84,15 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _integer(value, name: str) -> int:
+    """``int(value)``, refusing a number with a fractional part, which int()
+    would truncate."""
+    n = int(value)
+    if isinstance(value, float) and value != n:
+        raise ValidationError(f"{name}: expected an integer, got {value!r}")
+    return n
+
+
 def _parse_lattice(obj: dict, where: str = "lattice") -> LatticeDocument:
     if not isinstance(obj, dict):
         raise ValidationError(f"{where}: expected an object, got {type(obj).__name__}")
@@ -93,17 +102,18 @@ def _parse_lattice(obj: dict, where: str = "lattice") -> LatticeDocument:
             t = float(_need(obj, "t", where))
             segments = _need(obj, "segments", where)
             segs = tuple(
-                (_need(seg, "type", f"{where}.segments[{i}]"), _need(seg, "len", f"{where}.segments[{i}]"))
+                (_need(seg, "type", f"{where}.segments[{i}]"),
+                 _integer(_need(seg, "len", f"{where}.segments[{i}]"), f"{where}.segments[{i}].len"))
                 for i, seg in enumerate(segments)
             )
             return LatticeDocument(SegmentedRing(segs), t)
         if kind == "circulant":
             t = float(_need(obj, "t", where))
-            g = validate_circulant(_need(obj, "n", where), _need(obj, "a", where))
+            g = validate_circulant(_integer(_need(obj, "n", where), f"{where}.n"), _need(obj, "a", where))
             return LatticeDocument(g, t)
         if kind == "obc_chain":
             t = float(_need(obj, "t", where))
-            return LatticeDocument(ObcChain(_need(obj, "n", where)), t)
+            return LatticeDocument(ObcChain(_integer(_need(obj, "n", where), f"{where}.n")), t)
         if kind == "product":
             axes_docs = [
                 _parse_lattice(axis, f"{where}.axes[{i}]")
@@ -115,10 +125,11 @@ def _parse_lattice(obj: dict, where: str = "lattice") -> LatticeDocument:
             axes = tuple((doc.spec, doc.t) for doc in axes_docs)
             return LatticeDocument(ProductLattice(axes), None)
         if kind == "raw":
-            dim = int(_need(obj, "dim", where))
+            dim = _integer(_need(obj, "dim", where), f"{where}.dim")
             entries = tuple(
-                (int(r), int(c), float(re), float(im))
-                for r, c, re, im in _need(obj, "entries", where)
+                (_integer(r, f"{where}.entries[{i}] row"), _integer(c, f"{where}.entries[{i}] col"),
+                 float(re), float(im))
+                for i, (r, c, re, im) in enumerate(_need(obj, "entries", where))
             )
             for r, c, _, _ in entries:
                 if not (1 <= r <= dim and 1 <= c <= dim):
@@ -200,23 +211,21 @@ def spectrum_csv(values: np.ndarray) -> str:
     )
 
 
-def _with_abs(block) -> str:
-    """``block(abs)``, or ``block`` with numpy's scalar abs where Python's
-    complex abs overflows on a finite value (numpy gives inf there)."""
-    try:
-        return block(abs)
-    except OverflowError:
-        with np.errstate(over="ignore"):
-            return block(lambda v: float(np.abs(v)))
+def _modulus(x: np.ndarray) -> list[float]:
+    """|x| as Python floats with the bits of numpy's scalar abs: a finite
+    value whose modulus passes the float max gives inf."""
+    with np.errstate(over="ignore"):
+        return np.hypot(x.real, x.imag).tolist()
 
 
 def profiles_csv(sys: EigenSystem) -> str:
     """Per-mode profiles as "n,site,re_psi,im_psi,abs_psi" (1-based)."""
     blocks = ["n,site,re_psi,im_psi,abs_psi\n"]
-    for n, col in enumerate(sys.right_vectors.T.tolist(), 1):
-        blocks.append(_with_abs(lambda mod: "".join(
-            f"{n},{site},{v.real!r},{v.imag!r},{mod(v)!r}\n" for site, v in enumerate(col, 1)
-        )))
+    for n, col in enumerate(sys.right_vectors.T, 1):
+        blocks.append("".join(
+            f"{n},{site},{v.real!r},{v.imag!r},{m!r}\n"
+            for site, (v, m) in enumerate(zip(col.tolist(), _modulus(col)), 1)
+        ))
     return "".join(blocks)
 
 
@@ -234,14 +243,15 @@ def sweep_csv(profiles: list[ResponseProfile]) -> str:
 
     All five CSV exports are formatted from Python numbers (``.tolist()``)
     with ``repr``: repr of a Python float is repr of the numpy scalar, and
-    Python's complex abs gives the bits of numpy's scalar abs (``_with_abs``).
+    ``np.hypot`` of the parts gives the bits of numpy's scalar abs (``_modulus``).
     """
     blocks = ["omega,node,abs_x,re_x,im_x\n"]
     for p in profiles:
         omega = repr(float(p.omega))
-        blocks.append(_with_abs(lambda mod: "".join(
-            f"{omega},{i},{mod(v)!r},{v.real!r},{v.imag!r}\n" for i, v in enumerate(p.x.tolist(), 1)
-        )))
+        blocks.append("".join(
+            f"{omega},{i},{m!r},{v.real!r},{v.imag!r}\n"
+            for i, (v, m) in enumerate(zip(p.x.tolist(), _modulus(p.x)), 1)
+        ))
     return "".join(blocks)
 
 

@@ -206,13 +206,16 @@ def validate_circulant(n_nodes: int, a) -> CirculantGraph:
     n_nodes = int(n_nodes)
     if n_nodes < 2:
         raise EmptyConnectivity(f"need at least 2 nodes, got {n_nodes}")
-    a = tuple(int(x) for x in a)
+    a = tuple(a)
     if len(a) != n_nodes - 1:
         raise EmptyConnectivity(
             f"connectivity vector must have length N-1 = {n_nodes - 1}, got {len(a)}"
         )
-    if any(x not in (0, 1) for x in a):
-        raise EmptyConnectivity("connectivity entries must be 0 or 1")
+    # checked before int(), which would truncate 0.5 to 0
+    for q, x in enumerate(a, 1):
+        if x not in (0, 1):
+            raise EmptyConnectivity(f"connectivity entry a[{q}] must be 0 or 1, got {x!r}")
+    a = tuple(int(x) for x in a)
     for q in range(1, n_nodes):
         if a[q - 1] != a[n_nodes - q - 1]:
             raise SymmetryViolation(q)

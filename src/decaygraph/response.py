@@ -10,7 +10,7 @@ that mode.
 ``steady_state`` and ``frequency_sweep`` run one solve loop on one of two
 routes, chosen by the eigensystem given: a closed-form system
 (``meta["route"] == "closed_form"``) solves through the structured family's
-gauge, and any other call through one complex Schur form of H.  Each route
+gauge, and any other call through the complex Schur form of H.  Each route
 solves the whole grid at once; both share the pole check, the certificate,
 refinement and failure text.
 """
@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .decay import _fit_chain, spec_chains
 from .errors import SingularSystem, ZeroAmplitude
@@ -140,11 +139,17 @@ def _gauge_route(h: Hamiltonian, source: int):
 
 
 def _schur_route(h: Hamiltonian):
-    """Poles diag(T) and batched solve from one complex Schur form H = Q T Q**H:
+    """Poles diag(T) and batched solve from the complex Schur form H = Q T Q**H:
     (z I - H) x = r is (z I - T) y = Q**H r with x = Q y, one back-substitution
-    over the rows of T for every frequency at once.  A unitary reduction has no
+    over the rows of T for every frequency at once.  A real H takes the real
+    Schur form, made complex-triangular by rsf2csf.  A unitary reduction has no
     pivot growth (Golub & Van Loan, Matrix Computations, ch. 7)."""
-    t, q = scipy.linalg.schur(h.matrix, output="complex")
+    # imported here: loading scipy.linalg at package import costs ~0.35 s
+    from scipy.linalg import rsf2csf, schur
+
+    t, q = schur(h.matrix)
+    if not np.iscomplexobj(t):
+        t, q = rsf2csf(t, q)
 
     def solve(rhs, zs):
         c = q.conj().T @ np.atleast_2d(rhs).T

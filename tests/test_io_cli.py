@@ -47,8 +47,31 @@ RAW_DOC = json.dumps(
     {"lattice": {"kind": "raw", "dim": 2, "t": 2.0, "entries": [[1, 2, 2.0, 0.0], [2, 1, 1.0, 0.0]]}}
 )
 
+# numbers int() would truncate, each with the error that names its field
+NON_INTEGRAL = {
+    "ring_len": ('{"lattice": {"kind": "ring", "t": 1.5, "segments": '
+                 '[{"type": "A", "len": 2.5}, {"type": "B", "len": 3}]}}',
+                 r"lattice\.segments\[0\]\.len: expected an integer, got 2\.5"),
+    "circulant_n": ('{"lattice": {"kind": "circulant", "t": 1.5, "n": 6.9, "a": [1, 0, 0, 0, 1]}}',
+                    r"lattice\.n: expected an integer, got 6\.9"),
+    "circulant_a": ('{"lattice": {"kind": "circulant", "t": 1.5, "n": 6, "a": [1, 0.5, 1, 0.5, 1]}}',
+                    r"lattice: connectivity entry a\[2\] must be 0 or 1, got 0\.5"),
+    "raw_row": ('{"lattice": {"kind": "raw", "dim": 2, "entries": [[1.9, 2, 1.0, 0.0], [2, 1, 1.0, 0.0]]}}',
+                r"lattice\.entries\[0\] row: expected an integer, got 1\.9"),
+}
+
 
 class TestParse:
+    @pytest.mark.parametrize("case", NON_INTEGRAL)
+    def test_non_integral_number_is_refused(self, case):
+        text, message = NON_INTEGRAL[case]
+        with pytest.raises(dg.ValidationError, match=f"^{message}$"):
+            io.parse_spec(text)
+
+    def test_integral_float_is_accepted(self):
+        doc = io.parse_spec('{"lattice": {"kind": "circulant", "t": 1.5, "n": 6.0, "a": [1, 0, 0.0, 0, 1.0]}}')
+        assert doc.spec == dg.validate_circulant(6, [1, 0, 0, 0, 1])
+
     def test_ring_round_trip_of_29_1(self):
         doc = io.parse_spec(RING_DOC)
         assert doc.spec == dg.SegmentedRing((("A", 29), ("B", 1)))
@@ -190,23 +213,18 @@ class TestExports:
             "0.5,2,inf,1.7976931348623157e+308,1.7976931348623157e+308"
         )
 
-    def test_python_abs_has_numpy_scalar_abs_bits(self):
-        # profiles_csv and sweep_csv take Python's complex abs where the
-        # per-row formatters took numpy's scalar abs
+    def test_hypot_has_numpy_scalar_abs_bits(self):
+        # profiles_csv and sweep_csv take np.hypot of the parts (io._modulus)
+        # where the per-row formatters took numpy's scalar abs
         re, im = np.meshgrid(SPECIAL, SPECIAL)
         rng = np.random.default_rng(3)
         z = np.concatenate([re.ravel(), self.seeded(rng, 4000)]).astype(complex)
         z.imag = np.concatenate([im.ravel(), self.seeded(rng, 4000)])
+        ours = np.array(io._modulus(z))
         with np.errstate(over="ignore"):
-            overflows = np.isfinite(z) & np.isinf(np.hypot(z.real, z.imag))
-        for v in z[overflows].tolist():
-            # a finite modulus above the float max: numpy gives inf, Python
-            # raises; max-normalized mode vectors never get there
-            with pytest.raises(OverflowError):
-                abs(v)
-        z = z[~overflows]
-        ours = np.array([abs(v) for v in z.tolist()])
-        theirs = np.array([abs(v) for v in z])
+            theirs = np.array([abs(v) for v in z])
+        # a finite value whose modulus passes the float max gives inf on both
+        assert np.any(np.isfinite(z) & np.isinf(theirs))
         nan = np.isnan(theirs)
         assert np.array_equal(np.isnan(ours), nan)  # NaN payloads differ; repr does not show them
         assert np.array_equal(ours[~nan].view(np.uint64), theirs[~nan].view(np.uint64))
@@ -337,6 +355,15 @@ class TestCli:
         spec.write_text(doc)
         assert run_cli(tmp_path, "build", "--spec", spec, "--t", 2.5, "--out", tmp_path / "o") == 2
         assert capsys.readouterr().err == "error: --t override applies to 1D lattice documents only\n"
+
+    @pytest.mark.parametrize("case", NON_INTEGRAL)
+    def test_non_integral_number_exits_2_naming_the_field(self, tmp_path, capsys, case):
+        text, message = NON_INTEGRAL[case]
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        assert run_cli(tmp_path, "spectrum", "--spec", spec, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {message}\n", err)
 
     def test_spectrum_mismatch_beyond_tolerance_exits_1(self, tmp_path, ring_spec, capsys):
         out = tmp_path / "out"

@@ -69,6 +69,27 @@ class TestEigendecompose:
         )):
             spectra._certified(h, exact.values + 1.0, exact.right_vectors, None, "shifted modes", {})
 
+    def test_nan_residual_fails_the_certificate(self):
+        h = dg.build(dg.SegmentedRing((("A", 3), ("B", 2))), 1.5)
+        exact = dg.closed_form(h.spec, 1.5)
+        values = exact.values.copy()
+        values[0] = np.nan
+        with pytest.raises(dg.ConvergenceFailure, match=r"^nan modes: residual nan exceeds"):
+            spectra._certified(h, values, exact.right_vectors, None, "nan modes", {})
+
+    @pytest.mark.parametrize("spec, t", [
+        (dg.SegmentedRing((("A", 13), ("B", 17))), 1.5),
+        (dg.validate_circulant(9, [1, 0, 1, 0, 0, 1, 0, 1]), 0.4),
+        (dg.ObcChain(12), 2.5),
+        (dg.ProductLattice(((dg.SegmentedRing((("A", 4), ("B", 3))), 1.3), (dg.ObcChain(5), 0.6))), None),
+    ], ids=["ring", "circulant", "obc_chain", "product"])
+    def test_residuals_through_edges_match_dense_product(self, spec, t):
+        sys = dg.closed_form(spec, t)
+        h = dg.build(spec, t)
+        v = sys.right_vectors
+        dense = np.max(np.abs(h.matrix @ v - v * sys.values[None, :]), axis=0)
+        assert np.max(np.abs(sys.residuals - dense)) <= 1e-15 * h.norm_inf()
+
     def test_left_vectors_biorthogonal(self):
         h = dg.build(dg.SegmentedRing((("A", 5), ("B", 3))), 1.5)
         sys = dg.eigendecompose(h)
@@ -366,10 +387,9 @@ class TestDegenerateGroups:
 
 
 def test_import_leaves_graph_and_spatial_scipy_unloaded():
-    code = (
-        "import sys, decaygraph; "
-        "print([m for m in ('scipy.sparse.csgraph', 'scipy.spatial') if m in sys.modules])"
-    )
+    lazy = ("scipy.sparse.csgraph", "scipy.spatial", "scipy.linalg", "scipy.optimize")
     env = {**os.environ, "PYTHONPATH": str(Path(dg.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    for module in ("decaygraph", "decaygraph.cli"):
+        code = f"import sys, {module}; print([m for m in {lazy!r} if m in sys.modules])"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]", module
