@@ -93,9 +93,14 @@ def _certified(h: Hamiltonian, values, vectors, left, what: str, meta: dict) -> 
     RESIDUAL_FACTOR * ||H||_inf (a NaN residual fails)."""
     h_norm = h.norm_inf()
     tol = RESIDUAL_FACTOR * h_norm
-    r = h.sparse() @ vectors
-    r -= vectors * values[None, :]
-    residuals = np.max(np.abs(r), axis=0)
+    hs = h.sparse()
+    # row blocks of about 2**18 entries: no N x N temporary besides the basis
+    step = max(1, (1 << 18) // h.dim)
+    residuals = np.zeros(len(values))
+    for i in range(0, h.dim, step):
+        r = hs[i:i + step] @ vectors
+        r -= vectors[i:i + step] * values[None, :]
+        np.maximum(residuals, np.max(np.abs(r), axis=0), out=residuals)
     worst = float(np.max(residuals))
     if not worst <= tol:
         raise ConvergenceFailure(
@@ -149,7 +154,8 @@ def eigendecompose(h: Hamiltonian) -> EigenSystem:
         raise ConvergenceFailure(f"eigenvector matrix is numerically singular: {exc}") from exc
     order = np.lexsort((values.imag, values.real))
     values = values[order]
-    vectors = _normalize_columns(vectors[:, order])
+    # np.take copies into C order, which the certificate's h.sparse() @ reads in place
+    vectors = _normalize_columns(np.take(vectors, order, axis=1))
     try:
         inv = np.linalg.inv(vectors)
     except np.linalg.LinAlgError as exc:

@@ -380,6 +380,13 @@ def dense_hamiltonian_csv(h) -> str:
     return "\n".join(lines) + "\n"
 
 
+def per_float_rows(lead, block) -> str:
+    """io._rows formatted one float at a time with repr (reference)."""
+    return "".join(
+        f"{prefix},{','.join(repr(v) for v in row)}\n" for prefix, row in zip(lead, block.tolist())
+    )
+
+
 def per_row_spectrum_csv(values) -> str:
     """spectrum.csv formatted one row at a time from numpy scalars (reference)."""
     lines = ["n,re_E,im_E"]

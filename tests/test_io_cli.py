@@ -6,12 +6,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import decaygraph as dg
 from decaygraph import cli, decay, io, lattice, response, spectra
 
 from oracle_helpers import (
     dense_hamiltonian_csv,
+    per_float_rows,
     per_row_charges_csv,
     per_row_profiles_csv,
     per_row_spectrum_csv,
@@ -21,6 +24,15 @@ from oracle_helpers import (
 # signed zeros, subnormals, extremes and non-finite values
 SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e-300, -1e300,
                     1.7976931348623157e308, np.inf, -np.inf, np.nan, -np.nan, 1.0, -3.5])
+
+# where repr's notation switches (1e-4, 1e16), where orjson's does (1e-5,
+# 1e16) and where io._rows changes how it rewrites a value (1e-9), plus the
+# float range's ends; each with its neighbours
+NOTATION_EDGES = [1e-9, 1e-5, 1e-4, 1e16, 9999999999999998.0, 5e-324, 1.7976931348623157e308]
+with np.errstate(over="ignore"):
+    EDGES = np.concatenate([np.nextafter(NOTATION_EDGES, 0.0), NOTATION_EDGES,
+                            np.nextafter(NOTATION_EDGES, np.inf)])
+BOUNDARY = np.concatenate([EDGES, -EDGES, [0.0, -0.0, np.inf, -np.inf, np.nan]])
 
 RING_DOC = (
     '{"lattice":{"kind":"ring","t":1.5,'
@@ -228,6 +240,48 @@ class TestExports:
         nan = np.isnan(theirs)
         assert np.array_equal(np.isnan(ours), nan)  # NaN payloads differ; repr does not show them
         assert np.array_equal(ours[~nan].view(np.uint64), theirs[~nan].view(np.uint64))
+
+
+class TestFloatKernel:
+    @staticmethod
+    def check(values):
+        x = np.asarray(values, dtype=float)
+        for block in (x.reshape(-1, 1), x.reshape(1, -1)):
+            lead = [str(i) for i in range(len(block))]
+            assert io._rows(lead, block) == per_float_rows(lead, block)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1))
+    def test_matches_repr_on_any_float(self, values):
+        self.check(values)
+
+    def test_matches_repr_on_raw_bit_patterns(self):
+        bits = np.random.default_rng(13).integers(0, 2**64, 1 << 20, dtype=np.uint64)
+        block = bits.view(float).reshape(-1, 4)  # more rows than one dump takes
+        lead = [str(i) for i in range(len(block))]
+        assert io._rows(lead, block) == per_float_rows(lead, block)
+
+    def test_notation_boundaries(self):
+        self.check(BOUNDARY)
+        assert io._rows(["a"], np.array([[1e-5, 1e-4, 1e16, -1.5e-7]])) == "a,1e-05,0.0001,1e+16,-1.5e-07\n"
+        assert io._rows([], np.zeros((0, 3))) == ""
+
+    def test_exports_at_the_boundaries(self):
+        re, im = (part.ravel() for part in np.meshgrid(BOUNDARY, BOUNDARY))
+        z = re + 0j
+        z.imag = im
+        with np.errstate(over="ignore"):
+            assert np.any(np.isfinite(z) & np.isinf(np.abs(z)))  # a modulus that overflows to inf
+            profiles = [response.ResponseProfile(om, z, 0.0) for om in BOUNDARY]
+            assert io.sweep_csv(profiles) == per_row_sweep_csv(profiles)
+            sys = dg.EigenSystem(z[:len(BOUNDARY)], z.reshape(len(BOUNDARY), -1), None,
+                                 np.zeros(len(BOUNDARY)), 1.0, 1e-10)
+            assert io.profiles_csv(sys) == per_row_profiles_csv(sys)
+        assert io.spectrum_csv(z) == per_row_spectrum_csv(z)
+        cm = dg.ChargeMap(re, im, 0.0, True, 0.0, 0.0)
+        assert io.charges_csv(cm) == per_row_charges_csv(cm)
+        h = dg.raw_hamiltonian(z.reshape(len(BOUNDARY), -1))
+        assert io.hamiltonian_csv(h) == dense_hamiltonian_csv(h)
 
 
 def run_cli(tmp_path, *argv):

@@ -387,7 +387,7 @@ class TestDegenerateGroups:
 
 
 def test_import_leaves_graph_and_spatial_scipy_unloaded():
-    lazy = ("scipy.sparse.csgraph", "scipy.spatial", "scipy.linalg", "scipy.optimize")
+    lazy = ("scipy.sparse.csgraph", "scipy.spatial", "scipy.linalg", "scipy.optimize", "orjson")
     env = {**os.environ, "PYTHONPATH": str(Path(dg.__file__).parents[1])}
     for module in ("decaygraph", "decaygraph.cli"):
         code = f"import sys, {module}; print([m for m in {lazy!r} if m in sys.modules])"
