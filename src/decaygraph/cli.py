@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys as _sys
 import time
@@ -187,6 +188,7 @@ def cmd_reproduce(args, out_dir: Path, manifest: RunManifest) -> int:
     return 0 if all_ok else 1
 
 
+@functools.cache  # one parser per process: main() runs once per job
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="decaygraph",

@@ -329,35 +329,27 @@ def decay_profile(spec, t: float, sys: EigenSystem | None = None, mode: int | No
     return _mode_profiles(sys, spec, t)[:, mode]
 
 
-def _product_profile(p: ProductLattice) -> np.ndarray:
-    """Least-damped product profile: Kronecker product of axis profiles."""
-    out = np.ones(1)
-    for spec, t in p.axes:
-        out = np.kron(out, decay_profile(spec, t))
-    return out
-
-
 def charge_map(spec, t: float | None = None) -> ChargeMap:
-    """Build the lattice once and compute both charges from one solve.
+    """Build the lattice once and compute both charges from its closed form.
 
-    The reported amplitude charges come from the least-damped profile; a
-    1D lattice also checks its most-damped mode (the next mode if the two
-    coincide).
+    A 1D lattice is a product of one axis.  Per axis, one closed form gives
+    the least-damped and most-damped modes (the next mode if the two
+    coincide); their Kronecker products are the two checked profiles, and
+    the reported amplitude charges come from the least-damped one.
     """
     if isinstance(spec, SynthesizedChargeGraph):
         edges, n, ts, profiles = spec.edges, spec.n_nodes, spec.t, [spec.profile]
     else:
         h = build(spec, t)
         edges, n, ts = h.edge_array, h.dim, h.ts
-        if isinstance(spec, ProductLattice):
-            profiles = [_product_profile(spec)]
-        else:
-            sys = spectra.closed_form(spec, t)
+        profiles = [np.ones(1), np.ones(1)]
+        for s, at in spec.axes if isinstance(spec, ProductLattice) else ((spec, t),):
+            sys = spectra.closed_form(s, at)
             sel = least_damped_mode(sys)
             most = int(np.argmin(sys.values.imag))
             if most == sel:
                 most = (sel + 1) % sys.dim
-            profiles = [sys.profile(sel), sys.profile(most)]
+            profiles = [np.kron(p, sys.profile(m)) for p, m in zip(profiles, (sel, most))]
     edges = np.asarray(edges, dtype=np.intp).reshape(-1, 3)
     q_amp, *checked = [amplitude_charges(p, edges, ts) for p in profiles]
     return ChargeMap.from_vectors(q_amp, combinatorial_charges(edges, n), checked)

@@ -365,7 +365,9 @@ class Hamiltonian:
         return rows[order], cols[order], values[order]
 
     def norm_inf(self) -> float:
-        return float(np.max(np.sum(np.abs(self.matrix), axis=1)))
+        """Largest absolute row sum of ``matrix``, in row blocks of about 2**18 entries."""
+        m, step = self.matrix, max(1, (1 << 18) // self.dim)
+        return float(np.max([np.sum(np.abs(m[i:i + step]), axis=1).max() for i in range(0, self.dim, step)]))
 
     def sparse(self):
         """The matrix as a scipy CSR array built from ``entries()``."""
@@ -541,9 +543,10 @@ def transpose(h: Hamiltonian) -> Hamiltonian:
 def raw_hamiltonian(matrix: np.ndarray, t: float | None = None) -> Hamiltonian:
     """Wrap an explicit matrix (the escape hatch for hand-drawn graphs).
 
-    The edge list is derived only when ``t`` is given and every coupled
-    pair is a {1, t} bond; otherwise the edge list is empty.  Raw matrices
-    never carry a pure-decay guarantee.
+    Without ``t`` the edge list is empty.  With ``t`` it is derived from
+    the entries (``edge_list``), and a coupled pair that is not a {1, t}
+    bond raises InconsistentEntries.  Raw matrices never carry a pure-decay
+    guarantee.
     """
     m = np.array(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

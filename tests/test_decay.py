@@ -376,6 +376,26 @@ class TestChargeMapProperties:
         np.testing.assert_allclose(cm.amplitude_charge, (qx[:, None] + qy[None, :]).ravel(), atol=1e-9)
         assert cm.quantized
 
+    def test_product_checks_least_and_most_damped_profiles(self):
+        axes = ((dg.SegmentedRing((("A", 3), ("B", 2))), 1.3), (dg.SegmentedRing((("A", 4), ("B", 3))), 1.7))
+        p = dg.ProductLattice(axes)
+        # reference: per axis, |v| of the least- and most-damped closed-form
+        # modes (the next mode if they coincide), joined by outer products
+        least, most = np.ones(1), np.ones(1)
+        for spec, t in axes:
+            sys = dg.closed_form(spec, t)
+            sel = dg.least_damped_mode(sys)
+            low = int(np.argmin(sys.values.imag))
+            low = (sel + 1) % sys.dim if low == sel else low
+            least = np.multiply.outer(least, np.abs(sys.right_vectors[:, sel])).ravel()
+            most = np.multiply.outer(most, np.abs(sys.right_vectors[:, low])).ravel()
+        h = dg.build(p)
+        q_comb = dg.combinatorial_charges(h.edge_array, h.dim)
+        q_least, q_most = (dg.amplitude_charges(prof, h.edge_array, h.ts) for prof in (least, most))
+        cm = dg.charge_map(p)
+        assert cm.amplitude_charge.tobytes() == q_least.tobytes()
+        assert cm.dev_plus == max(float(np.max(np.abs(q - q_comb))) for q in (q_least, q_most))
+
     def test_charges_insensitive_to_hopping_strength(self):
         for t in (1.2, 2.0, 3.7):
             cm = dg.charge_map(RING_FIG3A, t)

@@ -296,6 +296,15 @@ def ring_spec(tmp_path):
 
 
 class TestCli:
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path, ring_spec):
+        assert cli.build_parser() is cli.build_parser()
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, "decay", "--spec", ring_spec, "--bogus")
+        assert exc.value.code == 2
+        assert run_cli(tmp_path, "decay", "--spec", ring_spec, "--out", tmp_path / "out") == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["overrides"] == {}
+
     def test_build_writes_hamiltonian(self, tmp_path, ring_spec):
         out = tmp_path / "out"
         assert run_cli(tmp_path, "build", "--spec", ring_spec, "--out", out) == 0
@@ -559,6 +568,11 @@ class TestChargesSolveOnce:
         calls = self.count_calls(monkeypatch, spectra, "closed_form")
         assert self.run_charges(tmp_path, ring_doc([("A", 6), ("B", 8), ("A", 7), ("B", 4)], 1.5)) == 0
         assert len(calls) == 1
+
+    def test_product_solves_once_per_axis(self, tmp_path, monkeypatch):
+        calls = self.count_calls(monkeypatch, spectra, "closed_form")
+        assert self.run_charges(tmp_path, PRODUCT_DOC) == 0
+        assert len(calls) == 2
 
 
 class TestProductAtCapReadsEdges:

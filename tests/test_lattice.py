@@ -485,6 +485,22 @@ class TestEdgesFirst:
         h = RAW[name]()
         assert np.array_equal(h.sparse().toarray(), h.matrix)
 
+    @pytest.mark.parametrize("name", ["ring-600", "product-24x24", "raw-complex-600"])
+    def test_norm_inf_in_row_blocks_equals_dense_row_sum(self, name):
+        rng = np.random.default_rng(7)
+        h = {
+            "ring-600": lambda: dg.build(dg.SegmentedRing((("A", 250), ("B", 350))), 1.3),
+            "product-24x24": lambda: dg.build(dg.ProductLattice((
+                (dg.SegmentedRing((("A", 10), ("B", 14))), 1.3),
+                (dg.validate_circulant(24, [1, 0, 1] + [0] * 17 + [1, 0, 1]), 1.7),
+            ))),
+            "raw-complex-600": lambda: dg.raw_hamiltonian(
+                rng.standard_normal((600, 600)) + 1j * rng.standard_normal((600, 600))
+            ),
+        }[name]()
+        assert h.dim > (1 << 18) // h.dim  # more than one row block
+        assert h.norm_inf() == float(np.max(np.sum(np.abs(h.matrix), axis=1)))
+
     def test_raw_without_t_sparse_is_not_empty(self):
         m = np.array([[0, 2.0], [0.5j, 0]])
         assert np.array_equal(dg.raw_hamiltonian(m).sparse().toarray(), m)
