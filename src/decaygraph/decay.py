@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     ChainTooShort,
@@ -38,6 +39,7 @@ from .lattice import (
     ProductLattice,
     SegmentedRing,
     _assemble,
+    _block_rows,
     _components,
     build,
     validate_hopping_ratio,
@@ -112,29 +114,54 @@ def spec_chains(spec) -> list[tuple[str, str, tuple[int, ...]]]:
     raise TypeError(f"no chain structure for {type(spec).__name__}")
 
 
-def _fit_chain(log_amp: np.ndarray, sites: tuple[int, ...]) -> tuple[float, float, float]:
-    """Slope, intercept, max-abs residual of the line through log|psi|."""
+def _lstsq_failed(err, flag):
+    """np.errstate callback: the error ``np.linalg.lstsq`` raises."""
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _fit_chains(log_amp: np.ndarray, sites: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slope, intercept and max-abs residual of the line through each row
+    of the (M, n) block ``log_amp`` along one site run, each row with the
+    bits of ``np.polyfit(x, y, 1)``.
+
+    The scaled Vandermonde, its column scale and ``rcond`` are polyfit's.
+    The rows go through numpy's stacked least-squares gufunc (the one
+    ``np.linalg.lstsq`` calls, which refuses stacks) as (M, L, 1)
+    right-hand sides: one ``gelsd`` per row with the same workspace, where
+    one multi-RHS solve would change the bits.  A ``gelsd`` that does not
+    converge raises ``LinAlgError``, as in ``lstsq``.
+    """
     if len(sites) < 2:
         raise ChainTooShort(f"chain spans {len(sites)} site(s); need at least 2")
-    y = log_amp[list(sites)]
+    y = log_amp[:, list(sites)]
     x = np.arange(len(sites), dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    residual = float(np.max(np.abs(slope * x + intercept - y)))
-    return float(slope), float(intercept), residual
+    lhs = np.vander(x, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    rcond = len(x) * np.finfo(float).eps
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        coef = _umath_linalg.lstsq(lhs, y[..., None], rcond, signature="ddd->ddid")[0]
+    slope, intercept = (coef[..., 0] / scale).T
+    residual = np.max(np.abs(slope[:, None] * x + intercept[:, None] - y), axis=1)
+    return slope, intercept, residual
 
 
-def _amplitude(profile: np.ndarray, spec) -> np.ndarray:
-    """|profile| as a fresh contiguous array, once it spans the spec's sites
-    and no site is zero or below AMPLITUDE_FLOOR times the peak."""
-    amp = np.abs(np.asarray(profile, dtype=complex))
-    if len(amp) != spec.length:
+def _amplitude(profiles: np.ndarray, spec) -> np.ndarray:
+    """|profiles| as a fresh C-contiguous array, one profile per row (or a
+    single profile), once each spans the spec's sites and no site is zero
+    or below AMPLITUDE_FLOOR times its peak; otherwise the first failing
+    profile's error."""
+    amp = np.abs(np.asarray(profiles, dtype=complex), order="C")
+    if amp.shape[-1] != spec.length:
         raise ChainTooShort(
-            f"profile has {len(amp)} sites but the spec has {spec.length}"
+            f"profile has {amp.shape[-1]} sites but the spec has {spec.length}"
         )
-    peak = float(np.max(amp))
-    if peak == 0.0:
+    peak = np.max(amp, axis=-1, keepdims=True)
+    zero = (peak == 0.0).ravel()
+    bad = np.flatnonzero(zero | np.any(amp < AMPLITUDE_FLOOR * peak, axis=-1).ravel())
+    if bad.size and zero[bad[0]]:
         raise ZeroAmplitude("profile is identically zero")
-    if np.any(amp < AMPLITUDE_FLOOR * peak):
+    if bad.size:
         raise UnderflowSites(
             "profile underflows the representable floor; reduce t or the lattice size"
         )
@@ -150,11 +177,11 @@ def extract_decay_constants(profile: np.ndarray, spec, t: float) -> DecayReport:
     """
     t = validate_hopping_ratio(t)
     amp = _amplitude(profile, spec)
-    log_amp = np.log(amp)
+    log_amp = np.log(amp)[None]
     ln_t = np.log(t)
     fits: list[ChainFit] = []
     for chain_id, chain_type, sites in spec_chains(spec):
-        slope, intercept, residual = _fit_chain(log_amp, sites)
+        slope, intercept, residual = (float(v[0]) for v in _fit_chains(log_amp, sites))
         step = float(np.exp(slope))
         # canonical decay direction: type A chains and the circulant wrap
         # rise toward the drain with increasing fit position, so they report
@@ -241,13 +268,21 @@ def pure_decay_check(
     below the threshold.  The pairwise deviation is the largest per-site
     spread across modes.  The report is the least-damped mode's, carrying
     both figures.
+
+    The modes go in blocks of about 2**18 entries; per block, one
+    amplitude check and one stacked fit per chain (``_fit_chains``) give
+    each residual the bits of a per-mode ``np.polyfit``.
     """
     profiles = _mode_profiles(sys, spec, t)
     report = extract_decay_constants(profiles[:, least_damped_mode(sys)], spec, t)
     chains = [c.sites for c in report.per_chain]
+    step = _block_rows(len(profiles))
     purity = float(max(
-        _fit_chain(log_amp, sites)[2]
-        for log_amp in (np.log(_amplitude(p, spec)) for p in profiles.T)
+        np.max(_fit_chains(log_amp, sites)[2])
+        for log_amp in (
+            np.log(_amplitude(profiles[:, i:i + step].T, spec))
+            for i in range(0, profiles.shape[1], step)
+        )
         for sites in chains
     ))
     cross = float(np.max(np.ptp(profiles, axis=1)))

@@ -366,7 +366,7 @@ class Hamiltonian:
 
     def norm_inf(self) -> float:
         """Largest absolute row sum of ``matrix``, in row blocks of about 2**18 entries."""
-        m, step = self.matrix, max(1, (1 << 18) // self.dim)
+        m, step = self.matrix, _block_rows(self.dim)
         return float(np.max([np.sum(np.abs(m[i:i + step]), axis=1).max() for i in range(0, self.dim, step)]))
 
     def sparse(self):
@@ -376,6 +376,12 @@ class Hamiltonian:
 
         rows, cols, values = self.entries()
         return csr_array((values, (rows, cols)), shape=(self.dim, self.dim))
+
+
+def _block_rows(width: int) -> int:
+    """Rows per block of about 2**18 entries of a ``width``-wide array, the
+    block size that keeps every N x N pass free of N x N temporaries."""
+    return max(1, (1 << 18) // width)
 
 
 def _check_cap(n: int) -> None:

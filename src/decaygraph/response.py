@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decay import _fit_chain, spec_chains
+from .decay import _fit_chains, spec_chains
 from .errors import SingularSystem, ZeroAmplitude
 from .lattice import Hamiltonian, ProductLattice
 # bench/tracer.py wraps eigendecompose at this binding site, which nothing here calls
@@ -312,7 +312,7 @@ def log_profile(profile: ResponseProfile, spec=None) -> LogProfile:
     ids = []
     worst = 0.0
     for chain_id, _, sites in chains:
-        slope, _, residual = _fit_chain(log_amp, sites)
+        slope, _, residual = (float(v[0]) for v in _fit_chains(log_amp[None], sites))
         slopes.append(slope)
         ids.append(chain_id)
         worst = max(worst, residual)

@@ -20,6 +20,7 @@ from .lattice import (
     ObcChain,
     ProductLattice,
     SegmentedRing,
+    _block_rows,
     _components,
     build_axis,
     build_product_lattice,
@@ -81,9 +82,26 @@ class EigenSystem:
 
 def _normalize_columns(vectors: np.ndarray) -> np.ndarray:
     """Divide each column by its max-magnitude entry (a complex input is
-    divided in place)."""
+    divided in place).
+
+    The entry is ``np.argmax(np.abs(v), axis=0)``'s, found over row blocks
+    without an N x N temporary: a column's pick moves only on a strictly
+    larger magnitude, so the first occurrence wins, and a NaN wins as in
+    ``np.argmax``.
+    """
     v = np.asarray(vectors, dtype=complex)
-    v /= v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    cols = np.arange(v.shape[1])
+    rows = np.zeros(v.shape[1], dtype=np.intp)
+    peak = np.full(v.shape[1], -np.inf)
+    step = _block_rows(v.shape[1])
+    for i in range(0, v.shape[0], step):
+        mag = np.abs(v[i:i + step])
+        arg = np.argmax(mag, axis=0)
+        best = mag[arg, cols]
+        moved = (best > peak) | (np.isnan(best) & ~np.isnan(peak))
+        rows[moved] = arg[moved] + i
+        peak[moved] = best[moved]
+    v /= v[rows, cols]
     return v
 
 
@@ -94,8 +112,8 @@ def _certified(h: Hamiltonian, values, vectors, left, what: str, meta: dict) -> 
     h_norm = h.norm_inf()
     tol = RESIDUAL_FACTOR * h_norm
     hs = h.sparse()
-    # row blocks of about 2**18 entries: no N x N temporary besides the basis
-    step = max(1, (1 << 18) // h.dim)
+    # row blocks: no N x N temporary besides the basis
+    step = _block_rows(h.dim)
     residuals = np.zeros(len(values))
     for i in range(0, h.dim, step):
         r = hs[i:i + step] @ vectors

@@ -445,3 +445,17 @@ def per_mode_pure_decay_check(sys, spec, t: float, threshold: float = 1e-8):
     sel = dg.least_damped_mode(sys)
     report = replace(reports[sel], purity=purity, cross_mode_deviation=cross)
     return dg.PurityResult(purity, cross, purity <= threshold and cross <= threshold, report)
+
+
+def polyfit_chain(log_amp: np.ndarray, sites: tuple[int, ...]) -> tuple[float, float, float]:
+    """Slope, intercept, max-abs residual of the line through log|psi|
+    (reference: one ``np.polyfit`` per chain)."""
+    from decaygraph.errors import ChainTooShort
+
+    if len(sites) < 2:
+        raise ChainTooShort(f"chain spans {len(sites)} site(s); need at least 2")
+    y = log_amp[list(sites)]
+    x = np.arange(len(sites), dtype=float)
+    slope, intercept = np.polyfit(x, y, 1)
+    residual = float(np.max(np.abs(slope * x + intercept - y)))
+    return float(slope), float(intercept), residual

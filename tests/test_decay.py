@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import decaygraph as dg
 from decaygraph import decay
@@ -10,6 +13,7 @@ from oracle_helpers import (
     loop_amplitude_charges,
     loop_combinatorial_charges,
     per_mode_pure_decay_check,
+    polyfit_chain,
     union_find_synthesize,
 )
 
@@ -200,6 +204,52 @@ class TestPureDecayOnePass:
         ring = dg.SegmentedRing((("A", 13), ("B", 17)))
         assert dg.pure_decay_check(dg.closed_form(ring, T), ring, T).passed
         assert sorted(calls) == ["extract_decay_constants", "spec_chains"]
+
+
+@st.composite
+def fit_blocks(draw):
+    """An (M, n) log-amplitude block and a site run on it: a cyclic run of
+    2 to n sites, or the circulant wrap (n - 1, 0)."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 40))
+    noise = draw(arrays(float, (m, n), elements=st.floats(-1e3, 1e3)))
+    trend = draw(arrays(float, (m, 1), elements=st.floats(-50, 50)))
+    scale = draw(st.sampled_from([0.0, 1e-12, 1.0]))
+    if draw(st.booleans()):
+        sites = (n - 1, 0)
+    else:
+        start, length = draw(st.integers(0, n - 1)), draw(st.integers(2, n))
+        sites = tuple((start + i) % n for i in range(length))
+    return trend * np.arange(n) + scale * noise, sites
+
+
+class TestFitChains:
+    """One stacked fit per chain with the bits of a per-row np.polyfit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(fit_blocks())
+    def test_equals_polyfit_bit_for_bit(self, block):
+        log_amp, sites = block
+        got = np.column_stack(decay._fit_chains(log_amp, sites))
+        want = np.array([polyfit_chain(row, sites) for row in log_amp])
+        assert got.tobytes() == want.tobytes()
+
+    def test_non_finite_rows_as_polyfit(self):
+        log_amp = np.array([[0.0, 1.0, 2.5], [np.nan, 1.0, 2.0], [np.inf, 1.0, 2.0]])
+        got = np.column_stack(decay._fit_chains(log_amp, (0, 1, 2)))
+        np.testing.assert_array_equal(got, [polyfit_chain(row, (0, 1, 2)) for row in log_amp])
+
+    def test_single_site_run_raises(self):
+        with pytest.raises(dg.ChainTooShort, match="chain spans 1 site"):
+            decay._fit_chains(np.zeros((2, 5)), (3,))
+
+    def test_pure_decay_check_makes_no_polyfit_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.polyfit called")
+
+        monkeypatch.setattr(np, "polyfit", refuse)
+        ring = dg.SegmentedRing((("A", 13), ("B", 17)))
+        assert dg.pure_decay_check(dg.closed_form(ring, T), ring, T).passed
 
 
 class TestAmplitudeCharges:

@@ -56,6 +56,24 @@ class TestEigendecompose:
             want[:, n] = v[:, n] / v[np.argmax(np.abs(v[:, n])), n]
         np.testing.assert_array_equal(spectra._normalize_columns(v.copy()), want)
 
+    def test_column_normalization_in_row_blocks_equals_one_shot(self):
+        # 2000 rows of 300 columns span three row blocks; ties and NaNs are
+        # planted within a block and across blocks
+        rng = np.random.default_rng(4)
+        v = rng.uniform(-1, 1, (2000, 300)) + 1j * rng.uniform(-1, 1, (2000, 300))
+        z = 3.0 - 4.0j
+        v[[5, 7, 1500], 0] = z, -z, 1j * z       # first of three in block 0
+        v[[900, 1800], 1] = -z, z                # tie across blocks 1 and 2
+        v[[10, 11], 2] = 1j * z, -1j * z         # tie inside block 0
+        v[[1990, 3], 3] = z, -z                  # later block ties an earlier one
+        v[[100, 1000], 4] = np.nan, 9.0          # NaN wins over a larger value
+        v[[50, 1200, 1700], 5] = 9.0, np.nan, np.nan  # first NaN wins
+        assert spectra._block_rows(300) < 1000
+        with np.errstate(invalid="ignore"):  # the NaN columns
+            want = v / v[np.argmax(np.abs(v), axis=0), np.arange(300)]
+            got = spectra._normalize_columns(v.copy())
+        np.testing.assert_array_equal(got, want)
+
     def test_residual_certificate(self):
         h = dg.build(dg.SegmentedRing((("A", 13), ("B", 17))), 1.5)
         sys = dg.eigendecompose(h)
