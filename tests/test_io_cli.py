@@ -244,27 +244,34 @@ class TestExports:
 
 class TestFloatKernel:
     @staticmethod
-    def check(values):
-        x = np.asarray(values, dtype=float)
-        for block in (x.reshape(-1, 1), x.reshape(1, -1)):
-            lead = [str(i) for i in range(len(block))]
-            assert io._rows(lead, block) == per_float_rows(lead, block)
+    def leads(n):
+        """Two lead columns of n rows, and the one column of them joined."""
+        first = [repr(i / 3) for i in range(n)]
+        second = [str(i + 1) for i in range(n)]
+        return first, second, [f"{a},{b}" for a, b in zip(first, second)]
+
+    def check(self, block):
+        first, second, joined = self.leads(len(block))
+        want = per_float_rows(joined, block)
+        assert io._rows(block, joined) == want
+        assert io._rows(block, first, second) == want
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1))
     def test_matches_repr_on_any_float(self, values):
-        self.check(values)
+        x = np.asarray(values, dtype=float)
+        self.check(x.reshape(-1, 1))
+        self.check(x.reshape(1, -1))
 
     def test_matches_repr_on_raw_bit_patterns(self):
         bits = np.random.default_rng(13).integers(0, 2**64, 1 << 20, dtype=np.uint64)
-        block = bits.view(float).reshape(-1, 4)  # more rows than one dump takes
-        lead = [str(i) for i in range(len(block))]
-        assert io._rows(lead, block) == per_float_rows(lead, block)
+        self.check(bits.view(float).reshape(-1, 4))  # more rows than one dump takes
 
     def test_notation_boundaries(self):
-        self.check(BOUNDARY)
-        assert io._rows(["a"], np.array([[1e-5, 1e-4, 1e16, -1.5e-7]])) == "a,1e-05,0.0001,1e+16,-1.5e-07\n"
-        assert io._rows([], np.zeros((0, 3))) == ""
+        self.check(BOUNDARY.reshape(-1, 1))
+        self.check(BOUNDARY.reshape(1, -1))
+        assert io._rows(np.array([[1e-5, 1e-4, 1e16, -1.5e-7]]), ["a"]) == "a,1e-05,0.0001,1e+16,-1.5e-07\n"
+        assert io._rows(np.zeros((0, 3)), []) == ""
 
     def test_exports_at_the_boundaries(self):
         re, im = (part.ravel() for part in np.meshgrid(BOUNDARY, BOUNDARY))
@@ -281,6 +288,47 @@ class TestFloatKernel:
         cm = dg.ChargeMap(re, im, 0.0, True, 0.0, 0.0)
         assert io.charges_csv(cm) == per_row_charges_csv(cm)
         h = dg.raw_hamiltonian(z.reshape(len(BOUNDARY), -1))
+        assert io.hamiltonian_csv(h) == dense_hamiltonian_csv(h)
+
+
+class TestRowBlocks:
+    """sweep_csv and profiles_csv with blocks that straddle frequencies and
+    modes: ROWS_PER_DUMP is cut to 7 rows."""
+
+    @pytest.fixture(autouse=True)
+    def seven_rows(self, monkeypatch):
+        monkeypatch.setattr(io, "ROWS_PER_DUMP", 7)
+
+    @pytest.mark.parametrize("lengths", [
+        [3, 1, 2, 3, 1, 1, 2, 3, 2],  # unequal, two per block
+        [3, 3, 3, 3, 3],  # equal, two per block
+        [2, 0, 2, 1, 2],  # one zero-length profile, three per block
+        [0, 0],  # no rows: ROWS_PER_DUMP // 0 would fail
+        [],
+        [10, 9, 16, 10],  # more nodes than one block
+    ], ids=["unequal", "equal", "zero-length", "all-zero-length", "empty", "above-block"])
+    def test_sweep(self, lengths):
+        rng = np.random.default_rng(len(lengths))
+        profiles = []
+        for k, n in enumerate(lengths):
+            x = TestExports.seeded(rng, n)
+            if k % 3:  # real and complex rows in one block
+                x = x.astype(complex)
+                x.imag = TestExports.seeded(rng, n)
+            profiles.append(response.ResponseProfile(float(rng.uniform(-5, 5)), x, 0.0))
+        with np.errstate(over="ignore"):
+            assert io.sweep_csv(profiles) == per_row_sweep_csv(profiles)
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 7, 10])
+    def test_profiles(self, n):
+        rng = np.random.default_rng(n)
+        x = TestExports.seeded(rng, (n, n)).astype(complex)
+        x.imag = TestExports.seeded(rng, (n, n))
+        with np.errstate(invalid="ignore"):
+            vectors = x / np.maximum(np.abs(x), 1.0)
+        sys = dg.EigenSystem(x[0] if n else np.zeros(0), vectors, None, np.zeros(n), 1.0, 1e-10)
+        assert io.profiles_csv(sys) == per_row_profiles_csv(sys)
+        h = dg.raw_hamiltonian(x)
         assert io.hamiltonian_csv(h) == dense_hamiltonian_csv(h)
 
 
@@ -356,6 +404,23 @@ class TestCli:
             "selected_mode", "least_damped_mode", "overlap", "matches_least_damped", "omega_at_peak",
         }
         assert (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("doc", [RING_DOC, PRODUCT_DOC], ids=["ring", "product"])
+    def test_exports_match_per_row_formatters(self, tmp_path, doc):
+        # the default 401-point grid: sweep blocks hold many frequencies
+        spec = tmp_path / "spec.json"
+        spec.write_text(doc)
+        assert run_cli(tmp_path, "drive", "--spec", spec, "--out", tmp_path / "drive") == 0
+        parsed = io.parse_spec(doc)
+        h = parsed.build()
+        sys = spectra.closed_form(parsed.spec, parsed.t)
+        sweep = response.frequency_sweep(h, response.default_drive_config(h, sys, 0), sys)
+        assert len(sweep) == response.DEFAULT_OMEGA_POINTS
+        assert (tmp_path / "drive" / "sweep.csv").read_text() == per_row_sweep_csv(sweep)
+        out = tmp_path / "spectrum"
+        run_cli(tmp_path, "spectrum", "--spec", spec, "--numeric", "--analytic", "--profiles", "--out", out)
+        for name, sys in (("numeric", spectra.eigendecompose(h)), ("analytic", sys)):
+            assert (out / f"profiles_{name}.csv").read_text() == per_row_profiles_csv(sys)
 
     @pytest.mark.parametrize("options, named", [
         (["--gamma", "-1"], "gamma must be positive, got -1.0"),
