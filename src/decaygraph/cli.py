@@ -23,6 +23,8 @@ from .errors import DecayGraphError
 from .io import LatticeDocument, RawMatrix, RunManifest
 from .lattice import ObcChain, ProductLattice
 
+PEAK_TIE = 1e-9  # relative: drive's peaks within it of the largest tie
+
 
 def _load_document(args) -> LatticeDocument:
     text = Path(args.spec).read_text()
@@ -147,8 +149,9 @@ def cmd_drive(args, out_dir: Path, manifest: RunManifest) -> int:
     except ValueError as exc:
         raise DecayGraphError(f"invalid drive option: {exc}") from exc
     sweep = response.frequency_sweep(h, cfg, sys)
-    peaks = [float(np.max(np.abs(p.x))) for p in sweep]
-    at_peak = sweep[int(np.argmax(peaks))]
+    peaks = np.array([np.max(np.abs(p.x)) for p in sweep])
+    # an E -> -E symmetric spectrum has mirror peaks at +-omega: ties go to the lowest omega
+    at_peak = sweep[int(np.flatnonzero(peaks >= (1 - PEAK_TIE) * peaks.max())[0])]
     selection = response.mode_selection_check(at_peak, sys)
     del h, sys  # not held while the sweep is formatted
     _write(out_dir, "sweep.csv", io.sweep_csv(sweep), manifest)

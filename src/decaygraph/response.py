@@ -23,9 +23,9 @@ import numpy as np
 
 from .decay import _fit_chains, spec_chains
 from .errors import SingularSystem, ZeroAmplitude
-from .lattice import Hamiltonian, ProductLattice
+from .lattice import Hamiltonian, ObcChain, ProductLattice
 # bench/tracer.py wraps eigendecompose at this binding site, which nothing here calls
-from .spectra import EigenSystem, _gauge, eigendecompose, least_damped_mode, least_damped_set  # noqa: F401
+from .spectra import EigenSystem, eigendecompose, least_damped_mode, least_damped_set  # noqa: F401
 
 SOLVE_RESIDUAL_FACTOR = 1e-10
 SINGULAR_DISTANCE = 1e-12
@@ -100,42 +100,50 @@ def _fail(omega, what: str) -> SingularSystem:
     return SingularSystem(f"sweep failed at omega={float(omega)}: {what}")
 
 
-def _gauge_route(h: Hamiltonian, source: int):
+def _transform(y: np.ndarray, chain: bool, inverse: bool) -> np.ndarray:
+    """The DFT of ``y`` along its last axis, or for an open chain the type-I
+    sine transform S[j, m] = sin(pi (j + 1) (m + 1) / (n + 1)), or either's
+    inverse.  S y is read off the FFT of the odd extension (0, y, 0, -y
+    reversed), whose entries 1..n are -2i S y; S**-1 = 2 S / (n + 1)."""
+    fft = np.fft.ifft if inverse else np.fft.fft
+    if not chain:
+        return fft(y)
+    pad = np.zeros(y.shape[:-1] + (1,), dtype=complex)
+    odd = fft(np.concatenate([pad, y, pad, -y[..., ::-1]], axis=-1))[..., 1:y.shape[-1] + 1]
+    return odd * (-2j if inverse else 0.5j)
+
+
+def _gauge_route(h: Hamiltonian, source: int, values: np.ndarray):
     """Poles and batched solve from the closed form's gauge.
 
-    Per axis, H_k = D_k B_k diag(E_k) B_k**-1 D_k**-1 with D_k = diag(t_k**w_k)
-    (spectra._gauge), and a product is the Kronecker sum of its axes, so
-    x = D B (c / (z - E)) with c = B**-1 D**-1 b formed once.  Each axis
-    factor acts on its own axis of the (F, n_0, n_1, ...) array; the N x N
-    product basis is never formed.  The gauged axis matrices are normal
-    with orthogonal basis columns, so B_k**-1 = diag(1 / |b_m|**2) B_k**H.
-    D is scaled to 1 at the source.  The poles are the energies E.
+    Per axis, D_k**-1 H_k D_k (D_k = diag(t_k**w_k)) is a circulant, which the
+    DFT diagonalizes (Davis, Circulant Matrices, 1979), or sqrt(t_k) times the
+    symmetric hopping chain, which the sine transform diagonalizes.  A product
+    is the Kronecker sum of its axes, so x = D T**-1 ((T D**-1 b) / (z - E)),
+    each T_k applied to the last axis of the (F, n_0, n_1, ...) array, which
+    then rotates to the front.  D is 1 at the source; the poles E are ``values``.
     """
     spec = h.spec
     axes = spec.axes if isinstance(spec, ProductLattice) else ((spec, h.t),)
     dims = tuple(s.length for s, _ in axes)
-    src = np.unravel_index(source, dims)
-    energies = log_d = np.zeros(())
-    bases = []
-    for (s, t), i in zip(axes, src):
-        w, values, basis = _gauge(s, t)
-        energies = np.add.outer(energies, values)
+    chains = [isinstance(s, ObcChain) for s, _ in reversed(axes)]
+    log_d = np.zeros(())
+    for (s, t), i in zip(axes, np.unravel_index(source, dims)):
+        w = s.potential()
         log_d = np.add.outer(log_d, (w - w[i]) * np.log(t))
-        bases.append((basis, np.sum(np.abs(basis) ** 2, axis=0)))
-    d = np.exp(log_d)
+    d, energies = np.exp(log_d), values.reshape(dims)
 
     def solve(rhs, zs):
         y = rhs.reshape((-1,) + dims) / d
-        for k, (basis, norms) in enumerate(bases):
-            y = np.tensordot(y.conj(), basis, axes=(k + 1, 0)).conj() / norms
-            y = np.moveaxis(y, -1, k + 1)
+        for chain in chains:
+            y = np.moveaxis(_transform(y, chain, inverse=False), -1, 1)
         y = y / (zs.reshape((-1,) + (1,) * len(dims)) - energies)
-        for k, (basis, _) in enumerate(bases):
-            y = np.moveaxis(np.tensordot(y, basis, axes=(k + 1, 1)), -1, k + 1)
+        for chain in chains:
+            y = np.moveaxis(_transform(y, chain, inverse=True), -1, 1)
         y *= d
         return y.reshape(len(zs), -1)
 
-    return energies.ravel(), solve
+    return values, solve
 
 
 def _schur_route(h: Hamiltonian):
@@ -183,7 +191,7 @@ def _drive(
     b[cfg.source_node] = cfg.amplitude
     z = omegas + 1j * cfg.gamma
     if sys is not None and sys.meta.get("route") == "closed_form":
-        route, (poles, solve) = "gauge", _gauge_route(h, cfg.source_node)
+        route, (poles, solve) = "gauge", _gauge_route(h, cfg.source_node, sys.values)
     else:
         try:  # scipy refuses a non-finite matrix
             route, (poles, solve) = "Schur", _schur_route(h)

@@ -215,56 +215,45 @@ def ring_mode_values(n_a: int, n_b: int, t: float) -> np.ndarray:
     return t / alpha + alpha
 
 
-def _gauge(spec, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Potential w, eigenvalues and eigenbasis of D**-1 H D, D = diag(t**w),
-    for a ring, circulant graph or open chain.
-
-    Rings and circulant graphs become plain circulants, diagonalized by the
-    Fourier basis with eigenvalues the DFT of the gauged first row; the open
-    chain becomes sqrt(t) times the symmetric hopping chain, diagonalized by
-    the sine basis.  The basis is returned as a fresh complex array.
-    """
-    n = spec.length
-    w = spec.potential()
-    if isinstance(spec, ObcChain):
-        theta = np.pi * np.arange(1, n + 1) / (n + 1)
-        values = (2.0 * np.sqrt(t) * np.cos(theta)).astype(complex)
-        return w, values, np.sin(np.outer(np.arange(1, n + 1), theta)).astype(complex)
-    row = np.zeros(n)
-    if isinstance(spec, SegmentedRing):
-        row[1] = t ** (spec.n_sites_b / n)
-        row[-1] = t ** (spec.n_sites_a / n)
-    else:
-        q = np.arange(1, n)
-        row[1:] = np.array(spec.a) * t ** ((n - q) / n)
-    roots = np.exp(2j * np.pi * np.arange(n) / n)
-    phase = np.outer(np.arange(n), np.arange(n))
-    phase %= n
-    return w, n * np.fft.ifft(row), roots[phase]
-
-
 def closed_form(spec, t: float | None = None) -> EigenSystem:
     """Certified eigensystem of a structured lattice via its gauge transform.
 
     For each ring, circulant graph and open chain, D**-1 H D is normal,
     with D = diag(t**w) and w the spec's potential (Hatano & Nelson's
-    imaginary gauge transform), so the eigenvectors are t**w times the
-    Fourier or sine basis.  The scale is formed in log space: nothing
-    overflows, and sites beyond the double range underflow to zero (which
-    the decay checks report as UnderflowSites).  Every pair is certified
-    through the built lattice's edges.  Products combine their axes through
-    kron_sum_spectrum.  The open chain's per-site exponent w[1] - w[0] is
-    recorded in meta["rho_exponent"].
+    imaginary gauge transform): a plain circulant, diagonalized by the
+    Fourier basis with eigenvalues the DFT of its first row, or sqrt(t)
+    times the symmetric hopping chain, diagonalized by the sine basis.  The
+    eigenvectors are t**w times that basis, the scale formed in log space:
+    nothing overflows, and sites beyond the double range underflow to zero
+    (which the decay checks report as UnderflowSites).  Every pair is
+    certified through the built lattice's edges.  Products combine their
+    axes through kron_sum_spectrum.  The open chain's per-site exponent
+    w[1] - w[0] is recorded in meta["rho_exponent"].
     """
     if isinstance(spec, ProductLattice):
         axes = [closed_form(s, at) for s, at in spec.axes]
         sys = kron_sum_spectrum(axes, build_product_lattice(spec))
     else:
         h = build_axis(spec, t)
-        w, values, vectors = _gauge(spec, h.t)
+        n, w, meta = spec.length, spec.potential(), {}
+        if isinstance(spec, ObcChain):
+            theta = np.pi * np.arange(1, n + 1) / (n + 1)
+            values = (2.0 * np.sqrt(h.t) * np.cos(theta)).astype(complex)
+            vectors = np.sin(np.outer(np.arange(1, n + 1), theta)).astype(complex)
+            meta["rho_exponent"] = float(w[1] - w[0])
+        else:
+            row = np.zeros(n)
+            if isinstance(spec, SegmentedRing):
+                row[1], row[-1] = h.t ** (spec.n_sites_b / n), h.t ** (spec.n_sites_a / n)
+            else:
+                q = np.arange(1, n)
+                row[1:] = np.array(spec.a) * h.t ** ((n - q) / n)
+            roots = np.exp(2j * np.pi * np.arange(n) / n)
+            phase = np.outer(np.arange(n), np.arange(n))
+            phase %= n
+            values, vectors = n * np.fft.ifft(row), roots[phase]
         log_scale = w * np.log(h.t)
         vectors *= np.exp(log_scale - log_scale.max())[:, None]
-        meta = {"rho_exponent": float(w[1] - w[0])} if isinstance(spec, ObcChain) else {}
         vectors = _normalize_columns(vectors)
         sys = _certified(h, values, vectors, None, f"closed-form {h.kind} modes", meta)
     sys.meta["route"] = "closed_form"

@@ -34,6 +34,19 @@ with np.errstate(over="ignore"):
                             np.nextafter(NOTATION_EDGES, np.inf)])
 BOUNDARY = np.concatenate([EDGES, -EDGES, [0.0, -0.0, np.inf, -np.inf, np.nan]])
 
+def assert_same_csv(got: str, want: str) -> None:
+    """Exact equality of two exports, reported by line count and first
+    differing line: pytest's own diff of multi-megabyte strings can run for
+    minutes before it reports."""
+    if got == want:
+        return
+    ours, theirs = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    first = next((i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b), min(len(ours), len(theirs)))
+    where = f"first difference at line {first + 1}"
+    assert len(ours) == len(theirs), f"{len(ours)} lines against {len(theirs)}, {where}"
+    raise AssertionError(f"{where}: {ours[first]!r} against {theirs[first]!r}")
+
+
 RING_DOC = (
     '{"lattice":{"kind":"ring","t":1.5,'
     '"segments":[{"type":"A","len":29},{"type":"B","len":1}]}}'
@@ -179,8 +192,8 @@ class TestExports:
                 x.imag = mag[1]
             omega = float(rng.choice([-0.0, 1e-310, rng.uniform(-5, 5)]))
             profiles.append(response.ResponseProfile(omega, x, 0.0))
-        assert io.sweep_csv(profiles) == per_row_sweep_csv(profiles)
-        assert io.sweep_csv([]) == per_row_sweep_csv([])
+        assert_same_csv(io.sweep_csv(profiles), per_row_sweep_csv(profiles))
+        assert_same_csv(io.sweep_csv([]), per_row_sweep_csv([]))
 
     @staticmethod
     def seeded(rng, shape):
@@ -203,15 +216,15 @@ class TestExports:
             with np.errstate(invalid="ignore"):
                 vectors = x / np.maximum(np.abs(x), 1.0)
             sys = dg.EigenSystem(x[0], vectors, None, np.zeros(n), 1.0, 1e-10)
-            assert io.spectrum_csv(x[0]) == per_row_spectrum_csv(x[0])
-            assert io.profiles_csv(sys) == per_row_profiles_csv(sys)
+            assert_same_csv(io.spectrum_csv(x[0]), per_row_spectrum_csv(x[0]))
+            assert_same_csv(io.profiles_csv(sys), per_row_profiles_csv(sys))
             cm = dg.ChargeMap(parts[0, 0], parts[1, 0], 0.0, True, 0.0, 0.0)
-            assert io.charges_csv(cm) == per_row_charges_csv(cm)
+            assert_same_csv(io.charges_csv(cm), per_row_charges_csv(cm))
             h = dg.raw_hamiltonian(x)
-            assert io.hamiltonian_csv(h) == dense_hamiltonian_csv(h)
+            assert_same_csv(io.hamiltonian_csv(h), dense_hamiltonian_csv(h))
         empty = dg.EigenSystem(np.zeros(0), np.zeros((0, 0)), None, np.zeros(0), 1.0, 1e-10)
-        assert io.profiles_csv(empty) == per_row_profiles_csv(empty)
-        assert io.spectrum_csv(np.zeros(0)) == per_row_spectrum_csv(np.zeros(0))
+        assert_same_csv(io.profiles_csv(empty), per_row_profiles_csv(empty))
+        assert_same_csv(io.spectrum_csv(np.zeros(0)), per_row_spectrum_csv(np.zeros(0)))
 
     def test_modulus_above_the_float_max_is_written_as_inf(self):
         big = 1.7976931348623157e308 + 1.7976931348623157e308j
@@ -219,8 +232,8 @@ class TestExports:
         profiles = [response.ResponseProfile(0.5, x, 0.0), response.ResponseProfile(1.0, x[[0, 2]], 0.0)]
         sys = dg.EigenSystem(x, np.stack([x, x[::-1], x], axis=1), None, np.zeros(3), 1.0, 1e-10)
         with np.errstate(over="ignore"):
-            assert io.sweep_csv(profiles) == per_row_sweep_csv(profiles)
-            assert io.profiles_csv(sys) == per_row_profiles_csv(sys)
+            assert_same_csv(io.sweep_csv(profiles), per_row_sweep_csv(profiles))
+            assert_same_csv(io.profiles_csv(sys), per_row_profiles_csv(sys))
         assert io.sweep_csv(profiles).splitlines()[2] == (
             "0.5,2,inf,1.7976931348623157e+308,1.7976931348623157e+308"
         )
@@ -253,8 +266,8 @@ class TestFloatKernel:
     def check(self, block):
         first, second, joined = self.leads(len(block))
         want = per_float_rows(joined, block)
-        assert io._rows(block, joined) == want
-        assert io._rows(block, first, second) == want
+        assert_same_csv(io._rows(block, joined), want)
+        assert_same_csv(io._rows(block, first, second), want)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1))
@@ -280,15 +293,15 @@ class TestFloatKernel:
         with np.errstate(over="ignore"):
             assert np.any(np.isfinite(z) & np.isinf(np.abs(z)))  # a modulus that overflows to inf
             profiles = [response.ResponseProfile(om, z, 0.0) for om in BOUNDARY]
-            assert io.sweep_csv(profiles) == per_row_sweep_csv(profiles)
+            assert_same_csv(io.sweep_csv(profiles), per_row_sweep_csv(profiles))
             sys = dg.EigenSystem(z[:len(BOUNDARY)], z.reshape(len(BOUNDARY), -1), None,
                                  np.zeros(len(BOUNDARY)), 1.0, 1e-10)
-            assert io.profiles_csv(sys) == per_row_profiles_csv(sys)
-        assert io.spectrum_csv(z) == per_row_spectrum_csv(z)
+            assert_same_csv(io.profiles_csv(sys), per_row_profiles_csv(sys))
+        assert_same_csv(io.spectrum_csv(z), per_row_spectrum_csv(z))
         cm = dg.ChargeMap(re, im, 0.0, True, 0.0, 0.0)
-        assert io.charges_csv(cm) == per_row_charges_csv(cm)
+        assert_same_csv(io.charges_csv(cm), per_row_charges_csv(cm))
         h = dg.raw_hamiltonian(z.reshape(len(BOUNDARY), -1))
-        assert io.hamiltonian_csv(h) == dense_hamiltonian_csv(h)
+        assert_same_csv(io.hamiltonian_csv(h), dense_hamiltonian_csv(h))
 
 
 class TestRowBlocks:
@@ -317,7 +330,7 @@ class TestRowBlocks:
                 x.imag = TestExports.seeded(rng, n)
             profiles.append(response.ResponseProfile(float(rng.uniform(-5, 5)), x, 0.0))
         with np.errstate(over="ignore"):
-            assert io.sweep_csv(profiles) == per_row_sweep_csv(profiles)
+            assert_same_csv(io.sweep_csv(profiles), per_row_sweep_csv(profiles))
 
     @pytest.mark.parametrize("n", [0, 1, 3, 7, 10])
     def test_profiles(self, n):
@@ -327,9 +340,9 @@ class TestRowBlocks:
         with np.errstate(invalid="ignore"):
             vectors = x / np.maximum(np.abs(x), 1.0)
         sys = dg.EigenSystem(x[0] if n else np.zeros(0), vectors, None, np.zeros(n), 1.0, 1e-10)
-        assert io.profiles_csv(sys) == per_row_profiles_csv(sys)
+        assert_same_csv(io.profiles_csv(sys), per_row_profiles_csv(sys))
         h = dg.raw_hamiltonian(x)
-        assert io.hamiltonian_csv(h) == dense_hamiltonian_csv(h)
+        assert_same_csv(io.hamiltonian_csv(h), dense_hamiltonian_csv(h))
 
 
 def run_cli(tmp_path, *argv):
@@ -405,6 +418,22 @@ class TestCli:
         }
         assert (out / "sweep.csv").exists()
 
+    def test_drive_peak_ties_go_to_the_lowest_omega(self, tmp_path, capsys):
+        # the open chain's spectrum is symmetric under E -> -E, so its sweep
+        # peaks at a mirror pair +-omega whose heights differ by rounding only
+        spec = tmp_path / "obc.json"
+        spec.write_text(OBC_DOC)
+        assert run_cli(tmp_path, "drive", "--spec", spec, "--out", tmp_path / "o") == 0
+        rows = np.loadtxt(tmp_path / "o" / "sweep.csv", delimiter=",", skiprows=1)
+        omegas, nodes = np.unique(rows[:, 0]), int(rows[:, 1].max())
+        peaks = rows[:, 2].reshape(len(omegas), nodes).max(axis=1)
+        top = np.flatnonzero(peaks >= (1 - 1e-9) * peaks.max())
+        assert len(top) == 2 and omegas[top[0]] == pytest.approx(-omegas[top[1]], rel=1e-12)
+        selection = json.loads((tmp_path / "o" / "selection.json").read_text())
+        assert selection["omega_at_peak"] == omegas[top[0]] < 0
+        assert capsys.readouterr().out.startswith("drive: peak at omega=-0.287157,")
+        assert selection["selected_mode"] == 7
+
     @pytest.mark.parametrize("doc", [RING_DOC, PRODUCT_DOC], ids=["ring", "product"])
     def test_exports_match_per_row_formatters(self, tmp_path, doc):
         # the default 401-point grid: sweep blocks hold many frequencies
@@ -416,11 +445,11 @@ class TestCli:
         sys = spectra.closed_form(parsed.spec, parsed.t)
         sweep = response.frequency_sweep(h, response.default_drive_config(h, sys, 0), sys)
         assert len(sweep) == response.DEFAULT_OMEGA_POINTS
-        assert (tmp_path / "drive" / "sweep.csv").read_text() == per_row_sweep_csv(sweep)
+        assert_same_csv((tmp_path / "drive" / "sweep.csv").read_text(), per_row_sweep_csv(sweep))
         out = tmp_path / "spectrum"
         run_cli(tmp_path, "spectrum", "--spec", spec, "--numeric", "--analytic", "--profiles", "--out", out)
         for name, sys in (("numeric", spectra.eigendecompose(h)), ("analytic", sys)):
-            assert (out / f"profiles_{name}.csv").read_text() == per_row_profiles_csv(sys)
+            assert_same_csv((out / f"profiles_{name}.csv").read_text(), per_row_profiles_csv(sys))
 
     @pytest.mark.parametrize("options, named", [
         (["--gamma", "-1"], "gamma must be positive, got -1.0"),

@@ -411,3 +411,23 @@ def test_import_leaves_graph_and_spatial_scipy_unloaded():
         code = f"import sys, {module}; print([m for m in {lazy!r} if m in sys.modules])"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]", module
+
+
+@pytest.mark.parametrize("doc", [
+    '{"lattice":{"kind":"ring","t":1.5,"segments":[{"type":"A","len":29},{"type":"B","len":1}]}}',
+    '{"lattice":{"kind":"obc_chain","t":1.5,"n":12}}',
+], ids=["ring", "obc_chain"])
+def test_drive_loads_no_scipy_subpackage_beyond_sparse(tmp_path, doc):
+    # the gauge route takes its transforms from numpy.fft: scipy.fft or
+    # scipy.linalg would add to every drive's start-up time and memory
+    spec = tmp_path / "spec.json"
+    spec.write_text(doc)
+    env = {**os.environ, "PYTHONPATH": str(Path(dg.__file__).parents[1])}
+    code = (
+        "import sys; from decaygraph import cli\n"
+        f"assert cli.main(['drive', '--spec', {str(spec)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+        "print(*sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = out.stdout.splitlines()[-1].split()
+    assert {m for m in loaded if not m.startswith("_")} <= {"sparse", "version"}
