@@ -14,6 +14,7 @@ import functools
 import json
 import sys as _sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -259,7 +260,15 @@ def main(argv=None) -> int:
         },
     )
     try:
-        rc = COMMANDS[args.command](args, out_dir, manifest)
+        # recorded per call, not once per source line; one stderr line each
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                rc = COMMANDS[args.command](args, out_dir, manifest)
+            finally:
+                for w in caught:
+                    manifest.warnings.append({"category": w.category.__name__, "message": str(w.message)})
+                    print(f"warning: {w.category.__name__}: {w.message}", file=_sys.stderr)
     except DecayGraphError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2

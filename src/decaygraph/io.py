@@ -386,13 +386,14 @@ def selection_json(selection: ModeSelection, omega_at_peak: float) -> str:
 
 @dataclass
 class RunManifest:
-    """What a CLI invocation did: inputs, command, outputs, timing."""
+    """What a CLI invocation did: inputs, command, outputs, warnings, timing."""
 
     spec_path: str
     command: str
     overrides: dict = field(default_factory=dict)
     tool_version: str = TOOL_VERSION
     outputs: list[str] = field(default_factory=list)
+    warnings: list[dict] = field(default_factory=list)
     duration_s: float = 0.0
 
     def to_json(self) -> str:

@@ -19,18 +19,17 @@ Concretely, with ring sites numbered 0..L-1 (exports are 1-based):
 Each builder only lists its directed edges as (tail, head, axis) arrays,
 and a built ``Hamiltonian`` stores just those edges, sorted.  One method,
 ``Hamiltonian.entries``, turns edges into matrix entries, for the CSV
-export, ``Hamiltonian.sparse`` and the dense matrix, which is assembled
-only when it is first read.  So every builder produces a real matrix with
-zero diagonal whose nonzero off-diagonal entries are exactly 1.0 or
-exactly t.  A product lattice repeats each axis's edges at every
-position of the other axes.  ``edge_list`` reads the edges back from the
-dense matrix as an independent check.
+export, ``Hamiltonian.sparse``, the row sums of ``Hamiltonian.norm_inf``
+and the dense matrix, which only the dense solvers read.  So every
+builder produces a real matrix with zero diagonal whose nonzero
+off-diagonal entries are exactly 1.0 or exactly t.  A product lattice
+repeats each axis's edges at every position of the other axes.
+``edge_list`` reads the edges back from the dense matrix as an
+independent check.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Union
@@ -49,24 +48,10 @@ from .errors import (
 
 T_MIN = 1.0 / 64.0
 T_MAX = 64.0
-DEFAULT_SIZE_CAP = 4096
+SIZE_CAP = 4096
 
 CHAIN_A = "A"
 CHAIN_B = "B"
-
-
-def node_cap() -> int:
-    """Configured node cap: DECAYGRAPH_SIZE_CAP env var or the 4096 default."""
-    raw = os.environ.get("DECAYGRAPH_SIZE_CAP")
-    if raw is None:
-        return DEFAULT_SIZE_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise DimensionOverflow(f"DECAYGRAPH_SIZE_CAP is not an integer: {raw!r}") from exc
-    if cap < 2:
-        raise DimensionOverflow(f"DECAYGRAPH_SIZE_CAP must be >= 2, got {cap}")
-    return cap
 
 
 def validate_hopping_ratio(t: float) -> float:
@@ -167,16 +152,34 @@ class CirculantGraph:
     """Symmetric-connectivity directed graph on N nodes.
 
     ``a`` is the binary connectivity vector of length N-1: nodes m and
-    m+q are coupled iff a[q-1] = 1.  Validity requires a_q = a_{N-q} and
-    at least one nonzero offset; use :func:`validate_circulant`.
+    m+q are coupled iff a[q-1] = 1.  Construction checks the pure-decay
+    symmetry rule: SymmetryViolation(q) for the first offset with
+    a_q != a_{N-q}, and EmptyConnectivity when every offset is zero.
     """
 
     n_nodes: int
     a: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n_nodes", int(self.n_nodes))
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
+        n_nodes, a = int(self.n_nodes), tuple(self.a)
+        if n_nodes < 2:
+            raise EmptyConnectivity(f"need at least 2 nodes, got {n_nodes}")
+        if len(a) != n_nodes - 1:
+            raise EmptyConnectivity(
+                f"connectivity vector must have length N-1 = {n_nodes - 1}, got {len(a)}"
+            )
+        # checked before int(), which would truncate 0.5 to 0
+        for q, x in enumerate(a, 1):
+            if x not in (0, 1):
+                raise EmptyConnectivity(f"connectivity entry a[{q}] must be 0 or 1, got {x!r}")
+        a = tuple(int(x) for x in a)
+        for q in range(1, n_nodes):
+            if a[q - 1] != a[n_nodes - q - 1]:
+                raise SymmetryViolation(q)
+        if not any(a):
+            raise EmptyConnectivity("at least one connectivity offset must be 1")
+        object.__setattr__(self, "n_nodes", n_nodes)
+        object.__setattr__(self, "a", a)
 
     @property
     def length(self) -> int:
@@ -198,29 +201,7 @@ class CirculantGraph:
 
 
 def validate_circulant(n_nodes: int, a) -> CirculantGraph:
-    """Validate a connectivity vector against the pure-decay symmetry rule.
-
-    Raises SymmetryViolation(q) for the first offset with a_q != a_{N-q},
-    and EmptyConnectivity when every offset is zero.
-    """
-    n_nodes = int(n_nodes)
-    if n_nodes < 2:
-        raise EmptyConnectivity(f"need at least 2 nodes, got {n_nodes}")
-    a = tuple(a)
-    if len(a) != n_nodes - 1:
-        raise EmptyConnectivity(
-            f"connectivity vector must have length N-1 = {n_nodes - 1}, got {len(a)}"
-        )
-    # checked before int(), which would truncate 0.5 to 0
-    for q, x in enumerate(a, 1):
-        if x not in (0, 1):
-            raise EmptyConnectivity(f"connectivity entry a[{q}] must be 0 or 1, got {x!r}")
-    a = tuple(int(x) for x in a)
-    for q in range(1, n_nodes):
-        if a[q - 1] != a[n_nodes - q - 1]:
-            raise SymmetryViolation(q)
-    if not any(a):
-        raise EmptyConnectivity("at least one connectivity offset must be 1")
+    """The circulant graph of ``a``, which validates itself on construction."""
     return CirculantGraph(n_nodes, a)
 
 
@@ -290,21 +271,21 @@ class Edge(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
-    """Lattice Hamiltonian: its sorted directed edges plus node labels.
+    """Lattice Hamiltonian on ``dim`` nodes: its sorted directed edges.
 
     ``edge_array`` holds one (tail, head, axis) row per edge, sorted, and
     may be given as ``Edge`` tuples; ``ts`` holds one hopping ratio per
     axis (length 1 for 1D lattices), which ``axis`` indexes into.  A
     lattice built from its edges passes ``raw_matrix=None`` and its dense
-    ``matrix`` is assembled from the edges on first read; an explicit
-    (raw) matrix is passed in as ``raw_matrix`` and is the matrix.  Both
-    are immutable.
+    ``matrix`` is assembled from the edges on first read, by the dense
+    solvers only; an explicit (raw) matrix is passed in as ``raw_matrix``
+    and is the matrix.  Both are immutable.
     """
 
     raw_matrix: np.ndarray | None
     ts: tuple[float, ...]
     edge_array: np.ndarray
-    node_labels: tuple[tuple, ...]
+    dim: int
     kind: str
     spec: object = None
 
@@ -316,10 +297,6 @@ class Hamiltonian:
         e = np.asarray(self.edge_array, dtype=np.intp).reshape(-1, 3)
         e.setflags(write=False)
         object.__setattr__(self, "edge_array", e)
-
-    @property
-    def dim(self) -> int:
-        return len(self.node_labels)
 
     @property
     def t(self) -> float:
@@ -339,11 +316,23 @@ class Hamiltonian:
         the edges' entries scattered into zeros on first read."""
         if self.raw_matrix is not None:
             return self.raw_matrix
-        m = np.zeros((self.dim, self.dim))
-        rows, cols, values = self.entries()
-        m[rows, cols] = values
+        (m,) = self._dense_rows(self.dim)
         m.setflags(write=False)
         return m
+
+    def _dense_rows(self, step: int):
+        """The dense matrix in blocks of ``step`` rows: a raw matrix's row
+        slices, or the edges' entries of those rows scattered into zeros."""
+        if self.raw_matrix is not None:
+            for i in range(0, self.dim, step):
+                yield self.raw_matrix[i:i + step]
+            return
+        rows, cols, values = self.entries()
+        for i in range(0, self.dim, step):
+            lo, hi = np.searchsorted(rows, (i, i + step))
+            block = np.zeros((min(step, self.dim - i), self.dim))
+            block[rows[lo:hi] - i, cols[lo:hi]] = values[lo:hi]
+            yield block
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nonzero entries (rows, cols, values) in row-major order.
@@ -365,9 +354,15 @@ class Hamiltonian:
         return rows[order], cols[order], values[order]
 
     def norm_inf(self) -> float:
-        """Largest absolute row sum of ``matrix``, in row blocks of about 2**18 entries."""
-        m, step = self.matrix, _block_rows(self.dim)
-        return float(np.max([np.sum(np.abs(m[i:i + step]), axis=1).max() for i in range(0, self.dim, step)]))
+        """Largest absolute row sum of ``matrix``, summed over ``_dense_rows``
+        blocks of about 2**18 entries (a built lattice never assembles
+        ``matrix`` for it); computed once per Hamiltonian."""
+        return self._norm_inf
+
+    @cached_property
+    def _norm_inf(self) -> float:
+        blocks = self._dense_rows(_block_rows(self.dim))
+        return float(np.max([np.sum(np.abs(block), axis=1).max() for block in blocks]))
 
     def sparse(self):
         """The matrix as a scipy CSR array built from ``entries()``."""
@@ -385,9 +380,8 @@ def _block_rows(width: int) -> int:
 
 
 def _check_cap(n: int) -> None:
-    cap = node_cap()
-    if n > cap:
-        raise DimensionOverflow(f"lattice has {n} nodes, exceeding the cap of {cap}")
+    if n > SIZE_CAP:
+        raise DimensionOverflow(f"lattice has {n} nodes, exceeding the cap of {SIZE_CAP}")
 
 
 def _sorted_edges(tail, head, axis) -> np.ndarray:
@@ -398,15 +392,10 @@ def _sorted_edges(tail, head, axis) -> np.ndarray:
     return np.stack([tail, head, axis], axis=1)[np.lexsort((axis, head, tail))]
 
 
-def _assemble(n, tail, head, axis, ts, kind, spec, labels=None) -> Hamiltonian:
-    """Hamiltonian of directed edges given as index arrays, stored sorted.
-
-    No dense matrix is allocated here.  ``labels`` default to one 1-tuple
-    per node.
-    """
-    if labels is None:
-        labels = tuple((i,) for i in range(n))
-    return Hamiltonian(None, tuple(ts), _sorted_edges(tail, head, axis), labels, kind, spec)
+def _assemble(n, tail, head, axis, ts, kind, spec) -> Hamiltonian:
+    """Hamiltonian on ``n`` nodes of directed edges given as index arrays,
+    stored sorted.  No dense matrix is allocated here."""
+    return Hamiltonian(None, tuple(ts), _sorted_edges(tail, head, axis), n, kind, spec)
 
 
 def _components(n: int, pairs: np.ndarray) -> np.ndarray:
@@ -428,13 +417,7 @@ def build_ring_hamiltonian(ring: SegmentedRing, t: float) -> Hamiltonian:
     i = np.arange(length)
     j = (i + 1) % length
     is_a = np.array(ring.bond_types()) == CHAIN_A
-    labels = tuple(
-        (seg, off) for seg, (_, seg_len) in enumerate(ring.segments) for off in range(seg_len)
-    )
-    return _assemble(
-        length, np.where(is_a, j, i), np.where(is_a, i, j), 0, (t,),
-        "ring", ring, labels,
-    )
+    return _assemble(length, np.where(is_a, j, i), np.where(is_a, i, j), 0, (t,), "ring", ring)
 
 
 def build_circulant_hamiltonian(g: CirculantGraph, t: float) -> Hamiltonian:
@@ -488,10 +471,9 @@ def build_product_lattice(p: ProductLattice) -> Hamiltonian:
         tails.append(along[..., axis_edges[:, 0]].ravel())
         heads.append(along[..., axis_edges[:, 1]].ravel())
         axes.append(np.full(tails[-1].size, k))
-    labels = tuple(itertools.product(*map(range, dims)))
     return _assemble(
         p.length, np.concatenate(tails), np.concatenate(heads), np.concatenate(axes),
-        tuple(t for _, t in p.axes), "product", p, labels,
+        tuple(t for _, t in p.axes), "product", p,
     )
 
 
@@ -537,12 +519,7 @@ def transpose(h: Hamiltonian) -> Hamiltonian:
     e = h.edge_array
     raw = None if h.raw_matrix is None else h.raw_matrix.T.copy()
     return Hamiltonian(
-        raw,
-        h.ts,
-        _sorted_edges(e[:, 1], e[:, 0], e[:, 2]),
-        h.node_labels,
-        h.kind + "_transposed",
-        h.spec,
+        raw, h.ts, _sorted_edges(e[:, 1], e[:, 0], e[:, 2]), h.dim, h.kind + "_transposed", h.spec
     )
 
 
@@ -558,9 +535,8 @@ def raw_hamiltonian(matrix: np.ndarray, t: float | None = None) -> Hamiltonian:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InconsistentEntries("raw matrix must be square")
     _check_cap(m.shape[0])
-    labels = tuple((i,) for i in range(m.shape[0]))
     ts = () if t is None else (validate_hopping_ratio(t),)
-    h = Hamiltonian(m, ts, (), labels, "raw", None)
+    h = Hamiltonian(m, ts, (), m.shape[0], "raw", None)
     if t is not None:
-        h = Hamiltonian(m, ts, edge_list(h), labels, "raw", None)
+        h = Hamiltonian(m, ts, edge_list(h), m.shape[0], "raw", None)
     return h

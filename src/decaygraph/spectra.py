@@ -248,10 +248,10 @@ def closed_form(spec, t: float | None = None) -> EigenSystem:
             else:
                 q = np.arange(1, n)
                 row[1:] = np.array(spec.a) * h.t ** ((n - q) / n)
-            roots = np.exp(2j * np.pi * np.arange(n) / n)
-            phase = np.outer(np.arange(n), np.arange(n))
-            phase %= n
-            values, vectors = n * np.fft.ifft(row), roots[phase]
+            j, step, roots = np.arange(n), _block_rows(n), np.exp(2j * np.pi * np.arange(n) / n)
+            values, vectors = n * np.fft.ifft(row), np.empty((n, n), dtype=complex)
+            for i in range(0, n, step):  # gathered in row blocks: no N x N phase table
+                vectors[i:i + step] = roots[np.outer(j[i:i + step], j) % n]
         log_scale = w * np.log(h.t)
         vectors *= np.exp(log_scale - log_scale.max())[:, None]
         vectors = _normalize_columns(vectors)

@@ -537,9 +537,11 @@ class TestCli:
         omegas = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1, usecols=0)
         np.testing.assert_array_equal(np.unique(omegas), np.linspace(-3, 3, 401))
 
-    def test_size_cap_env(self, tmp_path, ring_spec, monkeypatch):
-        monkeypatch.setenv("DECAYGRAPH_SIZE_CAP", "8")
-        assert run_cli(tmp_path, "build", "--spec", ring_spec, "--out", tmp_path / "o") == 2
+    def test_size_cap_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "chain.json"
+        spec.write_text('{"lattice":{"kind":"obc_chain","t":1.5,"n":4097}}')
+        assert run_cli(tmp_path, "build", "--spec", spec, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == "error: lattice has 4097 nodes, exceeding the cap of 4096\n"
 
     def test_byte_identical_reruns(self, tmp_path, ring_spec):
         for cmd in (
@@ -701,6 +703,70 @@ class TestProductAtCapReadsEdges:
         assert rc == 0
         assert all(n <= 16 for n in assembled)  # axis matrices only
         assert peak < 4096 * 4096 * 8 / 4
+
+
+class TestOnlyDenseSolversAssemble:
+    """A built lattice's dense matrix is read by the dense solvers only:
+    every structured command runs unchanged with it raising."""
+
+    DOCS = {"ring": RING_DOC, "circulant": CIRC_DOC, "product": PRODUCT_DOC}
+    CASES = [(["decay"], "ring"), (["decay"], "circulant")] + [  # decay refuses products
+        (cmd, doc) for cmd in (["charges"], ["drive"], ["spectrum", "--analytic"])
+        for doc in ("ring", "circulant", "product")
+    ]
+
+    @pytest.mark.parametrize("command, doc", CASES, ids=[f"{c[0]}-{d}" for c, d in CASES])
+    def test_runs_without_the_dense_matrix(self, tmp_path, monkeypatch, command, doc):
+        spec = tmp_path / "spec.json"
+        spec.write_text(self.DOCS[doc])
+        argv = [command[0], "--spec", spec, *command[1:], "--out"]
+        assert run_cli(tmp_path, *argv, tmp_path / "dense") == 0
+        lazy = lattice.Hamiltonian.__dict__["matrix"]
+
+        def guarded(h):
+            if h.raw_matrix is None:
+                raise AssertionError(f"dense matrix of a built {h.kind} lattice assembled")
+            return lazy.__get__(h, type(h))
+
+        monkeypatch.setattr(lattice.Hamiltonian, "matrix", property(guarded))
+        assert run_cli(tmp_path, *argv, tmp_path / "edges") == 0
+        names = sorted(p.name for p in (tmp_path / "dense").iterdir() if p.name != "manifest.json")
+        assert names == sorted(p.name for p in (tmp_path / "edges").iterdir() if p.name != "manifest.json")
+        for name in names:
+            assert (tmp_path / "edges" / name).read_bytes() == (tmp_path / "dense" / name).read_bytes()
+
+
+class TestWarnings:
+    """The CLI reports each command's warnings itself: one line per warning
+    on stderr, also listed in the manifest."""
+
+    DEGENERATE = json.dumps({"lattice": {"kind": "product", "axes": [
+        {"kind": "ring", "t": 1.5, "segments": [{"type": "A", "len": 3}, {"type": "B", "len": 3}]},
+    ] * 2}})
+    LINE = ("warning: DegenerateAmbiguity: product eigenvalues collide within tolerance; "
+            "subspace vectors are non-unique\n")
+
+    def test_every_drive_in_one_process_reports(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(self.DEGENERATE)
+        for run in ("first", "second"):
+            assert run_cli(tmp_path, "drive", "--spec", spec, "--out", tmp_path / run) == 0
+            assert capsys.readouterr().err == self.LINE
+            manifest = json.loads((tmp_path / run / "manifest.json").read_text())
+            assert manifest["warnings"] == [{
+                "category": "DegenerateAmbiguity",
+                "message": "product eigenvalues collide within tolerance; subspace vectors are non-unique",
+            }]
+
+    def test_warnings_precede_the_error_line(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(self.DEGENERATE)
+        # E = 0 is a pole: 2 sqrt(t) (cos(pi / 3) + cos(2 pi / 3))
+        grid = ["--omega-min", -1, "--omega-max", 1, "--omega-steps", 3]
+        assert run_cli(tmp_path, "drive", "--spec", spec, "--gamma", 1e-13, *grid, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(self.LINE) and err.count("\n") == 2
+        assert err.splitlines()[1].startswith("error: sweep failed at omega=0.0: ")
 
 
 class TestDriveRoute:

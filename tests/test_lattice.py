@@ -5,7 +5,7 @@ import pytest
 
 import decaygraph as dg
 from decaygraph import io
-from decaygraph.lattice import _assemble, node_cap
+from decaygraph.lattice import _assemble
 
 from oracle_helpers import (
     dense_hamiltonian_csv,
@@ -57,6 +57,14 @@ class TestValidateCirculant:
     def test_wrong_length(self):
         with pytest.raises(dg.EmptyConnectivity):
             dg.validate_circulant(5, [1, 1, 1])
+
+    def test_constructor_validates(self):
+        # unchecked, this graph reached closed_form and failed its certificate
+        with pytest.raises(dg.SymmetryViolation) as err:
+            dg.CirculantGraph(5, (1, 0, 0, 0))
+        assert err.value.offset == 1
+        with pytest.raises(dg.EmptyConnectivity):
+            dg.CirculantGraph(4, (0, 0, 0))
 
     def test_every_symmetric_vector_validates(self):
         for n in range(2, 9):
@@ -193,13 +201,6 @@ class TestBuildProduct:
         h = dg.build_product_lattice(p)
         assert h.dim == 240
 
-    def test_row_major_node_labels(self):
-        c2 = dg.validate_circulant(2, [1])
-        c3 = dg.validate_circulant(3, [1, 1])
-        p = dg.ProductLattice(((c2, 2.0), (c3, 1.5)))
-        h = dg.build_product_lattice(p)
-        assert h.node_labels == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
-
     def test_edges_carry_axis_tags(self):
         c2 = dg.validate_circulant(2, [1])
         p = dg.ProductLattice(((c2, 2.0), (c2, 3.0)))
@@ -226,7 +227,6 @@ class TestBuildProduct:
         want = kron_sum_matrix([dg.build(spec, t).matrix for spec, t in axes])
         assert np.array_equal(h.matrix, want)
         assert dg.edge_list(h) == h.edges
-        assert h.node_labels == tuple(np.ndindex(*(spec.length for spec, _ in axes)))
 
     def test_needs_two_axes(self):
         c2 = dg.validate_circulant(2, [1])
@@ -284,7 +284,7 @@ class TestEdgeList:
             ts = [(2.0,), (0.5,), (2.0, 0.25), (3.0, 3.0)][rng.integers(4)]
             dtype = complex if rng.random() < 0.3 else float
             m = self.random_raw(rng, n, ts, dtype)
-            h = dg.Hamiltonian(m, ts, (), tuple((i,) for i in range(n)), "raw")
+            h = dg.Hamiltonian(m, ts, (), n, "raw")
             try:
                 want = loop_edge_list(m, ts)
             except dg.InconsistentEntries as exc:
@@ -507,13 +507,11 @@ class TestEdgesFirst:
 
 
 class TestSizeCap:
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("DECAYGRAPH_SIZE_CAP", "10")
-        assert node_cap() == 10
-        with pytest.raises(dg.DimensionOverflow):
-            dg.build(dg.ObcChain(11), 1.5)
-        monkeypatch.delenv("DECAYGRAPH_SIZE_CAP")
-        assert node_cap() == 4096
+    def test_cap_is_4096_nodes(self):
+        # the cap is checked before any edge array is built
+        with pytest.raises(dg.DimensionOverflow, match="4097 nodes, exceeding the cap of 4096"):
+            dg.build(dg.ObcChain(4097), 1.5)
+        assert dg.build(dg.ObcChain(4096), 1.5).dim == 4096
 
     def test_default_cap_allows_240(self):
         p = dg.ProductLattice(
