@@ -73,7 +73,7 @@ def cmd_spectrum(args, out_dir: Path, manifest: RunManifest) -> int:
         if args.profiles:
             _write(out_dir, "profiles_numeric.csv", io.profiles_csv(numeric), manifest)
     if args.analytic:
-        analytic = spectra.closed_form(doc.spec, doc.t)
+        analytic = spectra.closed_form(doc.spec, doc.t, h)
         _write(out_dir, "spectrum_analytic.csv", io.spectrum_csv(analytic.values), manifest)
         if args.profiles:
             _write(out_dir, "profiles_analytic.csv", io.profiles_csv(analytic), manifest)
@@ -135,7 +135,7 @@ def cmd_drive(args, out_dir: Path, manifest: RunManifest) -> int:
     if isinstance(doc.spec, RawMatrix):
         sys = spectra.eigendecompose(h)
     else:
-        sys = spectra.closed_form(doc.spec, doc.t)
+        sys = spectra.closed_form(doc.spec, doc.t, h)
     cfg = response.default_drive_config(h, sys, source - 1)
     overrides = {"amplitude": args.amplitude}
     if args.gamma is not None:
@@ -271,7 +271,7 @@ def main(argv=None) -> int:
                     print(f"warning: {w.category.__name__}: {w.message}", file=_sys.stderr)
     except DecayGraphError as exc:
         print(f"error: {exc}", file=_sys.stderr)
-        return 2
+        manifest.error, rc = {"class": type(exc).__name__, "message": str(exc)}, 2
     _finish(out_dir, manifest, started)
     return rc
 

@@ -419,6 +419,23 @@ class SynthesizedChargeGraph:
         return self.n_nodes
 
 
+def _bfs_parents(adj: np.ndarray, start: int) -> np.ndarray:
+    """Breadth-first predecessors from ``start`` over the boolean adjacency
+    ``adj`` (-1 where unreached), those of a queue visiting successors in
+    index order: per level, a node's parent is the first in queue order that
+    reaches it, and a level is queued by (parent's position, node index)."""
+    parent = np.full(len(adj), -1)
+    seen = np.zeros(len(adj), dtype=bool)
+    seen[start], level = True, np.array([start])
+    while level.size:
+        reach = adj[level] & ~seen
+        first = np.argmax(reach, axis=0)  # the queue position of each node's parent
+        nodes = np.flatnonzero(reach.any(axis=0))
+        parent[nodes], seen[nodes] = level[first[nodes]], True
+        level = nodes[np.argsort(first[nodes], kind="stable")]
+    return parent
+
+
 def synthesize_charge_graph(target, t: float = 1.5) -> SynthesizedChargeGraph:
     """Find a simple digraph whose combinatorial charges equal ``target``.
 
@@ -436,10 +453,6 @@ def synthesize_charge_graph(target, t: float = 1.5) -> SynthesizedChargeGraph:
     if np.any(np.abs(d - np.round(d)) > 1e-12):
         raise DecayGraphError("target charges must be half-integers")
     d = np.round(d).astype(int)
-    # imported here: loading scipy.sparse at package import costs ~50 ms
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import breadth_first_order
-
     free = ~np.eye(n, dtype=bool)  # node pairs joined by no edge yet, either way
     edges: list[Edge] = []
 
@@ -456,7 +469,7 @@ def synthesize_charge_graph(target, t: float = 1.5) -> SynthesizedChargeGraph:
         x = int(np.argmax(remaining))
         y = int(np.argmin(remaining))
         # one unit x -> y along a shortest path of free pairs
-        _, parent = breadth_first_order(csr_array(free), x, return_predecessors=True)
+        parent = _bfs_parents(free, x)
         if parent[y] < 0:
             raise DecayGraphError(
                 "ran out of node pairs while realizing the charges (target too steep "

@@ -25,6 +25,7 @@ from .lattice import (
     ObcChain,
     ProductLattice,
     SegmentedRing,
+    _block_rows,
     build,
     build_product_lattice,
     validate_circulant,
@@ -52,6 +53,7 @@ CHARGES_FIG3C = np.array([2.0, 1.0, 0.0, 0.0, 0.0, -1.0, -2.0])
 CHARGES_FIG3D = np.array([2.5, 1.5, 0.5, 0.0, 0.0, -0.5, -1.5, -2.5])
 
 ISOLATION_EXCESS = 1e-4  # loss offset above max Im(E) for single-mode log-linearity
+MATCH_MARGIN = 1e-9  # relative to the max cost: far above the assignment solver's rounding
 
 
 @dataclass
@@ -69,11 +71,26 @@ class CheckResult:
 
 
 def match_deviation(a: np.ndarray, b: np.ndarray) -> float:
-    """Max eigenvalue deviation after optimal (assignment) pairing."""
-    # imported here: loading scipy.optimize at package import costs ~0.5 s
-    from scipy.optimize import linear_sum_assignment
+    """Max eigenvalue deviation after optimal (assignment) pairing.
 
-    cost = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
+    Pairing each ``a`` with its nearest ``b`` (costs in row blocks) is the
+    unique optimum, the one linear_sum_assignment returns, when it is
+    one-to-one and every nearest beats the second-nearest by MATCH_MARGIN *
+    max cost; otherwise (ties, a degenerate spectrum) that solver pairs."""
+    a, b = np.asarray(a), np.asarray(b)
+    near, best, gap, top = np.empty(len(a), dtype=np.intp), np.empty(len(a)), np.empty(len(a)), 0.0
+    step = _block_rows(max(len(b), 1))
+    for i in range(0, len(a), step):
+        cost = np.abs(a[i:i + step, None] - b[None, :])
+        rows, j = np.arange(len(cost)), np.argmin(cost, axis=1)
+        near[i:i + step], best[i:i + step], top = j, cost[rows, j], max(top, cost.max())
+        cost[rows, j] = np.inf
+        gap[i:i + step] = cost.min(axis=1) - best[i:i + step]  # NaN for a non-finite row
+    if len(np.unique(near)) == len(a) and np.all(gap > MATCH_MARGIN * top):
+        return float(best.max())
+    from scipy.optimize import linear_sum_assignment  # also loads scipy.linalg and scipy.spatial
+
+    cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
 

@@ -386,7 +386,7 @@ def selection_json(selection: ModeSelection, omega_at_peak: float) -> str:
 
 @dataclass
 class RunManifest:
-    """What a CLI invocation did: inputs, command, outputs, warnings, timing."""
+    """What a CLI invocation did: inputs, command, outputs, warnings, timing, error."""
 
     spec_path: str
     command: str
@@ -395,6 +395,7 @@ class RunManifest:
     outputs: list[str] = field(default_factory=list)
     warnings: list[dict] = field(default_factory=list)
     duration_s: float = 0.0
+    error: dict | None = None  # class and message of the failure behind an exit 2
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"

@@ -400,13 +400,16 @@ def _assemble(n, tail, head, axis, ts, kind, spec) -> Hamiltonian:
 
 def _components(n: int, pairs: np.ndarray) -> np.ndarray:
     """Connected-component label of each of ``n`` nodes joined (in either
-    direction) by the rows of the (E, 2) integer index array ``pairs``."""
-    # imported here: loading scipy.sparse at package import costs ~50 ms
-    from scipy.sparse import coo_array
-    from scipy.sparse.csgraph import connected_components
-
-    graph = coo_array((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    return connected_components(graph, directed=False)[1]
+    direction) by the rows of the (E, 2) integer index array ``pairs``,
+    numbered by smallest node.  Each pair hooks the larger of its ends'
+    roots under the smaller and every node jumps to its root, until every
+    pair shares one root: its component's smallest node."""
+    label = np.arange(n)
+    while not np.array_equal(ra := label[pairs[:, 0]], rb := label[pairs[:, 1]]):
+        np.minimum.at(label, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(label, jumped := label[label]):
+            label = jumped
+    return np.unique(label, return_inverse=True)[1]
 
 
 def build_ring_hamiltonian(ring: SegmentedRing, t: float) -> Hamiltonian:

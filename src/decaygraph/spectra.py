@@ -64,17 +64,20 @@ class EigenSystem:
 
     def degenerate_groups(self) -> list[list[int]]:
         """Mode indices grouped by eigenvalue collision within
-        DEGENERACY_FACTOR * ||H||_inf (transitive closure over all pairs)."""
-        # imported here: loading scipy.spatial at package import costs ~0.13 s
-        from scipy.spatial import cKDTree
-
+        DEGENERACY_FACTOR * ||H||_inf (transitive closure over all pairs).
+        Candidates are the modes within 2 * tol in real part, paired off the
+        sorted real parts in blocks; the exact |dE| < tol test decides."""
         tol = DEGENERACY_FACTOR * self.h_norm
-        v = self.values
-        # the 2 * tol radius only screens; the exact |dE| < tol test decides
-        xy = np.column_stack([v.real, v.imag])
-        pairs = cKDTree(xy).query_pairs(2 * tol, output_type="ndarray")
-        pairs = pairs[np.abs(v[pairs[:, 0]] - v[pairs[:, 1]]) < tol]
-        labels = _components(self.dim, pairs)
+        v, order = self.values, np.argsort(self.values.real, kind="stable")
+        re = v.real[order]
+        ahead = np.searchsorted(re, re + 2 * tol, side="right") - np.arange(len(re)) - 1
+        width = max(int(ahead.max(initial=0)), 1)  # the most candidates ahead of one mode
+        pairs, step = [np.empty((0, 2), dtype=np.intp)], _block_rows(width)
+        for p in range(0, len(re), step):
+            rows, k = np.nonzero(np.arange(width) < ahead[p:p + step, None])
+            i, j = order[p + rows], order[p + rows + k + 1]
+            pairs.append(np.column_stack([i, j])[np.abs(v[i] - v[j]) < tol])
+        labels = _components(self.dim, np.concatenate(pairs))
         order = np.argsort(labels, kind="stable")
         groups = np.split(order, np.cumsum(np.bincount(labels))[:-1])
         return sorted(g.tolist() for g in groups)
@@ -215,7 +218,7 @@ def ring_mode_values(n_a: int, n_b: int, t: float) -> np.ndarray:
     return t / alpha + alpha
 
 
-def closed_form(spec, t: float | None = None) -> EigenSystem:
+def closed_form(spec, t: float | None = None, h: Hamiltonian | None = None) -> EigenSystem:
     """Certified eigensystem of a structured lattice via its gauge transform.
 
     For each ring, circulant graph and open chain, D**-1 H D is normal,
@@ -228,13 +231,14 @@ def closed_form(spec, t: float | None = None) -> EigenSystem:
     (which the decay checks report as UnderflowSites).  Every pair is
     certified through the built lattice's edges.  Products combine their
     axes through kron_sum_spectrum.  The open chain's per-site exponent
-    w[1] - w[0] is recorded in meta["rho_exponent"].
+    w[1] - w[0] is recorded in meta["rho_exponent"].  A given ``h`` is the
+    lattice already built from ``spec`` and is certified instead of a rebuild.
     """
     if isinstance(spec, ProductLattice):
         axes = [closed_form(s, at) for s, at in spec.axes]
-        sys = kron_sum_spectrum(axes, build_product_lattice(spec))
+        sys = kron_sum_spectrum(axes, build_product_lattice(spec) if h is None else h)
     else:
-        h = build_axis(spec, t)
+        h = build_axis(spec, t) if h is None else h
         n, w, meta = spec.length, spec.potential(), {}
         if isinstance(spec, ObcChain):
             theta = np.pi * np.arange(1, n + 1) / (n + 1)

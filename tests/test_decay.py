@@ -471,6 +471,34 @@ class TestChargesFromFit:
         np.testing.assert_allclose(q_fit, q_raw, atol=1e-9)
 
 
+class TestBfsParents:
+    """The level-synchronous breadth-first search reproduces scipy's
+    breadth_first_order predecessors."""
+
+    @staticmethod
+    def reference(adj, start):
+        from scipy.sparse import csr_array
+        from scipy.sparse.csgraph import breadth_first_order
+
+        parent = breadth_first_order(csr_array(adj), start, return_predecessors=True)[1]
+        return np.where(parent < 0, -1, parent)
+
+    def test_random_dense_graphs(self):
+        rng = np.random.default_rng(29)
+        for _ in range(400):
+            n = int(rng.integers(1, 40))
+            adj = rng.random((n, n)) < rng.uniform(0.0, 0.5)
+            if rng.integers(0, 2):
+                adj |= adj.T  # the symmetric free-pair matrices the synthesis searches
+            start = int(rng.integers(0, n))
+            assert np.array_equal(decay._bfs_parents(adj, start), self.reference(adj, start))
+
+    def test_isolated_start(self):
+        adj = np.ones((4, 4), dtype=bool)
+        adj[2], adj[:, 2] = False, False
+        assert decay._bfs_parents(adj, 2).tolist() == [-1, -1, -1, -1]
+
+
 class TestSynthesizeChargeGraph:
     def test_fig3c_target(self):
         g = dg.synthesize_charge_graph(FIG3C, T)

@@ -633,7 +633,7 @@ class TestClosedFormRoute:
                 "error: no analytic spectrum for a raw matrix "
                 "(rings, circulants, open chains, products)\n"
             )
-            assert list(out.iterdir()) == []
+            assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
 class TestChargesSolveOnce:
@@ -768,6 +768,17 @@ class TestWarnings:
         assert err.startswith(self.LINE) and err.count("\n") == 2
         assert err.splitlines()[1].startswith("error: sweep failed at omega=0.0: ")
 
+    def test_exit_2_writes_the_manifest(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(self.DEGENERATE)
+        grid = ["--omega-min", -1, "--omega-max", 1, "--omega-steps", 3]
+        assert run_cli(tmp_path, "drive", "--spec", spec, "--gamma", 1e-13, *grid, "--out", tmp_path / "o") == 2
+        error = capsys.readouterr().err.splitlines()[1].removeprefix("error: ")
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert [w["category"] for w in manifest["warnings"]] == ["DegenerateAmbiguity"]
+        assert manifest["error"] == {"class": "SingularSystem", "message": error}
+        assert manifest["outputs"] == []
+
 
 class TestDriveRoute:
     """`drive` sweeps a structured lattice through the closed form's gauge and a
@@ -794,6 +805,18 @@ class TestDriveRoute:
         assert self.run_drive(tmp_path, doc) == 0
         cfg = dg.default_drive_config(h, dg.eigendecompose(h))
         assert self.sweep_residual(tmp_path, n_a, n_b, t, cfg) <= 1e-10
+
+    @pytest.mark.parametrize("command", [["drive"], ["spectrum", "--analytic"]])
+    def test_builds_the_lattice_once(self, tmp_path, monkeypatch, command):
+        from decaygraph import lattice
+
+        calls = []
+        assemble = lattice._assemble
+        monkeypatch.setattr(lattice, "_assemble", lambda *args: calls.append(args[0]) or assemble(*args))
+        spec = tmp_path / "spec.json"
+        spec.write_text(ring_doc([("A", 200), ("B", 100)], 1.1))
+        assert run_cli(tmp_path, *command, "--spec", spec, "--out", tmp_path / "out") == 0
+        assert calls == [300]
 
     @staticmethod
     def sweep_residual(tmp_path, n_a, n_b, t, cfg):

@@ -5,7 +5,7 @@ import pytest
 
 import decaygraph as dg
 from decaygraph import io
-from decaygraph.lattice import _assemble
+from decaygraph.lattice import _assemble, _components
 
 from oracle_helpers import (
     dense_hamiltonian_csv,
@@ -519,3 +519,42 @@ class TestSizeCap:
              (dg.SegmentedRing((("A", 5), ("B", 3))), 2.0))
         )
         assert dg.build_product_lattice(p).dim == 240
+
+
+class TestComponents:
+    """`_components` labels nodes as scipy's connected_components does:
+    components numbered by their smallest node."""
+
+    @staticmethod
+    def reference(n, pairs):
+        from scipy.sparse import coo_array
+        from scipy.sparse.csgraph import connected_components
+
+        graph = coo_array((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+        return connected_components(graph, directed=False)[1]
+
+    @pytest.mark.parametrize("n, pairs", [
+        (1, []),
+        (1, [[0, 0]]),
+        (5, []),
+        (5, [[3, 3], [1, 1]]),
+        (6, [[4, 2], [2, 4], [4, 2], [5, 5]]),
+        (7, [[6, 5], [5, 4], [4, 3], [3, 2], [2, 1], [1, 0]]),
+    ], ids=["single", "single-self", "no-pairs", "self-pairs", "duplicates", "reversed-path"])
+    def test_edge_cases(self, n, pairs):
+        pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        assert np.array_equal(_components(n, pairs), self.reference(n, pairs))
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            pairs = rng.integers(0, n, (int(rng.integers(0, 2 * n)), 2))
+            assert np.array_equal(_components(n, pairs), self.reference(n, pairs))
+
+    def test_long_paths_in_shuffled_order(self):
+        rng = np.random.default_rng(23)
+        nodes = rng.permutation(3000)
+        pairs = np.stack([nodes[:-1], nodes[1:]], axis=1)[rng.permutation(2999)]
+        pairs = np.concatenate([pairs[:1500], pairs[1501:]])  # two paths
+        assert np.array_equal(_components(3000, pairs), self.reference(3000, pairs))

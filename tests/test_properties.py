@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import decaygraph as dg
+from decaygraph import figures
 
+import oracle_helpers
 from oracle_helpers import match_deviation, symmetric_binary_vectors
 
 
@@ -162,3 +166,61 @@ class TestProductInvariants:
             ey = dg.eigendecompose(dg.build(g, ty)).values
             sums = (ex[:, None] + ey[None, :]).ravel()
             assert match_deviation(dg.eigendecompose(h).values, sums) <= 1e-8
+
+
+@st.composite
+def value_pairs(draw):
+    """Two equal-length value sets on a small integer grid (exact duplicates
+    and ties), the second a permutation of the first moved by noise scaled
+    from zero through the pairing margin to far above it."""
+    n = draw(st.integers(1, 9))
+    grid = st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))
+    a = np.array(draw(st.lists(grid, min_size=n, max_size=n)))
+    noise = st.builds(complex, st.floats(-1, 1), st.floats(-1, 1))
+    scale = draw(st.sampled_from([0.0, 1e-12, 2e-9, 4e-9, 8e-9, 1e-3, 0.4]))
+    b = a[draw(st.permutations(range(n)))] + scale * np.array(draw(st.lists(noise, min_size=n, max_size=n)))
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+class TestMatchDeviation:
+    """`figures.match_deviation` gives the bits of the assignment-solver
+    reference, whether it pairs by nearest partner or falls back."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(value_pairs())
+    def test_matches_assignment_reference(self, pair):
+        a, b = pair
+        assert figures.match_deviation(a, b) == oracle_helpers.match_deviation(a, b)
+
+    @staticmethod
+    def solver_calls(monkeypatch):
+        import scipy.optimize
+
+        calls = []
+        solver = scipy.optimize.linear_sum_assignment
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", lambda c: calls.append(c) or solver(c))
+        return calls
+
+    @pytest.mark.parametrize("excess, falls_back", [(1 - 1e-3, True), (1 + 1e-3, False)])
+    def test_near_tie_either_side_of_the_margin(self, monkeypatch, excess, falls_back):
+        # a[0]'s two partners differ by `excess` margins; the max cost is 4
+        gap = excess * figures.MATCH_MARGIN * 4.0
+        a, b = np.array([0.0, -3.0]), np.array([1.0, -(1.0 + gap)])
+        calls = self.solver_calls(monkeypatch)
+        assert figures.match_deviation(a, b) == oracle_helpers.match_deviation(a, b)
+        assert bool(calls) == falls_back
+
+    def test_balanced_ring_falls_back(self, monkeypatch):
+        # k and -k share 2 sqrt(t) cos(k): every nearest partner is tied
+        ring = dg.SegmentedRing((("A", 6), ("B", 6)))
+        numeric, exact = dg.eigendecompose(dg.build(ring, 1.5)).values, dg.closed_form(ring, 1.5).values
+        calls = self.solver_calls(monkeypatch)
+        assert figures.match_deviation(numeric, exact) == oracle_helpers.match_deviation(numeric, exact)
+        assert len(calls) == 1
+
+    def test_distinct_spectrum_pairs_by_nearest_partner(self, monkeypatch):
+        ring = dg.SegmentedRing((("A", 29), ("B", 1)))
+        numeric, exact = dg.eigendecompose(dg.build(ring, 1.5)).values, dg.closed_form(ring, 1.5).values
+        calls = self.solver_calls(monkeypatch)
+        assert figures.match_deviation(numeric, exact) == oracle_helpers.match_deviation(numeric, exact)
+        assert not calls

@@ -344,8 +344,9 @@ class TestDegenerateSubspaces:
 
 
 def spectrum_system(values, h_norm):
+    # no vectors: the grouping reads only the values and the norm
     n = len(values)
-    return spectra.EigenSystem(np.asarray(values, dtype=complex), np.eye(n), None, np.zeros(n), h_norm, 0.0)
+    return spectra.EigenSystem(np.asarray(values, dtype=complex), np.empty((n, 0)), None, np.zeros(n), h_norm, 0.0)
 
 
 def planted_spectrum(rng):
@@ -403,6 +404,29 @@ class TestDegenerateGroups:
         assert any(len(g) > 2 for g in groups)
         assert groups == union_find_groups(sys.values, spectra.DEGENERACY_FACTOR * sys.h_norm)
 
+    def test_matches_union_find_where_real_parts_coincide(self):
+        # conjugate pairs, duplicates and one vertical line of 800 values:
+        # more candidate pairs than one chunk holds
+        rng = np.random.default_rng(31)
+        h_norm = 3.0
+        tol = spectra.DEGENERACY_FACTOR * h_norm
+        cloud = rng.uniform(-4, 4, 60) + 1j * rng.uniform(0.1, 4, 60)
+        line = 0.5 + 1j * np.concatenate([rng.uniform(-4, 4, 700), np.arange(100) * 0.9 * tol])
+        values = np.concatenate([cloud, np.conj(cloud), cloud[:10], line])
+        values = values[rng.permutation(len(values))]
+        groups = spectrum_system(values, h_norm).degenerate_groups()
+        assert groups == union_find_groups(values, tol)
+        assert sorted(map(len, groups))[-1] == 100
+
+    def test_matches_union_find_on_degenerate_64x64_product(self):
+        ring = dg.SegmentedRing((("A", 32), ("B", 32)))
+        axis = dg.closed_form(ring, 1.5).values
+        values = (axis[:, None] + axis[None, :]).ravel()
+        h_norm = dg.build(dg.ProductLattice(((ring, 1.5), (ring, 1.5)))).norm_inf()
+        groups = spectrum_system(values, h_norm).degenerate_groups()
+        assert sum(len(g) > 1 for g in groups) > 100
+        assert groups == union_find_groups(values, spectra.DEGENERACY_FACTOR * h_norm)
+
 
 def test_import_leaves_graph_and_spatial_scipy_unloaded():
     lazy = ("scipy.sparse.csgraph", "scipy.spatial", "scipy.linalg", "scipy.optimize", "orjson")
@@ -413,11 +437,27 @@ def test_import_leaves_graph_and_spatial_scipy_unloaded():
         assert out.stdout.strip() == "[]", module
 
 
-@pytest.mark.parametrize("doc", [
-    '{"lattice":{"kind":"ring","t":1.5,"segments":[{"type":"A","len":29},{"type":"B","len":1}]}}',
-    '{"lattice":{"kind":"obc_chain","t":1.5,"n":12}}',
-], ids=["ring", "obc_chain"])
-def test_drive_loads_no_scipy_subpackage_beyond_sparse(tmp_path, doc):
+RING = '{"lattice":{"kind":"ring","t":1.5,"segments":[{"type":"A","len":29},{"type":"B","len":1}]}}'
+CIRCULANT = '{"lattice":{"kind":"circulant","t":1.5,"n":6,"a":[1,0,1,0,1]}}'
+PRODUCT = (
+    '{"lattice":{"kind":"product","axes":['
+    '{"kind":"ring","t":1.5,"segments":[{"type":"A","len":10},{"type":"B","len":20}]},'
+    '{"kind":"ring","t":2.0,"segments":[{"type":"A","len":5},{"type":"B","len":3}]}]}}'
+)
+
+
+@pytest.mark.parametrize("command, doc", [
+    (["drive"], RING),
+    (["drive"], '{"lattice":{"kind":"obc_chain","t":1.5,"n":12}}'),
+    (["spectrum", "--numeric", "--analytic"], RING),
+    (["spectrum", "--numeric", "--analytic"], CIRCULANT),
+    (["drive"], PRODUCT),
+    (["spectrum", "--numeric"], PRODUCT),
+    (["decay"], RING),
+    (["charges"], PRODUCT),
+], ids=["ring", "obc_chain", "spectrum-ring", "spectrum-circulant", "drive-product",
+        "spectrum-product", "decay-ring", "charges-product"])
+def test_drive_loads_no_scipy_subpackage_beyond_sparse(tmp_path, command, doc):
     # the gauge route takes its transforms from numpy.fft: scipy.fft or
     # scipy.linalg would add to every drive's start-up time and memory
     spec = tmp_path / "spec.json"
@@ -425,9 +465,22 @@ def test_drive_loads_no_scipy_subpackage_beyond_sparse(tmp_path, doc):
     env = {**os.environ, "PYTHONPATH": str(Path(dg.__file__).parents[1])}
     code = (
         "import sys; from decaygraph import cli\n"
-        f"assert cli.main(['drive', '--spec', {str(spec)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+        f"assert cli.main({command!r} + ['--spec', {str(spec)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
         "print(*sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     loaded = out.stdout.splitlines()[-1].split()
     assert {m for m in loaded if not m.startswith("_")} <= {"sparse", "version"}
+
+
+def test_reproduce_all_loads_no_scipy_subpackage_beyond_sparse_and_linalg(tmp_path):
+    # fig4's dense steady states take the Schur form from scipy.linalg
+    env = {**os.environ, "PYTHONPATH": str(Path(dg.__file__).parents[1])}
+    code = (
+        "import sys; from decaygraph import cli\n"
+        f"assert cli.main(['reproduce', 'all', '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+        "print(*sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = out.stdout.splitlines()[-1].split()
+    assert {m for m in loaded if not m.startswith("_")} <= {"sparse", "linalg", "version"}
