@@ -18,9 +18,10 @@ Concretely, with ring sites numbered 0..L-1 (exports are 1-based):
 
 Each builder only lists its directed edges as (tail, head, axis) arrays,
 and a built ``Hamiltonian`` stores just those edges, sorted.  One method,
-``Hamiltonian.entries``, turns edges into matrix entries, for the CSV
-export, ``Hamiltonian.sparse``, the row sums of ``Hamiltonian.norm_inf``
-and the dense matrix, which only the dense solvers read.  So every
+``Hamiltonian.entries``, turns edges into matrix entries (once per
+Hamiltonian), for the CSV export, the product H x of ``Hamiltonian.dot``,
+the row sums of ``Hamiltonian.norm_inf`` and the dense matrix, which only
+the dense solvers read.  So every
 builder produces a real matrix with zero diagonal whose nonzero
 off-diagonal entries are exactly 1.0 or exactly t.  A product lattice
 repeats each axis's edges at every position of the other axes.
@@ -30,6 +31,7 @@ independent check.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Union
@@ -335,23 +337,32 @@ class Hamiltonian:
             yield block
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nonzero entries (rows, cols, values) in row-major order.
+        """Nonzero entries (rows, cols, values) in row-major order, as
+        read-only arrays formed once per Hamiltonian.
 
         A raw matrix gives ``np.nonzero`` of itself, its values as float64
         or complex128.  A built lattice gives its edges' entries, the one
         place edges become entries: H[tail, head] = ts[axis] and
         H[head, tail] = 1 for every edge.
         """
+        return self._entries
+
+    @cached_property
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self.raw_matrix is not None:
             m = self.raw_matrix
             rows, cols = np.nonzero(m)
-            return rows, cols, m[rows, cols].astype(np.result_type(m.dtype, float), copy=False)
-        tail, head, axis = self.edge_array.T
-        rows = np.concatenate([tail, head])
-        cols = np.concatenate([head, tail])
-        values = np.concatenate([np.asarray(self.ts, dtype=float)[axis], np.ones(len(tail))])
-        order = np.lexsort((cols, rows))
-        return rows[order], cols[order], values[order]
+            found = rows, cols, m[rows, cols].astype(np.result_type(m.dtype, float), copy=False)
+        else:
+            tail, head, axis = self.edge_array.T
+            rows = np.concatenate([tail, head])
+            cols = np.concatenate([head, tail])
+            values = np.concatenate([np.asarray(self.ts, dtype=float)[axis], np.ones(len(tail))])
+            order = np.lexsort((cols, rows))
+            found = rows[order], cols[order], values[order]
+        for a in found:
+            a.setflags(write=False)
+        return found
 
     def norm_inf(self) -> float:
         """Largest absolute row sum of ``matrix``, summed over ``_dense_rows``
@@ -364,13 +375,110 @@ class Hamiltonian:
         blocks = self._dense_rows(_block_rows(self.dim))
         return float(np.max([np.sum(np.abs(block), axis=1).max() for block in blocks]))
 
-    def sparse(self):
-        """The matrix as a scipy CSR array built from ``entries()``."""
-        # imported here: loading scipy.sparse at package import costs ~50 ms
-        from scipy.sparse import csr_array
+    def dot(self, x: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Rows ``lo:hi`` of H x for x of shape (dim,) or (dim, k), taken
+        through ``entries()`` with the bits of a CSR sparse product
+        (sparsetools' csr_matvecs): each row adds its products in column
+        order, starting from +0.0.
 
+        The entries go rank by rank (``_layout``) over row chunks of about
+        ``_CHUNK_FLOATS`` floats, so a chunk's sums stay in cache.  Real
+        entries scale a float view of x.  A CSR product multiplies a real
+        entry by a complex x as a + 0j, whose 0 * inf makes a non-finite x
+        NaN in the other part too, so a complex chunk that is not finite is
+        redone by the complex product (``_complex_times``).
+        """
+        hi = self.dim if hi is None else min(hi, self.dim)
+        x, values = np.asarray(x), self.entries()[2]
+        real, dtype = values.dtype.kind == "f", np.result_type(values, x)
+        xc = np.ascontiguousarray(x[:, None] if x.ndim == 1 else x, dtype=dtype)
+        out = np.zeros((hi - lo, xc.shape[1]), dtype=dtype)
+        xv, ov = (xc.view(float), out.view(float)) if real else (xc, out)
+        step = max(1, _CHUNK_FLOATS // max(xv.shape[1], 1))
+        buf = np.empty((min(step, hi - lo), xv.shape[1]), dtype=xv.dtype)
+        # inf * 0 and NaN * 0 are NaN, so a chunk's dot with zeros is NaN
+        # exactly when the chunk is not finite
+        zeros = np.zeros(buf.size) if real and dtype.kind == "c" else None
+        with np.errstate(all="ignore"):  # silent on inf and NaN, as the CSR product is
+            for c0 in range(lo, hi, step):
+                c1 = min(c0 + step, hi)
+                chunk = ov[c0 - lo:c1 - lo]
+                self._add_products(chunk, xv, c0, c1, real, buf)
+                if zeros is not None and np.isnan(np.dot(chunk.ravel(), zeros[:chunk.size])):
+                    chunk = out[c0 - lo:c1 - lo]
+                    chunk[...] = 0.0
+                    self._add_products(chunk, xc, c0, c1, False, buf)
+        return out.reshape((hi - lo,) + x.shape[1:])
+
+    def _add_products(self, out, x, lo: int, hi: int, real: bool, buf: np.ndarray) -> None:
+        """Add every entry's product to the rows ``lo:hi`` held in ``out``,
+        rank by rank: as a float product of x's (float-viewed) rows, in
+        ``buf``, when ``real``, else as the complex product."""
+        for r0s, r1s, offsets, scales, rows, cols, values in self._layout:
+            for p in range(bisect_right(r1s, lo), bisect_left(r0s, hi)):
+                a, b, d, v = max(r0s[p], lo), min(r1s[p], hi), offsets[p], scales[p]
+                if not real:
+                    term = _complex_times(v, x[a + d:b + d])
+                elif v == 1.0:
+                    term = x[a + d:b + d]  # 1.0 * x has the bits of x
+                else:
+                    term = np.multiply(v, x[a + d:b + d], out=buf[:b - a])
+                np.add(out[a - lo:b - lo], term, out=out[a - lo:b - lo])
+            i, j = (rows.searchsorted(lo), rows.searchsorted(hi)) if rows.size else (0, 0)
+            if i < j:
+                a, term = values[i:j, None], x[cols[i:j]]
+                term = np.multiply(a, term, out=term) if real else _complex_times(a, term)
+                if rows[j - 1] - rows[i] == j - i - 1:  # consecutive rows: one slice of out
+                    target = out[rows[i] - lo:rows[j - 1] + 1 - lo]
+                    np.add(target, term, out=target)
+                else:
+                    out[rows[i:j] - lo] += term
+
+    @cached_property
+    def _layout(self) -> list:
+        """The entries as ``dot`` applies them, rank by rank, where a row's
+        k-th entry in column order has rank k.  A rank's runs of consecutive
+        rows that share one offset col - row and one value are each one
+        slice of x: when they hold ``_MIN_RUN`` entries on average, the rank
+        is kept as lists of their first rows, stop rows, offsets and values,
+        otherwise as arrays of its rows, cols and (column) values, for one
+        gather of x."""
         rows, cols, values = self.entries()
-        return csr_array((values, (rows, cols)), shape=(self.dim, self.dim))
+        rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+        order = np.lexsort((rows, rank))
+        rank, rows, cols, values = rank[order], rows[order], cols[order], values[order]
+        offset = cols - rows
+        starts = np.flatnonzero(np.concatenate([[rows.size > 0], (rank[1:] != rank[:-1]) | (
+            rows[1:] != rows[:-1] + 1) | (offset[1:] != offset[:-1]) | (values[1:] != values[:-1])]))
+        stops = rows[starts] + np.diff(np.append(starts, rows.size))
+        first = np.searchsorted(rank, np.arange(rank.max(initial=-1) + 2))
+        layout = []
+        for a, b, ra, rb in zip(first[:-1], first[1:], *np.searchsorted(starts, (first[:-1], first[1:]))):
+            if b - a >= _MIN_RUN * (rb - ra):
+                s = starts[ra:rb]
+                layout.append((rows[s].tolist(), stops[ra:rb].tolist(), offset[s].tolist(),
+                               values[s].tolist(), rows[:0], cols[:0], values[:0]))
+            else:
+                layout.append(([], [], [], [], rows[a:b], cols[a:b], values[a:b]))
+        return layout
+
+
+# Hamiltonian.dot gathers a rank whose runs hold fewer entries than
+# _MIN_RUN on average, and adds its products over row chunks of about
+# _CHUNK_FLOATS floats (256 KiB)
+_MIN_RUN = 4
+_CHUNK_FLOATS = 1 << 15
+
+
+def _complex_times(a, x: np.ndarray) -> np.ndarray:
+    """a * x for complex x as a CSR sparse product forms it: (ar xr - ai xi,
+    ar xi + ai xr) from separate float multiplies, a real ``a`` as a + 0j."""
+    p = np.empty(np.broadcast_shapes(np.shape(a), x.shape), dtype=complex)
+    np.multiply(a.real, x.real, out=p.real)
+    p.real -= a.imag * x.imag
+    np.multiply(a.real, x.imag, out=p.imag)
+    p.imag += a.imag * x.real
+    return p
 
 
 def _block_rows(width: int) -> int:

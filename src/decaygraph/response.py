@@ -178,7 +178,7 @@ def _drive(
     route; each gives its poles and a solve of one right-hand side per
     frequency.  The loss (with ``sys``) and the poles are checked on the whole
     grid before any solve.  Each row must meet max|b - (z I - H) x| <=
-    SOLVE_RESIDUAL_FACTOR * amplitude, H x through ``h.sparse()``, within 3
+    SOLVE_RESIDUAL_FACTOR * amplitude, H x through ``h.dot``, within 3
     refinement steps (Higham, Accuracy and Stability, ch. 12).  A failing row
     names max|x|, the float64 floor eps (|z| + ||H||_inf) max|x| that
     rounding x alone leaves, and the normwise backward error.
@@ -200,12 +200,11 @@ def _drive(
     on_pole = np.flatnonzero(np.min(np.abs(z[:, None] - poles), axis=1) < SINGULAR_DISTANCE)
     if on_pole.size:
         raise _fail(omegas[on_pole[0]], f"omega + i gamma = {z[on_pole[0]]} sits on an eigenvalue")
-    hop = h.sparse()
 
     def misfit(x, zs):
         """b - (z I - H) x, one row per frequency, with H x through the edges,
         and its max-abs per row."""
-        r = (hop @ x.T).T
+        r = h.dot(x.T).T
         r -= zs[:, None] * x
         r += b
         return r, np.max(np.abs(r), axis=1)

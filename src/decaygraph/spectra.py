@@ -110,16 +110,15 @@ def _normalize_columns(vectors: np.ndarray) -> np.ndarray:
 
 def _certified(h: Hamiltonian, values, vectors, left, what: str, meta: dict) -> EigenSystem:
     """The eigensystem of ``h`` with these pairs, once every residual
-    ||H v - E v||_inf, H v taken through ``h.sparse()``, stays within
+    ||H v - E v||_inf, H v taken through ``h.dot``, stays within
     RESIDUAL_FACTOR * ||H||_inf (a NaN residual fails)."""
     h_norm = h.norm_inf()
     tol = RESIDUAL_FACTOR * h_norm
-    hs = h.sparse()
     # row blocks: no N x N temporary besides the basis
     step = _block_rows(h.dim)
     residuals = np.zeros(len(values))
     for i in range(0, h.dim, step):
-        r = hs[i:i + step] @ vectors
+        r = h.dot(vectors, i, i + step)
         r -= vectors[i:i + step] * values[None, :]
         np.maximum(residuals, np.max(np.abs(r), axis=0), out=residuals)
     worst = float(np.max(residuals))
@@ -156,13 +155,24 @@ def eigendecompose(h: Hamiltonian) -> EigenSystem:
         with np.errstate(divide="ignore", invalid="ignore"):  # repeated eigenvalues
             inv = np.linalg.inv(vectors)
             hv = m @ vectors  # read by the correction and the polish screen
-            correction = np.einsum("ij,ji->i", inv, hv - vectors * values[None, :])
+            # H V - V diag(E), formed in place, for the raw and then the corrected E
+            r = np.multiply(vectors, values[None, :])
+            correction = np.einsum("ij,ji->i", inv, np.subtract(hv, r, out=r))
             values = values + correction / np.einsum("ij,ji->i", inv, vectors)
-            residuals = np.max(np.abs(hv - vectors * values[None, :]), axis=0)
+            del inv
+            hv -= np.multiply(vectors, values[None, :], out=r)
+            del r
+            residuals = np.max(np.abs(hv), axis=0)
+            del hv
             residuals /= np.max(np.abs(vectors), axis=0)
             for n in np.flatnonzero(residuals > 0.5 * tol):
+                # m - E I entry for entry, without an N x N identity: E * 0 off
+                # the diagonal and E * 1 on it
+                off, on = values[n] * np.array([0.0, 1.0])
+                shifted = m - off
+                np.fill_diagonal(shifted, m.diagonal() - on)
                 try:
-                    refined = np.linalg.solve(m - values[n] * np.eye(h.dim), vectors[:, n])
+                    refined = np.linalg.solve(shifted, vectors[:, n])
                     refined /= np.max(np.abs(refined))
                 except np.linalg.LinAlgError:
                     continue
@@ -175,7 +185,7 @@ def eigendecompose(h: Hamiltonian) -> EigenSystem:
         raise ConvergenceFailure(f"eigenvector matrix is numerically singular: {exc}") from exc
     order = np.lexsort((values.imag, values.real))
     values = values[order]
-    # np.take copies into C order, which the certificate's h.sparse() @ reads in place
+    # np.take copies into C order, which the certificate's h.dot reads in place
     vectors = _normalize_columns(np.take(vectors, order, axis=1))
     try:
         inv = np.linalg.inv(vectors)

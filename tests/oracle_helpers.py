@@ -359,7 +359,7 @@ def eager_matrix(n: int, edges, ts) -> np.ndarray:
 
 def edge_order_csr(h):
     """CSR array built from the stored edges in edge order, t entries
-    first, then the 1 entries (reference for Hamiltonian.sparse)."""
+    first, then the 1 entries (reference for Hamiltonian.dot)."""
     from scipy.sparse import csr_array
 
     e = h.edge_array
@@ -367,6 +367,26 @@ def edge_order_csr(h):
     cols = np.concatenate([e[:, 1], e[:, 0]])
     values = np.concatenate([np.asarray(h.ts, dtype=float)[e[:, 2]], np.ones(len(e))])
     return csr_array((values, (rows, cols)), shape=(h.dim, h.dim))
+
+
+def csr_reference(h):
+    """The scipy CSR reference for ``h.dot``: ``edge_order_csr`` for a built
+    lattice, the CSR array of the matrix for a raw one."""
+    from scipy.sparse import csr_array
+
+    return edge_order_csr(h) if h.raw_matrix is None else csr_array(h.matrix)
+
+
+def same_bits(a, b) -> bool:
+    """Same dtype and shape, NaN at the same components (real and imaginary
+    parts apart) and the same bits everywhere else: a NaN's sign and payload
+    are not part of a product's result."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    fa, fb = (np.ascontiguousarray(v).view(v.real.dtype) for v in (a, b))
+    nan = np.isnan(fa)
+    return np.array_equal(nan, np.isnan(fb)) and fa[~nan].tobytes() == fb[~nan].tobytes()
 
 
 def dense_hamiltonian_csv(h) -> str:

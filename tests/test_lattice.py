@@ -8,11 +8,13 @@ from decaygraph import io
 from decaygraph.lattice import _assemble, _components
 
 from oracle_helpers import (
+    csr_reference,
     dense_hamiltonian_csv,
     eager_matrix,
     edge_order_csr,
     kron_sum_matrix,
     loop_edge_list,
+    same_bits,
     symmetric_binary_vectors,
 )
 
@@ -339,8 +341,11 @@ class TestStructuralInvariants:
         (dg.SegmentedRing((("A", 3), ("B", 4))), 1.5), (dg.ObcChain(5), 3.0),
     )), None)])
     def test_sparse_matches_matrix(self, spec, t):
+        # H times the identity is H; a complex x gets the CSR product's bits
         h = dg.build(spec, t)
-        assert np.array_equal(h.sparse().toarray(), h.matrix)
+        assert np.array_equal(h.dot(np.eye(h.dim)), h.matrix)
+        x = np.random.default_rng(3).normal(size=(h.dim, 2)).view(complex)[:, 0]
+        assert same_bits(h.dot(x), edge_order_csr(h) @ x)
 
     def test_circulant_scaled_similarity(self):
         # D^-1 H D must be the circulant with c_q = a_q t**((N-q)/N)
@@ -430,7 +435,7 @@ class TestEdgesFirst:
     def test_exports_read_no_dense_matrix(self, name):
         h = EDGE_BUILT[name]()
         io.hamiltonian_csv(h)
-        h.sparse()
+        h.dot(np.ones(h.dim))
         h.entries()
         assert "matrix" not in vars(h) and "edges" not in vars(h)
 
@@ -474,16 +479,25 @@ class TestEdgesFirst:
 
     @pytest.mark.parametrize("name", EDGE_BUILT)
     def test_sparse_keeps_edge_order_layout(self, name):
+        # the entries are the edge-order CSR's rows, columns and data, and
+        # the product has its bits
         h = EDGE_BUILT[name]()
-        got, want = h.sparse(), edge_order_csr(h)
-        for part in ("indptr", "indices", "data"):
-            a, b = getattr(got, part), getattr(want, part)
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        want = edge_order_csr(h)
+        rows, cols, values = h.entries()
+        assert np.array_equal(np.searchsorted(rows, np.arange(h.dim + 1)), want.indptr)
+        assert np.array_equal(cols, want.indices)
+        assert values.dtype == want.data.dtype and np.array_equal(values, want.data)
+        x = np.random.default_rng(5).normal(size=(h.dim, 4)).view(complex)
+        for v in (x, x[:, 0], x.real, np.asfortranarray(x)):
+            assert same_bits(h.dot(v), want @ v)
 
     @pytest.mark.parametrize("name", [n for n in RAW if n != "raw-special"])
     def test_raw_sparse_holds_the_matrix_entries(self, name):
         h = RAW[name]()
-        assert np.array_equal(h.sparse().toarray(), h.matrix)
+        assert np.array_equal(h.dot(np.eye(h.dim)), h.matrix)
+        x = np.random.default_rng(7).normal(size=(h.dim, 3)) + 1j
+        for v in (x, x[:, 0], x.real):
+            assert same_bits(h.dot(v), csr_reference(h) @ v)
 
     @pytest.mark.parametrize("name", ["ring-600", "product-24x24", "raw-complex-600"])
     def test_norm_inf_in_row_blocks_equals_dense_row_sum(self, name):
@@ -503,7 +517,10 @@ class TestEdgesFirst:
 
     def test_raw_without_t_sparse_is_not_empty(self):
         m = np.array([[0, 2.0], [0.5j, 0]])
-        assert np.array_equal(dg.raw_hamiltonian(m).sparse().toarray(), m)
+        h = dg.raw_hamiltonian(m)
+        assert np.array_equal(h.dot(np.eye(2)), m)
+        x = np.array([1.5 - 2j, -0.25 + 1j])
+        assert same_bits(h.dot(x), csr_reference(h) @ x)
 
 
 class TestSizeCap:

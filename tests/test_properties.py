@@ -1,12 +1,15 @@
 """Randomized invariant sweeps (seeded, deterministic)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import decaygraph as dg
-from decaygraph import figures
+from decaygraph import figures, lattice
+from decaygraph.lattice import _assemble
 
 import oracle_helpers
 from oracle_helpers import match_deviation, symmetric_binary_vectors
@@ -224,3 +227,122 @@ class TestMatchDeviation:
         calls = self.solver_calls(monkeypatch)
         assert figures.match_deviation(numeric, exact) == oracle_helpers.match_deviation(numeric, exact)
         assert not calls
+
+
+SPECIALS = (0.0, -0.0, 5e-324, -1e-310, 1e-300, 1e300, -1e300, np.inf, -np.inf, np.nan)
+
+
+def _with_specials(rng, shape, specials, complex_):
+    """Normal draws of ``shape`` with a share of them replaced by ``specials``."""
+    def part():
+        v = rng.normal(size=shape)
+        if specials:
+            swap = rng.random(shape) < 0.3
+            v[swap] = rng.choice(specials, size=int(swap.sum()))
+        return v
+    if not complex_:
+        return part()
+    v = np.empty(shape, dtype=complex)
+    v.real, v.imag = part(), part()
+    return v
+
+
+@st.composite
+def axis_lattices(draw):
+    """A 1D spec and its t: a uniform, two- or four-segment ring, a
+    circulant (symmetric connectivity drawn by half) or an open chain."""
+    t = draw(st.sampled_from([1 / 64, 0.5, 1.02, 1.5, 64.0]))
+    kind = draw(st.sampled_from(["ring", "circulant", "obc"]))
+    if kind == "ring":
+        lengths = draw(st.sampled_from([[3], [1, 2], [4, 9], [1, 1, 1, 1], [5, 2, 7, 3]]))
+        lengths = [n + draw(st.integers(0, 6)) for n in lengths]
+        return dg.SegmentedRing(tuple(zip("AB" * 2, lengths))), t
+    if kind == "circulant":
+        n = draw(st.integers(2, 24))
+        half = draw(st.lists(st.booleans(), min_size=n // 2, max_size=n // 2).filter(any))
+        a = [int(half[min(q, n - q) - 1]) for q in range(1, n)]
+        return dg.validate_circulant(n, a), t
+    return dg.ObcChain(draw(st.integers(2, 40))), t
+
+
+@st.composite
+def hamiltonians(draw):
+    """Any Hamiltonian kind: a 1D family, a 2- or 3-axis product, a
+    transpose, a synthesized charge graph, or a raw real or complex matrix
+    whose entries include zeros, subnormals, 1e+-300, inf and NaN."""
+    kind = draw(st.sampled_from(["axis", "product", "transpose", "synthesized", "raw"]))
+    if kind == "raw":
+        n = draw(st.integers(1, 12))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        m = _with_specials(rng, (n, n), draw(st.sampled_from([(), SPECIALS])), draw(st.booleans()))
+        return dg.raw_hamiltonian(np.where(rng.random((n, n)) < draw(st.sampled_from([0.2, 0.6, 1.0])), m, 0))
+    if kind == "synthesized":
+        g = dg.synthesize_charge_graph(draw(st.sampled_from([
+            [2.0, 1.0, 0.0, 0.0, 0.0, -1.0, -2.0], [2.5, 1.5, 0.5, 0.0, 0.0, -0.5, -1.5, -2.5], [0.5, -0.5],
+        ])), draw(st.sampled_from([1.5, 3.0])))
+        e = np.array(g.edges).reshape(-1, 3)
+        return _assemble(g.n_nodes, e[:, 0], e[:, 1], 0, (g.t,), "synthesized", None)
+    if kind == "product":
+        axes = draw(st.lists(axis_lattices(), min_size=2, max_size=3).filter(
+            lambda axes: np.prod([s.length for s, _ in axes]) <= 400))
+        h = dg.build(dg.ProductLattice(tuple(axes)))
+    else:
+        h = dg.build(*draw(axis_lattices()))
+    return dg.transpose(h) if kind == "transpose" else h
+
+
+@st.composite
+def product_inputs(draw):
+    """A Hamiltonian, an x for it (float or complex, 1-D or 2-D, C-ordered
+    or a transposed view, with or without special values), a row range
+    and a row-block step."""
+    h = draw(hamiltonians())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    specials = draw(st.sampled_from([(), SPECIALS, (0.0, -0.0, 5e-324), (np.inf, np.nan)]))
+    complex_, layout = draw(st.booleans()), draw(st.sampled_from(["1d", "c", "transposed"]))
+    k = draw(st.integers(1, 4))
+    if layout == "1d":
+        x = _with_specials(rng, (h.dim,), specials, complex_)
+    elif layout == "c":
+        x = _with_specials(rng, (h.dim, k), specials, complex_)
+    else:
+        x = _with_specials(rng, (k, h.dim), specials, complex_).T
+    lo = draw(st.integers(0, h.dim))
+    return h, x, lo, draw(st.integers(lo, h.dim)), draw(st.integers(1, h.dim))
+
+
+class TestEdgeProduct:
+    """`Hamiltonian.dot` has the bits of the scipy CSR product, entry for
+    entry, on every kind of Hamiltonian and x."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(product_inputs(), st.sampled_from([1, 3, 16, 1 << 15]))
+    def test_matches_csr_reference(self, case, chunk):
+        h, x, lo, hi, step = case
+        want = oracle_helpers.csr_reference(h) @ x
+        # chunks of a few floats put chunk edges inside runs and gathers
+        with mock.patch.object(lattice, "_CHUNK_FLOATS", chunk), np.errstate(all="ignore"):
+            assert oracle_helpers.same_bits(h.dot(x, lo, hi), want[lo:hi])
+            blocks = [h.dot(x, i, i + step) for i in range(0, h.dim, step)]
+            assert oracle_helpers.same_bits(np.concatenate(blocks), want)
+
+    @pytest.mark.parametrize("wrong", ["reversed order", "float view of x"])
+    def test_reference_tells_wrong_products_apart(self, wrong):
+        # controls: the same entries summed last column first, or real
+        # entries scaling x's float view on an x with infinite parts (the
+        # CSR product's a + 0j makes 0 * inf NaN), miss the CSR bits
+        rng = np.random.default_rng(11)
+        h = dg.raw_hamiltonian(rng.normal(size=(40, 40)) * np.array([1.0, 1e16, -1e16, 1.0] * 10))
+        x = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
+        entries = list(zip(*h.entries()))
+        if wrong == "reversed order":
+            entries.reverse()
+        else:
+            x[::7, 1] = complex(1.0, np.inf)
+        got = np.zeros((40, 6))
+        with np.errstate(invalid="ignore"):
+            for r, c, v in entries:
+                got[r] += v * x.view(float)[c]
+            want = oracle_helpers.csr_reference(h) @ x
+        assert oracle_helpers.same_bits(h.dot(x), want)
+        assert not oracle_helpers.same_bits(got.view(complex), want)

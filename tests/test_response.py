@@ -8,7 +8,7 @@ import pytest
 import decaygraph as dg
 from decaygraph import response, spectra
 
-from oracle_helpers import resolvent_expansion, two_by_two_inverse_solve
+from oracle_helpers import csr_reference, resolvent_expansion, same_bits, two_by_two_inverse_solve
 
 T = 1.5
 RING_12 = dg.SegmentedRing((("A", 11), ("B", 1)))
@@ -232,12 +232,15 @@ class TestOneDriveLoop:
             assert prof.solve_residual == single[0].solve_residual == sweep[f].solve_residual
 
     def test_lu_residual_is_taken_through_the_stored_entries(self):
-        # a full complex matrix, where the dense a @ x sums in another order
+        # a full complex matrix, where the dense a @ x sums in another order;
+        # h.dot has the bits of the CSR product
         rng = np.random.default_rng(5)
         h = dg.raw_hamiltonian(rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30)))
         cfg = dg.DriveConfig(3, 50.0, np.array([0.3]))
         prof = dg.steady_state(h, cfg, 0.3)
-        r = h.sparse() @ prof.x - (0.3 + 50j) * prof.x
+        hx = csr_reference(h) @ prof.x
+        assert same_bits(h.dot(prof.x), hx)
+        r = hx - (0.3 + 50j) * prof.x
         r[3] += 1.0
         assert prof.solve_residual == float(np.max(np.abs(r)))
 

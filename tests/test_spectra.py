@@ -446,6 +446,29 @@ PRODUCT = (
 )
 
 
+RAW = '{"lattice":{"kind":"raw","dim":3,"entries":[[1,2,1.0,0.0],[2,3,0.5,0.2],[3,1,2.0,0.0],[2,1,1.0,0.0]]}}'
+
+
+def _scipy_modules_after(tmp_path, argv: list[str]) -> list[str]:
+    """Every scipy module in sys.modules after ``cli.main(argv)`` exits 0
+    in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(dg.__file__).parents[1])}
+    code = (
+        "import sys; from decaygraph import cli\n"
+        f"assert cli.main({argv + ['--out', str(tmp_path / 'o')]!r}) == 0\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()[-1].split()
+
+
+def _subpackages(modules: list[str]) -> set[str]:
+    """The public scipy subpackages among ``modules``, but scipy.version,
+    which scipy itself loads."""
+    names = {m.split(".")[1] for m in modules if m.startswith("scipy.")}
+    return {m for m in names if not m.startswith("_")} - {"version"}
+
+
 @pytest.mark.parametrize("command, doc", [
     (["drive"], RING),
     (["drive"], '{"lattice":{"kind":"obc_chain","t":1.5,"n":12}}'),
@@ -455,32 +478,30 @@ PRODUCT = (
     (["spectrum", "--numeric"], PRODUCT),
     (["decay"], RING),
     (["charges"], PRODUCT),
+    (["build"], RING),
+    (["build"], PRODUCT),
+    (["spectrum", "--analytic"], PRODUCT),
+    (["decay"], CIRCULANT),
+    (["charges"], RING),
 ], ids=["ring", "obc_chain", "spectrum-ring", "spectrum-circulant", "drive-product",
-        "spectrum-product", "decay-ring", "charges-product"])
+        "spectrum-product", "decay-ring", "charges-product", "build-ring", "build-product",
+        "spectrum-analytic-product", "decay-circulant", "charges-ring"])
 def test_drive_loads_no_scipy_subpackage_beyond_sparse(tmp_path, command, doc):
-    # the gauge route takes its transforms from numpy.fft: scipy.fft or
-    # scipy.linalg would add to every drive's start-up time and memory
+    # the gauge route takes its transforms from numpy.fft and every
+    # certificate and misfit takes H x from Hamiltonian.dot: a structured
+    # command imports no part of scipy, not even scipy itself
     spec = tmp_path / "spec.json"
     spec.write_text(doc)
-    env = {**os.environ, "PYTHONPATH": str(Path(dg.__file__).parents[1])}
-    code = (
-        "import sys; from decaygraph import cli\n"
-        f"assert cli.main({command!r} + ['--spec', {str(spec)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
-        "print(*sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}))"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    loaded = out.stdout.splitlines()[-1].split()
-    assert {m for m in loaded if not m.startswith("_")} <= {"sparse", "version"}
+    assert _scipy_modules_after(tmp_path, command + ["--spec", str(spec)]) == []
 
 
 def test_reproduce_all_loads_no_scipy_subpackage_beyond_sparse_and_linalg(tmp_path):
     # fig4's dense steady states take the Schur form from scipy.linalg
-    env = {**os.environ, "PYTHONPATH": str(Path(dg.__file__).parents[1])}
-    code = (
-        "import sys; from decaygraph import cli\n"
-        f"assert cli.main(['reproduce', 'all', '--out', {str(tmp_path / 'o')!r}]) == 0\n"
-        "print(*sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}))"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    loaded = out.stdout.splitlines()[-1].split()
-    assert {m for m in loaded if not m.startswith("_")} <= {"sparse", "linalg", "version"}
+    assert _subpackages(_scipy_modules_after(tmp_path, ["reproduce", "all"])) == {"linalg"}
+
+
+def test_raw_drive_loads_only_linalg(tmp_path):
+    # a raw matrix takes the Schur route, the one route that needs scipy
+    spec = tmp_path / "spec.json"
+    spec.write_text(RAW)
+    assert _subpackages(_scipy_modules_after(tmp_path, ["drive", "--spec", str(spec)])) == {"linalg"}
