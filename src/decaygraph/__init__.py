@@ -53,6 +53,7 @@ from .spectra import (
     circulant_analytic_spectrum,
     closed_form,
     eigendecompose,
+    gauged_eigendecompose,
     kron_sum_spectrum,
     least_damped_mode,
     obc_analytic_spectrum,

@@ -68,7 +68,8 @@ def cmd_spectrum(args, out_dir: Path, manifest: RunManifest) -> int:
     rc = 0
     numeric = analytic = None
     if want_numeric:
-        numeric = spectra.eigendecompose(h)
+        raw = isinstance(doc.spec, RawMatrix)
+        numeric = spectra.eigendecompose(h) if raw else spectra.gauged_eigendecompose(h)
         _write(out_dir, "spectrum_numeric.csv", io.spectrum_csv(numeric.values), manifest)
         if args.profiles:
             _write(out_dir, "profiles_numeric.csv", io.profiles_csv(numeric), manifest)

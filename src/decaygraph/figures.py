@@ -97,7 +97,7 @@ def match_deviation(a: np.ndarray, b: np.ndarray) -> float:
 
 def _ring_ratio_checks(res: CheckResult, ring: SegmentedRing, t: float, rel_tol: float = 1e-9):
     h = build(ring, t)
-    sys = spectra.eigendecompose(h)
+    sys = spectra.gauged_eigendecompose(h)
     purity = decay.pure_decay_check(sys, ring, t)
     res.record("pure_decay_pass", purity.passed, purity.purity)
     length = ring.length
@@ -143,7 +143,7 @@ def fig1d() -> CheckResult:
     res = CheckResult("fig1d", True, expected_fail_control=True)
     t = T_DEFAULT
     h = build(OBC_12, t)
-    sys = spectra.eigendecompose(h)
+    sys = spectra.gauged_eigendecompose(h)
     purity = decay.pure_decay_check(sys, OBC_12, t)
     res.record("oscillatory_modes_fail_purity", (not purity.passed) and purity.purity > 1e-3, purity.purity)
     analytic = spectra.closed_form(OBC_12, t)
@@ -170,7 +170,7 @@ def _circulant_checks(res: CheckResult, g: CirculantGraph, t: float):
     )
     res.record("profiles_geometric", worst <= 1e-9, worst)
     h = build(g, t)
-    sys = spectra.eigendecompose(h)
+    sys = spectra.gauged_eigendecompose(h)
     res.record("analytic_numeric_dev", (dev := match_deviation(sys.values, analytic.values)) <= 1e-8, dev)
     purity = decay.pure_decay_check(sys, g, t)
     res.record("pure_decay_pass", purity.passed, purity.purity)
@@ -194,9 +194,9 @@ def fig2d() -> CheckResult:
     res = CheckResult("fig2d", True)
     p = PRODUCT_FIG2D
     h = build_product_lattice(p)
-    axis_systems = [spectra.eigendecompose(build(spec, t)) for spec, t in p.axes]
+    axis_systems = [spectra.gauged_eigendecompose(build(spec, t)) for spec, t in p.axes]
     combined = spectra.kron_sum_spectrum(axis_systems, h)
-    numeric = spectra.eigendecompose(h)
+    numeric = spectra.gauged_eigendecompose(h)
     res.record("kron_sum_dev", (dev := match_deviation(numeric.values, combined.values)) <= 1e-8, dev)
     (spec_x, t_x), (spec_y, t_y) = p.axes
     prof_x = axis_systems[0].profile(spectra.least_damped_mode(axis_systems[0]))
@@ -218,8 +218,8 @@ def fig2e() -> CheckResult:
     res = CheckResult("fig2e", True)
     p = PRODUCT_FIG2E
     (spec_x, t_x), (spec_y, t_y) = p.axes
-    sys_x = spectra.eigendecompose(build(spec_x, t_x))
-    sys_y = spectra.eigendecompose(build(spec_y, t_y))
+    sys_x = spectra.gauged_eigendecompose(build(spec_x, t_x))
+    sys_y = spectra.gauged_eigendecompose(build(spec_y, t_y))
     prof_x = sys_x.profile(spectra.least_damped_mode(sys_x))
     prof_y = sys_y.profile(spectra.least_damped_mode(sys_y))
     grid = np.kron(prof_x, prof_y).reshape(spec_x.length, spec_y.length)
@@ -282,7 +282,7 @@ def fig3d_vector() -> CheckResult:
 
 def _selected_drive(spec, t: float, excess: float, source: int = 0):
     h = build(spec, t)
-    sys = spectra.eigendecompose(h)
+    sys = spectra.gauged_eigendecompose(h)
     sel = spectra.least_damped_mode(sys)
     gamma = float(np.max(sys.values.imag)) + excess
     omega = float(sys.values[sel].real)
@@ -295,7 +295,7 @@ def fig4b() -> CheckResult:
     res = CheckResult("fig4b", True)
     t = T_DEFAULT
     h = build(RING_12, t)
-    sys = spectra.eigendecompose(h)
+    sys = spectra.gauged_eigendecompose(h)
     sel = spectra.least_damped_mode(sys)
     omega = float(sys.values[sel].real)
     g0 = float(np.max(sys.values.imag)) + 0.01
@@ -333,7 +333,7 @@ def fig4d() -> CheckResult:
     res = CheckResult("fig4d", True, expected_fail_control=True)
     t = T_DEFAULT
     h = build(OBC_12, t)
-    sys = spectra.eigendecompose(h)
+    sys = spectra.gauged_eigendecompose(h)
     gamma = float(np.max(sys.values.imag)) + 0.05 * h.norm_inf()
     sel = spectra.least_damped_mode(sys)
     omega = float(sys.values[sel].real)

@@ -1,9 +1,11 @@
-"""Eigensystems: dense numerics plus the closed form of the structured families.
+"""Eigensystems: the dense solver of raw matrices, and for the structured
+families their closed form and a dense solve of their normal gauge.
 
 Every returned eigenpair is residual-certified: ||H v - E v||_inf, with H v
 taken through the stored entries, must not exceed tol = 1e-9 * ||H||_inf.
 Right eigenvectors are normalized so their maximum-magnitude component is
-exactly 1 (real, positive); left eigenvectors are biorthogonal rows of the
+exactly 1 (real, positive).  Only the dense route of raw matrices
+(``eigendecompose``) gives left eigenvectors: biorthogonal rows of the
 inverse eigenvector matrix, so w_n . v_m = delta_nm.
 """
 
@@ -37,7 +39,9 @@ class EigenSystem:
 
     values[n] pairs with right_vectors[:, n] and left_vectors[n, :].
     ``residuals[n]`` is ||H v_n - E_n v_n||_inf for the max-normalized v_n.
-    ``meta["route"]`` is "dense" (eigendecompose) or "closed_form".
+    ``meta["route"]`` is "dense" (eigendecompose), "gauged_dense"
+    (gauged_eigendecompose) or "closed_form"; ``left_vectors`` is None but
+    on the "dense" route.
     """
 
     values: np.ndarray
@@ -108,29 +112,85 @@ def _normalize_columns(vectors: np.ndarray) -> np.ndarray:
     return v
 
 
-def _certified(h: Hamiltonian, values, vectors, left, what: str, meta: dict) -> EigenSystem:
+def _certified(h: Hamiltonian, values, vectors, left, what: str, meta: dict, scale=None) -> EigenSystem:
     """The eigensystem of ``h`` with these pairs, once every residual
     ||H v - E v||_inf, H v taken through ``h.dot``, stays within
-    RESIDUAL_FACTOR * ||H||_inf (a NaN residual fails)."""
+    RESIDUAL_FACTOR * ||H||_inf (a NaN residual fails).  Given the gauge's
+    diagonal ``scale`` d, the same row blocks give meta["bauer_fike"], each
+    mode's ||D^-1 r||_2 / ||D^-1 v||_2 (NaN where d underflows)."""
     h_norm = h.norm_inf()
     tol = RESIDUAL_FACTOR * h_norm
     # row blocks: no N x N temporary besides the basis
     step = _block_rows(h.dim)
-    residuals = np.zeros(len(values))
+    residuals, gauged = np.zeros(len(values)), np.zeros((2, len(values)))
     for i in range(0, h.dim, step):
         r = h.dot(vectors, i, i + step)
         r -= vectors[i:i + step] * values[None, :]
-        np.maximum(residuals, np.max(np.abs(r), axis=0), out=residuals)
+        r = np.abs(r)
+        np.maximum(residuals, np.max(r, axis=0), out=residuals)
+        if scale is not None:  # squares of |r| / d and |v| / d, summed per mode
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for k, a in enumerate((r, np.abs(vectors[i:i + step]))):
+                    a /= scale[i:i + step, None]
+                    gauged[k] += np.einsum("ij,ij->j", a, a)
     worst = float(np.max(residuals))
     if not worst <= tol:
         raise ConvergenceFailure(
             f"{what}: residual {worst:.3e} exceeds certified tolerance {tol:.3e}"
         )
+    if scale is not None:
+        meta["bauer_fike"] = np.sqrt(gauged[0] / gauged[1])
     return EigenSystem(values, vectors, left, residuals, h_norm, tol, meta)
 
 
+def _log_scale(h: Hamiltonian) -> np.ndarray:
+    """ln of the gauge D = diag(t**w) of a built lattice: w ln t per site, a
+    product's the Kronecker sum of its axes' (axis 0 slowest)."""
+    axes = h.spec.axes if isinstance(h.spec, ProductLattice) else ((h.spec, h.t),)
+    ls = np.zeros(1)
+    for spec, t in axes:
+        ls = (ls[:, None] + spec.potential() * np.log(t)).ravel()
+    return ls
+
+
+def gauged_eigendecompose(h: Hamiltonian) -> EigenSystem:
+    """Certified eigensystem of a built lattice from one real eig of its
+    gauge G = D^-1 H D (``closed_form``'s D = diag(exp(ls))), scattered from
+    the entries.  G must be normal, max|G G^T - G^T G| <= RESIDUAL_FACTOR *
+    ||G||_inf**2, or ConvergenceFailure names that commutator.  Values sort
+    by (Re, Im); unit vectors u map back to D u.  As G is normal, each value
+    lies within ||G u - E u||_2 of an eigenvalue (Bauer & Fike, 1960):
+    meta["bauer_fike"].  No left vectors are formed."""
+    ls = _log_scale(h)
+    rows, cols, values = h.entries()
+    g = np.zeros((h.dim, h.dim))
+    g[rows, cols] = values * np.exp(ls[cols] - ls[rows])
+    # ||G||_inf without abs, as G's entries are positive; the commutator in row blocks
+    bound, step = RESIDUAL_FACTOR * float(np.max(np.sum(g, axis=1))) ** 2, _block_rows(h.dim)
+    commutator = max(float(np.max(np.abs(g[i:i + step] @ g.T - g[:, i:i + step].T @ g)))
+                     for i in range(0, h.dim, step))
+    if not commutator <= bound:
+        raise ConvergenceFailure(
+            f"gauge of the {h.kind} lattice is not normal: commutator "
+            f"max|G G^T - G^T G| {commutator:.3e} exceeds {bound:.3e}"
+        )
+    try:
+        values, vectors = np.linalg.eig(g)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"dense eigensolver failed: {exc}") from exc
+    del g
+    order = np.lexsort((values.imag, values.real))
+    scale = np.exp(ls - ls.max())
+    vectors = np.take(vectors, order, axis=1)
+    vectors *= scale[:, None]
+    meta = {"route": "gauged_dense", "commutator": commutator}
+    return _certified(h, values[order].astype(complex), _normalize_columns(vectors), None,
+                      "gauged eigendecomposition", meta, scale)
+
+
 def eigendecompose(h: Hamiltonian) -> EigenSystem:
-    """Full certified eigensystem of a dense Hamiltonian.
+    """Full certified eigensystem of a dense Hamiltonian: the route of raw
+    matrices (a built lattice takes gauged_eigendecompose).
 
     The raw solver values get a first-order correction through the
     biorthogonal left vectors (delta E_n = w_n . (H v_n - E_n v_n)); for
@@ -155,16 +215,17 @@ def eigendecompose(h: Hamiltonian) -> EigenSystem:
         with np.errstate(divide="ignore", invalid="ignore"):  # repeated eigenvalues
             inv = np.linalg.inv(vectors)
             hv = m @ vectors  # read by the correction and the polish screen
-            # H V - V diag(E), formed in place, for the raw and then the corrected E
-            r = np.multiply(vectors, values[None, :])
-            correction = np.einsum("ij,ji->i", inv, np.subtract(hv, r, out=r))
-            values = values + correction / np.einsum("ij,ji->i", inv, vectors)
-            del inv
-            hv -= np.multiply(vectors, values[None, :], out=r)
-            del r
-            residuals = np.max(np.abs(hv), axis=0)
-            del hv
-            residuals /= np.max(np.abs(vectors), axis=0)
+            # H V - V diag(E) for the raw and then the corrected E (in place in
+            # H V), in column blocks of about 2**14 entries
+            corrected, residuals = values.copy(), np.empty(len(values))
+            for c in range(0, h.dim, step := max(1, _block_rows(h.dim) // 16)):
+                v, cs = vectors[:, c:c + step], slice(c, c + step)
+                r = hv[:, cs] - v * values[cs]
+                corrected[cs] += np.einsum("ij,ji->i", inv[cs], r) / np.einsum("ij,ji->i", inv[cs], v)
+                hv[:, cs] -= v * corrected[cs]
+                residuals[cs] = np.max(np.abs(hv[:, cs]), axis=0) / np.max(np.abs(v), axis=0)
+            values = corrected
+            del inv, hv, v  # v views the unsorted vectors
             for n in np.flatnonzero(residuals > 0.5 * tol):
                 # m - E I entry for entry, without an N x N identity: E * 0 off
                 # the diagonal and E * 1 on it
@@ -249,12 +310,12 @@ def closed_form(spec, t: float | None = None, h: Hamiltonian | None = None) -> E
         sys = kron_sum_spectrum(axes, build_product_lattice(spec) if h is None else h)
     else:
         h = build_axis(spec, t) if h is None else h
-        n, w, meta = spec.length, spec.potential(), {}
+        n, meta = spec.length, {}
         if isinstance(spec, ObcChain):
             theta = np.pi * np.arange(1, n + 1) / (n + 1)
             values = (2.0 * np.sqrt(h.t) * np.cos(theta)).astype(complex)
             vectors = np.sin(np.outer(np.arange(1, n + 1), theta)).astype(complex)
-            meta["rho_exponent"] = float(w[1] - w[0])
+            meta["rho_exponent"] = float(np.diff(spec.potential()[:2])[0])
         else:
             row = np.zeros(n)
             if isinstance(spec, SegmentedRing):
@@ -266,7 +327,7 @@ def closed_form(spec, t: float | None = None, h: Hamiltonian | None = None) -> E
             values, vectors = n * np.fft.ifft(row), np.empty((n, n), dtype=complex)
             for i in range(0, n, step):  # gathered in row blocks: no N x N phase table
                 vectors[i:i + step] = roots[np.outer(j[i:i + step], j) % n]
-        log_scale = w * np.log(h.t)
+        log_scale = _log_scale(h)
         vectors *= np.exp(log_scale - log_scale.max())[:, None]
         vectors = _normalize_columns(vectors)
         sys = _certified(h, values, vectors, None, f"closed-form {h.kind} modes", meta)

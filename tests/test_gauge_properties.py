@@ -4,7 +4,8 @@ closed form's batched sweep against the Schur route's solves.
 Random valid rings (uniform and one to three A/B pairs), circulant graphs
 and open chains with N <= 40 and t in [1/4, 1/1.01] or [1.01, 4].  Beyond
 t = 4 the dense reference itself stops certifying on some specs, so the
-range is bounded there on purpose.
+range is bounded there on purpose.  The gauged dense route, whose bound
+holds for any t, is checked over N <= 64 and t in [1/8, 8].
 """
 
 import dataclasses
@@ -26,11 +27,11 @@ ratios = st.one_of(st.floats(0.25, 1 / 1.01), st.floats(1.01, 4.0))
 
 
 @st.composite
-def rings(draw):
+def rings(draw, max_n=MAX_N):
     pairs = draw(st.integers(0, 3))
     if pairs == 0:
-        return dg.SegmentedRing((("A", draw(st.integers(3, MAX_N))),))
-    budget = MAX_N // (2 * pairs)
+        return dg.SegmentedRing((("A", draw(st.integers(3, max_n))),))
+    budget = max_n // (2 * pairs)
     segs = []
     for _ in range(pairs):
         segs += [("A", draw(st.integers(1, budget))), ("B", draw(st.integers(1, budget)))]
@@ -40,8 +41,8 @@ def rings(draw):
 
 
 @st.composite
-def circulants(draw):
-    n = draw(st.integers(2, MAX_N))
+def circulants(draw, max_n=MAX_N):
+    n = draw(st.integers(2, max_n))
     picks = draw(st.lists(st.booleans(), min_size=n // 2, max_size=n // 2))
     offsets = [q for q, on in enumerate(picks, 1) if on] or [1]
     a = [0] * (n - 1)
@@ -107,3 +108,28 @@ def test_gauge_sweep_matches_schur_where_schur_certifies(spec, t, data):
         assert p.solve_residual <= bound
         if p.omega in schur:
             assert np.max(np.abs(p.x - schur[p.omega])) <= 1e-9 * np.max(np.abs(schur[p.omega]))
+
+
+wide_ratios = st.floats(1 / 8, 8.0).filter(lambda t: t != 1.0)
+
+
+@st.composite
+def small_products(draw):
+    axis = st.one_of(rings(8), circulants(8), st.builds(dg.ObcChain, st.integers(2, 8)))
+    axis = axis.filter(lambda spec: spec.length <= 8)
+    return dg.ProductLattice(((draw(axis), draw(wide_ratios)), (draw(axis), draw(wide_ratios))))
+
+
+@pytest.mark.filterwarnings("ignore::decaygraph.DegenerateAmbiguity")
+@SETTINGS
+@given(st.one_of(rings(64), circulants(64), st.builds(dg.ObcChain, st.integers(2, 64)), small_products()),
+       wide_ratios)
+def test_gauged_values_lie_within_their_bauer_fike_bounds(spec, t):
+    # G = D^-1 H D is normal, so each gauged value lies within its residual
+    # ||G u - E u||_2 of an exact eigenvalue: the closed form's, to rounding
+    h = dg.build(spec, t)
+    sys = dg.gauged_eigendecompose(h)
+    exact = dg.closed_form(spec, t, h)
+    gap = np.min(np.abs(sys.values[:, None] - exact.values[None, :]), axis=1)
+    assert np.all(gap <= sys.meta["bauer_fike"] + 1e-12 * h.norm_inf())
+    assert np.all(sys.meta["bauer_fike"] <= 1e-12 * h.norm_inf())  # finite, and tight

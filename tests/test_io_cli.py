@@ -448,7 +448,7 @@ class TestCli:
         assert_same_csv((tmp_path / "drive" / "sweep.csv").read_text(), per_row_sweep_csv(sweep))
         out = tmp_path / "spectrum"
         run_cli(tmp_path, "spectrum", "--spec", spec, "--numeric", "--analytic", "--profiles", "--out", out)
-        for name, sys in (("numeric", spectra.eigendecompose(h)), ("analytic", sys)):
+        for name, sys in (("numeric", spectra.gauged_eigendecompose(h)), ("analytic", sys)):
             assert_same_csv((out / f"profiles_{name}.csv").read_text(), per_row_profiles_csv(sys))
 
     @pytest.mark.parametrize("options, named", [
@@ -634,6 +634,23 @@ class TestClosedFormRoute:
                 "(rings, circulants, open chains, products)\n"
             )
             assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
+class TestGaugedSpectrum:
+    """`spectrum --numeric` on a structured lattice runs one eig of the
+    normal D^-1 H D, so skin-effect rings whose H-eigenvalues are off by up
+    to 0.1 pair with the closed form to rounding."""
+
+    @pytest.mark.parametrize("segments, t", [([("A", 250), ("B", 350)], 1.4), ([("A", 80), ("B", 120)], 2.0)])
+    def test_skin_effect_ring_matches_the_closed_form(self, tmp_path, capsys, segments, t):
+        spec = tmp_path / "spec.json"
+        spec.write_text(ring_doc(segments, t))
+        out = tmp_path / "out"
+        assert run_cli(tmp_path, "spectrum", "--spec", spec, "--numeric", "--analytic", "--out", out) == 0
+        got = capsys.readouterr()
+        found = re.fullmatch(r"max eigenvalue mismatch after optimal pairing: (\S+) \(tolerance 1.0e-08\)\n", got.out)
+        assert found is not None and float(found.group(1)) < 1e-8
+        assert got.err == "" and json.loads((out / "manifest.json").read_text())["warnings"] == []
 
 
 class TestChargesSolveOnce:

@@ -1,5 +1,7 @@
 """Numerical and analytic eigensystems, certification, degeneracy handling."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import decaygraph as dg
-from decaygraph import spectra
+from decaygraph import io, spectra
 
 from oracle_helpers import match_deviation, union_find_groups
 
@@ -138,6 +140,63 @@ class TestEigendecompose:
             sys = dg.eigendecompose(h)
         assert np.max(sys.residuals) <= 1e-14 * h.norm_inf()
         assert match_deviation(sys.values, dg.closed_form(ring, t).values) <= 1e-8
+
+
+def drive_sweep_raw_matrices():
+    """The raw-matrix lattices of the drive-sweep benchmark at seeds 1-3."""
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(workloads)
+    return [
+        io.parse_spec(json.dumps({"lattice": job["lattice"]})).build()
+        for seed in (1, 2, 3) for job in workloads.generate("drive-sweep", seed)
+        if job["lattice"]["kind"] == "raw"
+    ]
+
+
+def test_eigendecompose_in_column_blocks_keeps_its_bits(monkeypatch):
+    # one column block against blocks of 7 columns (_block_rows // 16),
+    # whose last blocks are ragged
+    rng = np.random.default_rng(17)
+    raws = drive_sweep_raw_matrices() + [
+        dg.raw_hamiltonian(rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300)))
+    ]
+    assert len(raws) == 7
+
+    def run(rows):
+        monkeypatch.setattr(spectra, "_block_rows", lambda width: rows)
+        return [dg.eigendecompose(h) for h in raws]
+
+    for h, want, got in zip(raws, run(1 << 30), run(112)):
+        for name in ("values", "right_vectors", "left_vectors", "residuals"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (h.dim, name)
+
+
+class TestGaugedEigendecompose:
+    def test_meta_and_route(self):
+        ring = dg.SegmentedRing((("A", 7), ("B", 5)))
+        sys = dg.gauged_eigendecompose(dg.build(ring, 1.5))
+        assert sys.meta["route"] == "gauged_dense" and sys.left_vectors is None
+        assert sys.meta["commutator"] <= spectra.RESIDUAL_FACTOR
+        assert sys.meta["bauer_fike"].shape == (12,)
+        assert match_deviation(sys.values, dg.closed_form(ring, 1.5).values) <= 1e-13
+        keys = [(v.real, v.imag) for v in sys.values]
+        assert keys == sorted(keys)
+
+    def test_balanced_ring_groups_every_degenerate_pair(self):
+        sys = dg.gauged_eigendecompose(dg.build(dg.SegmentedRing((("A", 150), ("B", 150))), 1.5))
+        sizes = sorted(map(len, sys.degenerate_groups()))
+        assert sizes == [1, 1] + [2] * 149
+
+    def test_wrong_potential_fails_naming_the_commutator(self, monkeypatch):
+        ring = dg.SegmentedRing((("A", 7), ("B", 5)))
+        h = dg.build(ring, 1.5)
+        w = ring.potential()
+        w[3] = -w[3]
+        monkeypatch.setattr(dg.SegmentedRing, "potential", lambda self: w)
+        with pytest.raises(dg.ConvergenceFailure, match=r"commutator max\|G G\^T - G\^T G\| \S+ exceeds"):
+            dg.gauged_eigendecompose(h)
 
 
 class TestRingAnalytic:
@@ -493,6 +552,24 @@ def test_drive_loads_no_scipy_subpackage_beyond_sparse(tmp_path, command, doc):
     spec = tmp_path / "spec.json"
     spec.write_text(doc)
     assert _scipy_modules_after(tmp_path, command + ["--spec", str(spec)]) == []
+
+
+def test_gauged_spectrum_loads_no_scipy_and_never_assembles_the_matrix(tmp_path):
+    # G is scattered from the entries and eig comes from numpy: neither
+    # scipy nor the dense H is needed
+    spec = tmp_path / "spec.json"
+    spec.write_text(RING)
+    argv = ["spectrum", "--spec", str(spec), "--numeric", "--out", str(tmp_path / "o")]
+    code = (
+        "import sys; from decaygraph import cli, spectra\n"
+        "seen, solve = [], spectra.gauged_eigendecompose\n"
+        "spectra.gauged_eigendecompose = lambda h: seen.append(h) or solve(h)\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(len(seen), 'matrix' in vars(seen[0]), *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dg.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["1", "False"]
 
 
 def test_reproduce_all_loads_no_scipy_subpackage_beyond_sparse_and_linalg(tmp_path):
