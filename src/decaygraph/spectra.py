@@ -1,5 +1,6 @@
 """Eigensystems: the dense solver of raw matrices, and for the structured
-families their closed form and a dense solve of their normal gauge.
+families their closed form and a dense solve of their normal gauge (one
+eigh of its symmetric part, then a small eig of each cluster).
 
 Every returned eigenpair is residual-certified: ||H v - E v||_inf, with H v
 taken through the stored entries, must not exceed tol = 1e-9 * ||H||_inf.
@@ -112,34 +113,24 @@ def _normalize_columns(vectors: np.ndarray) -> np.ndarray:
     return v
 
 
-def _certified(h: Hamiltonian, values, vectors, left, what: str, meta: dict, scale=None) -> EigenSystem:
+def _certified(h: Hamiltonian, values, vectors, left, what: str, meta: dict) -> EigenSystem:
     """The eigensystem of ``h`` with these pairs, once every residual
     ||H v - E v||_inf, H v taken through ``h.dot``, stays within
-    RESIDUAL_FACTOR * ||H||_inf (a NaN residual fails).  Given the gauge's
-    diagonal ``scale`` d, the same row blocks give meta["bauer_fike"], each
-    mode's ||D^-1 r||_2 / ||D^-1 v||_2 (NaN where d underflows)."""
+    RESIDUAL_FACTOR * ||H||_inf (a NaN residual fails)."""
     h_norm = h.norm_inf()
     tol = RESIDUAL_FACTOR * h_norm
     # row blocks: no N x N temporary besides the basis
     step = _block_rows(h.dim)
-    residuals, gauged = np.zeros(len(values)), np.zeros((2, len(values)))
+    residuals = np.zeros(len(values))
     for i in range(0, h.dim, step):
         r = h.dot(vectors, i, i + step)
         r -= vectors[i:i + step] * values[None, :]
-        r = np.abs(r)
-        np.maximum(residuals, np.max(r, axis=0), out=residuals)
-        if scale is not None:  # squares of |r| / d and |v| / d, summed per mode
-            with np.errstate(divide="ignore", invalid="ignore"):
-                for k, a in enumerate((r, np.abs(vectors[i:i + step]))):
-                    a /= scale[i:i + step, None]
-                    gauged[k] += np.einsum("ij,ij->j", a, a)
+        np.maximum(residuals, np.max(np.abs(r), axis=0), out=residuals)
     worst = float(np.max(residuals))
     if not worst <= tol:
         raise ConvergenceFailure(
             f"{what}: residual {worst:.3e} exceeds certified tolerance {tol:.3e}"
         )
-    if scale is not None:
-        meta["bauer_fike"] = np.sqrt(gauged[0] / gauged[1])
     return EigenSystem(values, vectors, left, residuals, h_norm, tol, meta)
 
 
@@ -153,39 +144,74 @@ def _log_scale(h: Hamiltonian) -> np.ndarray:
     return ls
 
 
-def gauged_eigendecompose(h: Hamiltonian) -> EigenSystem:
-    """Certified eigensystem of a built lattice from one real eig of its
-    gauge G = D^-1 H D (``closed_form``'s D = diag(exp(ls))), scattered from
-    the entries.  G must be normal, max|G G^T - G^T G| <= RESIDUAL_FACTOR *
-    ||G||_inf**2, or ConvergenceFailure names that commutator.  Values sort
-    by (Re, Im); unit vectors u map back to D u.  As G is normal, each value
-    lies within ||G u - E u||_2 of an eigenvalue (Bauer & Fike, 1960):
-    meta["bauer_fike"].  No left vectors are formed."""
-    ls = _log_scale(h)
-    rows, cols, values = h.entries()
-    g = np.zeros((h.dim, h.dim))
-    g[rows, cols] = values * np.exp(ls[cols] - ls[rows])
-    # ||G||_inf without abs, as G's entries are positive; the commutator in row blocks
-    bound, step = RESIDUAL_FACTOR * float(np.max(np.sum(g, axis=1))) ** 2, _block_rows(h.dim)
+def _normal_eig(gauge, scale: np.ndarray, what: str):
+    """Eigenpairs of the real G = ``gauge()`` (built twice, so none is alive
+    through eigh): values sorted by (Re, Im), unit vectors u times ``scale``
+    row by row, and a meta of the commutator and each mode's ||G u - E u||_2.
+    G must be normal, max|G G^T - G^T G| <= RESIDUAL_FACTOR * ||G||_inf**2, or
+    ConvergenceFailure names that commutator.  G then leaves the eigenspaces
+    of its symmetric part S invariant: one eigh of S, split wherever its
+    sorted eigenvalues part by more than 100 eps / RESIDUAL_FACTOR *
+    ||G||_inf (Davis & Kahan, 1970), then one small eig of each cluster
+    basis U's block U^T G U, batched by size; u = U y.  The clusters come in
+    order of Re E, so each sorts its own values and fills its own columns.
+    """
+    g = gauge()
+    n, g_norm, step = len(g), float(np.max(np.sum(np.abs(g), axis=1))), _block_rows(len(g))
+    bound = RESIDUAL_FACTOR * g_norm ** 2
     commutator = max(float(np.max(np.abs(g[i:i + step] @ g.T - g[:, i:i + step].T @ g)))
-                     for i in range(0, h.dim, step))
+                     for i in range(0, n, step))
     if not commutator <= bound:
         raise ConvergenceFailure(
-            f"gauge of the {h.kind} lattice is not normal: commutator "
+            f"{what} is not normal: commutator "
             f"max|G G^T - G^T G| {commutator:.3e} exceeds {bound:.3e}"
         )
+    g += g.T
+    g *= 0.5
+    values, bauer_fike, vectors = np.empty(n, complex), np.empty(n), np.empty((n, n), complex)
     try:
-        values, vectors = np.linalg.eig(g)
+        real_parts, basis = np.linalg.eigh(g)
+        del g
+        g = gauge()
+        starts = np.flatnonzero(np.diff(real_parts, prepend=-np.inf)
+                                > 100 * np.finfo(float).eps / RESIDUAL_FACTOR * g_norm)
+        sizes = np.diff(starts, append=n)
+        for k in np.flatnonzero(np.bincount(sizes)):  # np.unique would import numpy.ma
+            first, per = starts[sizes == k], max(1, _block_rows(n) // (8 * k))
+            for c in range(0, len(first), per):
+                idx = (first[c:c + per, None] + np.arange(k)).ravel()
+                # U and G U as (clusters, n, k) views, about 2**15 entries a chunk
+                u, gu = (a.reshape(n, -1, k).transpose(1, 0, 2) for a in (basis[:, idx], g @ basis[:, idx]))
+                mu, y = np.linalg.eig(u.transpose(0, 2, 1) @ gu)
+                local = np.lexsort((mu.imag, mu.real))
+                mu, y = np.take_along_axis(mu, local, -1), np.take_along_axis(y, local[:, None, :], -1)
+                v, r = u @ y, gu @ y
+                r -= v * mu[:, None, :]
+                values[idx] = mu.ravel()
+                bauer_fike[idx] = (np.linalg.norm(r, axis=1) / np.linalg.norm(v, axis=1)).ravel()
+                vectors[:, idx] = (v.transpose(1, 0, 2) * scale[:, None, None]).reshape(n, -1)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"dense eigensolver failed: {exc}") from exc
-    del g
-    order = np.lexsort((values.imag, values.real))
-    scale = np.exp(ls - ls.max())
-    vectors = np.take(vectors, order, axis=1)
-    vectors *= scale[:, None]
-    meta = {"route": "gauged_dense", "commutator": commutator}
-    return _certified(h, values[order].astype(complex), _normalize_columns(vectors), None,
-                      "gauged eigendecomposition", meta, scale)
+    return values, vectors, {"commutator": commutator, "bauer_fike": bauer_fike}
+
+
+def gauged_eigendecompose(h: Hamiltonian) -> EigenSystem:
+    """Certified eigensystem of a built lattice through its gauge G = D^-1 H D
+    (``closed_form``'s D = diag(exp(ls))), scattered from the entries and
+    solved by ``_normal_eig``; its unit vectors u map back to D u.  As G is
+    normal, each value lies within ||G u - E u||_2 of an eigenvalue (Bauer &
+    Fike, 1960): meta["bauer_fike"].  No left vectors are formed."""
+    ls = _log_scale(h)
+    rows, cols, entries = h.entries()
+
+    def gauge():
+        g = np.zeros((h.dim, h.dim))
+        g[rows, cols] = entries * np.exp(ls[cols] - ls[rows])
+        return g
+
+    values, vectors, meta = _normal_eig(gauge, np.exp(ls - ls.max()), f"gauge of the {h.kind} lattice")
+    meta["route"] = "gauged_dense"
+    return _certified(h, values, _normalize_columns(vectors), None, "gauged eigendecomposition", meta)
 
 
 def eigendecompose(h: Hamiltonian) -> EigenSystem:

@@ -5,7 +5,8 @@ Random valid rings (uniform and one to three A/B pairs), circulant graphs
 and open chains with N <= 40 and t in [1/4, 1/1.01] or [1.01, 4].  Beyond
 t = 4 the dense reference itself stops certifying on some specs, so the
 range is bounded there on purpose.  The gauged dense route, whose bound
-holds for any t, is checked over N <= 64 and t in [1/8, 8].
+holds for any t, is checked over N <= 64 and t in [1/8, 8], and on products
+of two equal uniform rings.
 """
 
 import dataclasses
@@ -120,9 +121,17 @@ def small_products(draw):
     return dg.ProductLattice(((draw(axis), draw(wide_ratios)), (draw(axis), draw(wide_ratios))))
 
 
+@st.composite
+def equal_ring_products(draw):
+    # S is the Kronecker sum of one axis's S with itself: large clusters
+    ring, t = dg.SegmentedRing((("A", draw(st.integers(3, 8))),)), draw(wide_ratios)
+    return dg.ProductLattice(((ring, t), (ring, t)))
+
+
 @pytest.mark.filterwarnings("ignore::decaygraph.DegenerateAmbiguity")
 @SETTINGS
-@given(st.one_of(rings(64), circulants(64), st.builds(dg.ObcChain, st.integers(2, 64)), small_products()),
+@given(st.one_of(rings(64), circulants(64), st.builds(dg.ObcChain, st.integers(2, 64)), small_products(),
+                 equal_ring_products()),
        wide_ratios)
 def test_gauged_values_lie_within_their_bauer_fike_bounds(spec, t):
     # G = D^-1 H D is normal, so each gauged value lies within its residual

@@ -198,6 +198,52 @@ class TestGaugedEigendecompose:
         with pytest.raises(dg.ConvergenceFailure, match=r"commutator max\|G G\^T - G\^T G\| \S+ exceeds"):
             dg.gauged_eigendecompose(h)
 
+    @staticmethod
+    def _solve_recording_eig(monkeypatch, m):
+        shapes, eig = [], np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: shapes.append(a.shape) or eig(a))
+        values, vectors, meta = spectra._normal_eig(m.copy, np.ones(len(m)), "synthetic G")
+        assert match_deviation(values, eig(m)[0]) <= 1e-13 * np.max(np.sum(np.abs(m), axis=1))
+        assert np.max(np.abs(m @ vectors - vectors * values)) <= 1e-13 * np.max(np.abs(m))
+        assert np.max(meta["bauer_fike"]) <= 1e-13 * np.max(np.abs(m))
+        keys = [(v.real, v.imag) for v in values]
+        assert keys == sorted(keys)
+        return shapes
+
+    def test_skew_gauge_is_one_cluster(self, monkeypatch):
+        # S = (G + G^T) / 2 = 0: the whole spectrum is one block, one eig of G's size
+        a = np.random.default_rng(3).standard_normal((12, 12))
+        assert self._solve_recording_eig(monkeypatch, a - a.T) == [(1, 12, 12)]
+
+    def test_block_rotation_with_repeated_real_parts(self, monkeypatch):
+        # rotations a +- i b, three with a = 1 and two with a = -2, in a random
+        # orthonormal basis: S has the eigenvalue 1 six times and -2 four times
+        q = np.linalg.qr(np.random.default_rng(4).standard_normal((10, 10)))[0]
+        blocks = np.zeros((10, 10))
+        for i, (a, b) in enumerate([(1, 0.5), (1, 1.0), (1, 2.0), (-2, 0.3), (-2, 0.7)]):
+            blocks[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[a, -b], [b, a]]
+        assert sorted(self._solve_recording_eig(monkeypatch, q @ blocks @ q.T)) == [(1, 4, 4), (1, 6, 6)]
+
+    def test_large_circulant_never_runs_an_n_by_n_eig(self, monkeypatch):
+        shapes, eig = [], np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: shapes.append(a.shape) or eig(a))
+        a = [0] * 599
+        for q in (1, 7):
+            a[q - 1] = a[599 - q] = 1
+        dg.gauged_eigendecompose(dg.build(dg.validate_circulant(600, a), 1.06))
+        assert shapes and max(shape[-1] for shape in shapes) < 600
+
+    def test_bauer_fike_bounds_stay_finite_where_the_gauge_scale_underflows(self):
+        # ln t**w spans 832 on A400 B400 at t = 64: exp(ls - ls.max()) underflows
+        ring = dg.SegmentedRing((("A", 400), ("B", 400)))
+        h = dg.build(ring, 64.0)
+        sys = dg.gauged_eigendecompose(h)
+        bound = sys.meta["bauer_fike"]
+        assert bound.shape == (800,) and np.all(np.isfinite(bound))
+        exact = dg.closed_form(ring, 64.0, h).values
+        gap = np.min(np.abs(sys.values[:, None] - exact[None, :]), axis=1)
+        assert np.all(gap <= bound + 1e-12 * h.norm_inf())
+
 
 class TestRingAnalytic:
     def test_29_1_decay_constants(self):
