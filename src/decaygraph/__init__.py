@@ -56,6 +56,7 @@ from .spectra import (
     gauged_eigendecompose,
     kron_sum_spectrum,
     least_damped_mode,
+    mode_values,
     obc_analytic_spectrum,
     ring_analytic_spectrum,
     ring_mode_values,

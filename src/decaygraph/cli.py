@@ -152,7 +152,7 @@ def cmd_drive(args, out_dir: Path, manifest: RunManifest) -> int:
     except ValueError as exc:
         raise DecayGraphError(f"invalid drive option: {exc}") from exc
     sweep = response.frequency_sweep(h, cfg, sys)
-    peaks = np.array([np.max(np.abs(p.x)) for p in sweep])
+    peaks = np.max(np.abs(np.stack([p.x for p in sweep])), axis=1)
     # an E -> -E symmetric spectrum has mirror peaks at +-omega: ties go to the lowest omega
     at_peak = sweep[int(np.flatnonzero(peaks >= (1 - PEAK_TIE) * peaks.max())[0])]
     selection = response.mode_selection_check(at_peak, sys)

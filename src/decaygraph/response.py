@@ -8,11 +8,12 @@ response near omega = Re(E) of the least-damped mode is dominated by
 that mode.
 
 ``steady_state`` and ``frequency_sweep`` run one solve loop on one of two
-routes, chosen by the eigensystem given: a closed-form system
-(``meta["route"] == "closed_form"``) solves through the structured family's
-gauge, and any other call through the complex Schur form of H.  Each route
-solves the whole grid at once; both share the pole check, the certificate,
-refinement and failure text.
+routes, chosen by the lattice alone: a lattice built from a ring, circulant,
+open-chain or product spec solves through its family's gauge, and a raw (or
+transposed) matrix through the complex Schur form of H.  An eigensystem,
+when given, only sets the loss check.  Each route solves the whole grid at
+once; both share the pole check, the certificate, refinement and failure
+text.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from .decay import _fit_chains, spec_chains
 from .errors import SingularSystem, ZeroAmplitude
 from .lattice import Hamiltonian, ObcChain, ProductLattice
 # bench/tracer.py wraps eigendecompose at this binding site, which nothing here calls
-from .spectra import EigenSystem, eigendecompose, least_damped_mode, least_damped_set  # noqa: F401
+from .spectra import (  # noqa: F401
+    EigenSystem, eigendecompose, least_damped_mode, least_damped_set, mode_values,
+)
 
 SOLVE_RESIDUAL_FACTOR = 1e-10
 SINGULAR_DISTANCE = 1e-12
@@ -113,18 +116,21 @@ def _transform(y: np.ndarray, chain: bool, inverse: bool) -> np.ndarray:
     return odd * (-2j if inverse else 0.5j)
 
 
-def _gauge_route(h: Hamiltonian, source: int, values: np.ndarray):
-    """Poles and batched solve from the closed form's gauge.
+def _gauge_route(h: Hamiltonian, source: int):
+    """Poles and batched solve from the gauge of the lattice's spec.
 
     Per axis, D_k**-1 H_k D_k (D_k = diag(t_k**w_k)) is a circulant, which the
     DFT diagonalizes (Davis, Circulant Matrices, 1979), or sqrt(t_k) times the
     symmetric hopping chain, which the sine transform diagonalizes.  A product
     is the Kronecker sum of its axes, so x = D T**-1 ((T D**-1 b) / (z - E)),
     each T_k applied to the last axis of the (F, n_0, n_1, ...) array, which
-    then rotates to the front.  D is 1 at the source; the poles E are ``values``.
+    then rotates to the front.  D is 1 at the source; the poles E are the
+    spec's ``mode_values``, in the transforms' order.
     """
     spec = h.spec
-    axes = spec.axes if isinstance(spec, ProductLattice) else ((spec, h.t),)
+    product = isinstance(spec, ProductLattice)
+    axes = spec.axes if product else ((spec, h.t),)
+    values = mode_values(spec, None if product else h.t)
     dims = tuple(s.length for s, _ in axes)
     chains = [isinstance(s, ObcChain) for s, _ in reversed(axes)]
     log_d = np.zeros(())
@@ -174,14 +180,16 @@ def _drive(
 ) -> list[ResponseProfile]:
     """The certified steady state at every frequency of ``omegas``.
 
-    A closed-form ``sys`` takes the gauge route, anything else the Schur
-    route; each gives its poles and a solve of one right-hand side per
-    frequency.  The loss (with ``sys``) and the poles are checked on the whole
-    grid before any solve.  Each row must meet max|b - (z I - H) x| <=
-    SOLVE_RESIDUAL_FACTOR * amplitude, H x through ``h.dot``, within 3
-    refinement steps (Higham, Accuracy and Stability, ch. 12).  A failing row
-    names max|x|, the float64 floor eps (|z| + ||H||_inf) max|x| that
-    rounding x alone leaves, and the normwise backward error.
+    A lattice built from a spec takes the gauge route; a raw matrix, or a
+    transposed lattice, whose reversed bonds the spec's gauge does not
+    symmetrize, takes the Schur route.  Each gives its poles and a solve of
+    one right-hand side per frequency.  The loss (against ``sys``, when
+    given) and the poles are checked on the whole grid before any solve.
+    Each row must meet max|b - (z I - H) x| <= SOLVE_RESIDUAL_FACTOR *
+    amplitude, H x through ``h.dot``, within 3 refinement steps (Higham,
+    Accuracy and Stability, ch. 12).  A failing row names max|x|, the
+    float64 floor eps (|z| + ||H||_inf) max|x| that rounding x alone leaves,
+    and the normwise backward error.
     """
     if not 0 <= cfg.source_node < h.dim:
         raise ValueError(f"source node {cfg.source_node} outside 0..{h.dim - 1}")
@@ -190,8 +198,8 @@ def _drive(
     b = np.zeros(h.dim, dtype=complex)
     b[cfg.source_node] = cfg.amplitude
     z = omegas + 1j * cfg.gamma
-    if sys is not None and sys.meta.get("route") == "closed_form":
-        route, (poles, solve) = "gauge", _gauge_route(h, cfg.source_node, sys.values)
+    if h.spec is not None and not h.kind.endswith("_transposed"):
+        route, (poles, solve) = "gauge", _gauge_route(h, cfg.source_node)
     else:
         try:  # scipy refuses a non-finite matrix
             route, (poles, solve) = "Schur", _schur_route(h)
@@ -233,14 +241,18 @@ def steady_state(
     h: Hamiltonian, cfg: DriveConfig, omega: float, sys: EigenSystem | None = None
 ) -> ResponseProfile:
     """Solve ((omega + i gamma) I - H) x = amplitude * e_source, certified: the
-    one-frequency call of the sweep, by Schur unless ``sys`` is a closed form."""
+    one-frequency call of the sweep, through the gauge of a built lattice or
+    the Schur form of a raw matrix.  A given ``sys`` (any eigensystem of
+    ``h``) checks gamma > max Im(E)."""
     return _drive(h, cfg, np.array([float(omega)]), sys)[0]
 
 
-def frequency_sweep(h: Hamiltonian, cfg: DriveConfig, sys: EigenSystem) -> list[ResponseProfile]:
+def frequency_sweep(
+    h: Hamiltonian, cfg: DriveConfig, sys: EigenSystem | None = None
+) -> list[ResponseProfile]:
     """One steady state per grid frequency, in grid order: the batched gauge
-    solve for a closed-form ``sys`` (spectra.closed_form of ``h.spec``), the
-    batched Schur solve for any other (eigendecompose of ``h``)."""
+    solve for a lattice built from a spec, the batched Schur solve for a raw
+    matrix.  ``sys`` (any eigensystem of ``h``) checks gamma > max Im(E)."""
     return _drive(h, cfg, cfg.omega_grid, sys)
 
 

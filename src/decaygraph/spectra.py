@@ -315,14 +315,45 @@ def ring_mode_values(n_a: int, n_b: int, t: float) -> np.ndarray:
     return t / alpha + alpha
 
 
+def _kron_sum(axis_values) -> np.ndarray:
+    """Every sum of one value per axis, axis 0 slowest: the spectrum of a
+    Kronecker sum from its axes' spectra."""
+    values = np.zeros(1, dtype=complex)
+    for v in axis_values:
+        values = (values[:, None] + v[None, :]).ravel()
+    return values
+
+
+def mode_values(spec, t: float | None = None) -> np.ndarray:
+    """The closed form's eigenvalues of a structured lattice, in the order of
+    its transform: n * ifft of a ring's or circulant graph's gauged first row
+    (entry q is t**w-scaled hopping to offset q), 2 sqrt(t) cos(theta_m),
+    theta_m = pi m / (n + 1), for an open chain, and the Kronecker sum of
+    the axes' for a product, whose axes carry their own ratios (``t`` is
+    then unused)."""
+    if isinstance(spec, ProductLattice):
+        return _kron_sum(mode_values(s, at) for s, at in spec.axes)
+    n = spec.length
+    if isinstance(spec, ObcChain):
+        theta = np.pi * np.arange(1, n + 1) / (n + 1)
+        return (2.0 * np.sqrt(t) * np.cos(theta)).astype(complex)
+    row = np.zeros(n)
+    if isinstance(spec, SegmentedRing):
+        row[1], row[-1] = t ** (spec.n_sites_b / n), t ** (spec.n_sites_a / n)
+    else:
+        q = np.arange(1, n)
+        row[1:] = np.array(spec.a) * t ** ((n - q) / n)
+    return n * np.fft.ifft(row)
+
+
 def closed_form(spec, t: float | None = None, h: Hamiltonian | None = None) -> EigenSystem:
     """Certified eigensystem of a structured lattice via its gauge transform.
 
     For each ring, circulant graph and open chain, D**-1 H D is normal,
     with D = diag(t**w) and w the spec's potential (Hatano & Nelson's
     imaginary gauge transform): a plain circulant, diagonalized by the
-    Fourier basis with eigenvalues the DFT of its first row, or sqrt(t)
-    times the symmetric hopping chain, diagonalized by the sine basis.  The
+    Fourier basis, or sqrt(t) times the symmetric hopping chain,
+    diagonalized by the sine basis; the eigenvalues are ``mode_values``.  The
     eigenvectors are t**w times that basis, the scale formed in log space:
     nothing overflows, and sites beyond the double range underflow to zero
     (which the decay checks report as UnderflowSites).  Every pair is
@@ -336,21 +367,14 @@ def closed_form(spec, t: float | None = None, h: Hamiltonian | None = None) -> E
         sys = kron_sum_spectrum(axes, build_product_lattice(spec) if h is None else h)
     else:
         h = build_axis(spec, t) if h is None else h
-        n, meta = spec.length, {}
+        n, meta, values = spec.length, {}, mode_values(spec, h.t)
         if isinstance(spec, ObcChain):
             theta = np.pi * np.arange(1, n + 1) / (n + 1)
-            values = (2.0 * np.sqrt(h.t) * np.cos(theta)).astype(complex)
             vectors = np.sin(np.outer(np.arange(1, n + 1), theta)).astype(complex)
             meta["rho_exponent"] = float(np.diff(spec.potential()[:2])[0])
         else:
-            row = np.zeros(n)
-            if isinstance(spec, SegmentedRing):
-                row[1], row[-1] = h.t ** (spec.n_sites_b / n), h.t ** (spec.n_sites_a / n)
-            else:
-                q = np.arange(1, n)
-                row[1:] = np.array(spec.a) * h.t ** ((n - q) / n)
             j, step, roots = np.arange(n), _block_rows(n), np.exp(2j * np.pi * np.arange(n) / n)
-            values, vectors = n * np.fft.ifft(row), np.empty((n, n), dtype=complex)
+            vectors = np.empty((n, n), dtype=complex)
             for i in range(0, n, step):  # gathered in row blocks: no N x N phase table
                 vectors[i:i + step] = roots[np.outer(j[i:i + step], j) % n]
         log_scale = _log_scale(h)
@@ -401,10 +425,9 @@ def kron_sum_spectrum(axis_systems: list[EigenSystem], h: Hamiltonian) -> EigenS
     """
     if not axis_systems:
         raise ConvergenceFailure("no axis systems given")
-    values = np.zeros(1, dtype=complex)
+    values = _kron_sum(sys_k.values for sys_k in axis_systems)
     vectors = np.ones((1, 1), dtype=complex)
     for sys_k in axis_systems:
-        values = (values[:, None] + sys_k.values[None, :]).ravel()
         vectors = np.kron(vectors, sys_k.right_vectors)
     sys = _certified(h, values, _normalize_columns(vectors), None, "kronecker-sum spectrum", {})
     degenerate = any(len(g) > 1 for g in sys.degenerate_groups())

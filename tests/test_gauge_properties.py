@@ -87,10 +87,10 @@ def test_gauge_sweep_matches_schur_where_schur_certifies(spec, t, data):
     cfg = dg.default_drive_config(h, exact, data.draw(st.integers(0, h.dim - 1)))
     cfg = dataclasses.replace(cfg, omega_grid=cfg.omega_grid[::50])
     bound = dg.response.SOLVE_RESIDUAL_FACTOR * cfg.amplitude
-    schur = {}
+    raw, schur = dg.raw_hamiltonian(h.matrix), {}
     for omega in cfg.omega_grid.tolist():
         try:
-            schur[omega] = dg.steady_state(h, cfg, omega).x
+            schur[omega] = dg.steady_state(raw, cfg, omega).x
         except dg.SingularSystem:
             pass
     try:
@@ -142,3 +142,21 @@ def test_gauged_values_lie_within_their_bauer_fike_bounds(spec, t):
     gap = np.min(np.abs(sys.values[:, None] - exact.values[None, :]), axis=1)
     assert np.all(gap <= sys.meta["bauer_fike"] + 1e-12 * h.norm_inf())
     assert np.all(sys.meta["bauer_fike"] <= 1e-12 * h.norm_inf())  # finite, and tight
+
+
+@st.composite
+def axis_products(draw):
+    # two or three axes of up to 6 sites, each with its own ratio
+    axis = st.one_of(rings(6), circulants(6), st.builds(dg.ObcChain, st.integers(2, 6)))
+    axis = axis.filter(lambda spec: spec.length <= 6)
+    return dg.ProductLattice(tuple((draw(axis), draw(ratios)) for _ in range(draw(st.integers(2, 3)))))
+
+
+@pytest.mark.filterwarnings("ignore::decaygraph.DegenerateAmbiguity")
+@SETTINGS
+@given(st.one_of(rings(), circulants(), chains, axis_products()), ratios)
+def test_mode_values_are_the_closed_form_values_bit_for_bit(spec, t):
+    # the drive's gauge route takes its poles from mode_values, the
+    # closed form its eigenvalues: one formula, the same bits
+    got = dg.mode_values(spec, t)
+    assert got.tobytes() == dg.closed_form(spec, t).values.tobytes()

@@ -95,13 +95,13 @@ class TestSteadyState:
         exact = dg.closed_form(ring, 1.1)
         cfg = dg.default_drive_config(h, exact)
         omega = -1.626388234917063
-        assert dg.steady_state(h, cfg, omega).solve_residual <= 1e-10
+        assert dg.steady_state(dg.raw_hamiltonian(h.matrix), cfg, omega).solve_residual <= 1e-10
         single = dataclasses.replace(cfg, omega_grid=np.array([omega]))
         assert dg.frequency_sweep(h, single, exact)[0].solve_residual <= 1e-10
 
     def test_singular_guard_without_a_system(self):
         # the Schur route checks the grid against its own poles diag(T)
-        h = dg.build_obc_chain(dg.ObcChain(2), 4.0)  # eigenvalues +-2, real
+        h = dg.raw_hamiltonian(dg.build_obc_chain(dg.ObcChain(2), 4.0).matrix)  # eigenvalues +-2, real
         cfg = dg.DriveConfig(0, 1e-13, np.array([2.0]))
         with pytest.raises(dg.SingularSystem, match=r"^sweep failed at omega=2\.0: .* sits on an eigenvalue$"):
             dg.steady_state(h, cfg, 2.0)
@@ -153,13 +153,17 @@ class TestFrequencySweep:
 
 
 class TestSweepContract:
-    """Both sweep routes: closed form (gauge) and dense (Schur)."""
+    """Both sweep routes: the built ring with its closed form (gauge) and its
+    matrix given raw with its dense system (Schur)."""
 
     RING = dg.SegmentedRing((("A", 5), ("B", 7)))
 
     def system(self, route):
         h = dg.build(self.RING, T)
-        return h, dg.closed_form(self.RING, T) if route == "closed_form" else dg.eigendecompose(h)
+        if route == "closed_form":
+            return h, dg.closed_form(self.RING, T)
+        raw = dg.raw_hamiltonian(h.matrix)
+        return raw, dg.eigendecompose(raw)
 
     @pytest.mark.parametrize("route", ["closed_form", "dense"])
     def test_source_outside_the_lattice(self, route):
@@ -179,9 +183,9 @@ class TestSweepContract:
     @pytest.mark.parametrize("spec", [RING, dg.ProductLattice(((dg.ObcChain(4), T), (RING_12, 1.2)))])
     def test_schur_row_matches_the_gauge_row(self, spec):
         h, exact = dg.build(spec, T), dg.closed_form(spec, T)
-        cfg = dg.default_drive_config(h, exact, 2)
+        cfg, raw = dg.default_drive_config(h, exact, 2), dg.raw_hamiltonian(h.matrix)
         for omega in cfg.omega_grid[::100].tolist():
-            schur, gauge = dg.steady_state(h, cfg, omega), dg.steady_state(h, cfg, omega, exact)
+            schur, gauge = dg.steady_state(raw, cfg, omega), dg.steady_state(h, cfg, omega, exact)
             assert schur.solve_residual <= 1e-10 and gauge.solve_residual <= 1e-10
             assert np.max(np.abs(schur.x - gauge.x)) <= 1e-9 * np.max(np.abs(gauge.x))
 
@@ -197,6 +201,7 @@ class TestOneDriveLoop:
 
     def test_pole_at_the_last_grid_point_raises_before_any_solve(self, monkeypatch):
         h, sys, sel, omega, g_min = selected_setup(RING_12)
+        h = dg.raw_hamiltonian(h.matrix)
         pole = sys.values[sel]
         gamma = float(np.nextafter(pole.imag, np.inf))
         cfg = dg.DriveConfig(0, gamma, np.array([pole.real - 2.0, pole.real - 1.0, pole.real]))
@@ -250,11 +255,72 @@ class TestOneDriveLoop:
         h, exact = dg.build(ring, 1.5), dg.closed_form(ring, 1.5)
         cfg = dg.default_drive_config(h, exact)
         with pytest.raises(dg.SingularSystem, match=self.FAILURE) as schur:
-            dg.steady_state(h, cfg, -2.0869412943838226)
+            dg.steady_state(dg.raw_hamiltonian(h.matrix), cfg, -2.0869412943838226)
         assert " Schur solve residual " in str(schur.value)
         with pytest.raises(dg.SingularSystem, match=self.FAILURE) as gauge:
             dg.frequency_sweep(h, cfg, exact)
         assert " gauge solve residual " in str(gauge.value)
+
+
+class TestRouteChoice:
+    """The lattice alone picks the route: a built lattice solves through its
+    spec's gauge, whatever eigensystem checks the loss, and a raw or
+    transposed matrix through its Schur form."""
+
+    SPECS = [
+        TestSweepContract.RING,
+        dg.validate_circulant(9, [1, 1, 0, 0, 0, 0, 1, 1]),
+        dg.ObcChain(12),
+        dg.ProductLattice(((dg.ObcChain(4), T), (RING_12, 1.2))),
+    ]
+    IDS = ["ring", "circulant", "obc_chain", "product"]
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        """Record each call of the response route ``name``."""
+        calls, route = [], getattr(response, name)
+        monkeypatch.setattr(response, name, lambda *args: calls.append(args) or route(*args))
+        return calls
+
+    @pytest.mark.parametrize("spec", SPECS, ids=IDS)
+    def test_any_system_or_none_gives_the_gauge_rows(self, spec, monkeypatch):
+        h, exact = dg.build(spec, T), dg.closed_form(spec, T)
+        cfg = dg.default_drive_config(h, exact, 3)
+        cfg = dataclasses.replace(cfg, omega_grid=cfg.omega_grid[::40])
+        schur = self.counting(monkeypatch, "_schur_route")
+        rows = [
+            np.stack([p.x for p in dg.frequency_sweep(h, cfg, sys)])
+            for sys in (None, dg.gauged_eigendecompose(h), exact)
+        ]
+        assert rows[0].tobytes() == rows[1].tobytes() == rows[2].tobytes()
+        assert schur == []
+
+    @pytest.mark.parametrize("with_t", [False, True], ids=["entries", "bonds"])
+    def test_a_raw_matrix_always_takes_schur(self, with_t, monkeypatch):
+        h = dg.build(RING_12, T)
+        raw = dg.raw_hamiltonian(h.matrix, T if with_t else None)
+        cfg = dg.default_drive_config(raw, dg.closed_form(RING_12, T))
+        gauge, schur = self.counting(monkeypatch, "_gauge_route"), self.counting(monkeypatch, "_schur_route")
+        for sys in (None, dg.eigendecompose(raw)):
+            dg.frequency_sweep(raw, cfg, sys)
+        assert gauge == [] and len(schur) == 2
+
+    @pytest.mark.parametrize("spec", SPECS, ids=IDS)
+    def test_a_transposed_lattice_sweeps_as_its_raw_matrix(self, spec):
+        # the transpose keeps its spec but reverses every bond, which the
+        # spec's gauge no longer symmetrizes: it takes the Schur route
+        ht = dg.transpose(dg.build(spec, T))
+        cfg = dg.default_drive_config(ht, dg.closed_form(spec, T), 3)
+        cfg = dataclasses.replace(cfg, omega_grid=cfg.omega_grid[::40])
+        sweep = dg.frequency_sweep(ht, cfg)
+        reference = dg.frequency_sweep(dg.raw_hamiltonian(ht.matrix), cfg)
+        for p, q in zip(sweep, reference):
+            assert p.x.tobytes() == q.x.tobytes() and p.solve_residual <= 1e-10
+        b = np.zeros(ht.dim, dtype=complex)
+        b[3] = 1.0
+        z = cfg.omega_grid + 1j * cfg.gamma
+        untransposed = response._gauge_route(ht, 3)[1](b, z)
+        assert np.max(np.abs(untransposed - np.stack([p.x for p in sweep]))) > 1e-3
 
 
 class TestModeSelection:
