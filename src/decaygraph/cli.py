@@ -15,6 +15,7 @@ import json
 import sys as _sys
 import time
 import warnings
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -37,11 +38,11 @@ def _load_document(args) -> LatticeDocument:
     return doc
 
 
-def _write(out_dir: Path, name: str, content: str, manifest: RunManifest) -> None:
-    # written in slices: encoding a sweep export whole would copy tens of MB
+def _write(out_dir: Path, name: str, chunks: Iterable[str], manifest: RunManifest) -> None:
+    # each chunk written as it comes: the sweep and profile exports arrive as
+    # blocks of about io.ROWS_PER_DUMP rows, so no whole export is held
     with (out_dir / name).open("w") as fh:
-        for start in range(0, len(content), 1 << 20):
-            fh.write(content[start:start + (1 << 20)])
+        fh.writelines(chunks)
     manifest.outputs.append(name)
 
 
@@ -52,7 +53,7 @@ def _finish(out_dir: Path, manifest: RunManifest, started: float) -> None:
 
 def cmd_build(args, out_dir: Path, manifest: RunManifest) -> int:
     h = _load_document(args).build()
-    _write(out_dir, "hamiltonian.csv", io.hamiltonian_csv(h), manifest)
+    _write(out_dir, "hamiltonian.csv", (io.hamiltonian_csv(h),), manifest)
     print(f"built {h.kind} lattice: {h.dim} nodes, {len(h.edge_array)} edges")
     return 0
 
@@ -70,15 +71,15 @@ def cmd_spectrum(args, out_dir: Path, manifest: RunManifest) -> int:
     if want_numeric:
         raw = isinstance(doc.spec, RawMatrix)
         numeric = spectra.eigendecompose(h) if raw else spectra.gauged_eigendecompose(h)
-        _write(out_dir, "spectrum_numeric.csv", io.spectrum_csv(numeric.values), manifest)
+        _write(out_dir, "spectrum_numeric.csv", (io.spectrum_csv(numeric.values),), manifest)
         if args.profiles:
-            _write(out_dir, "profiles_numeric.csv", io.profiles_csv(numeric), manifest)
+            _write(out_dir, "profiles_numeric.csv", io.profiles_chunks(numeric), manifest)
         numeric = numeric.values  # the N x N basis goes before closed_form runs
     if args.analytic:
         analytic = spectra.closed_form(doc.spec, doc.t, h)
-        _write(out_dir, "spectrum_analytic.csv", io.spectrum_csv(analytic.values), manifest)
+        _write(out_dir, "spectrum_analytic.csv", (io.spectrum_csv(analytic.values),), manifest)
         if args.profiles:
-            _write(out_dir, "profiles_analytic.csv", io.profiles_csv(analytic), manifest)
+            _write(out_dir, "profiles_analytic.csv", io.profiles_chunks(analytic), manifest)
     if numeric is not None and analytic is not None:
         dev = figures.match_deviation(numeric, analytic.values)
         tol = args.tolerance if args.tolerance is not None else 1e-8
@@ -98,7 +99,7 @@ def cmd_decay(args, out_dir: Path, manifest: RunManifest) -> int:
     sys = spectra.closed_form(doc.spec, doc.t)
     threshold = args.tolerance if args.tolerance is not None else decay.PURITY_THRESHOLD
     result = decay.pure_decay_check(sys, doc.spec, doc.t, threshold)
-    _write(out_dir, "decay_report.json", io.decay_report_json(result.report, result), manifest)
+    _write(out_dir, "decay_report.json", (io.decay_report_json(result.report, result),), manifest)
     print(
         f"pure decay: {'PASS' if result.passed else 'FAIL'} "
         f"(purity {result.purity:.3e}, cross-mode {result.cross_mode_deviation:.3e})"
@@ -113,7 +114,7 @@ def cmd_charges(args, out_dir: Path, manifest: RunManifest) -> int:
             "charges are defined for pure-decay families (ring, circulant, product)"
         )
     cm = decay.charge_map(doc.spec, doc.t)
-    _write(out_dir, "charges.csv", io.charges_csv(cm), manifest)
+    _write(out_dir, "charges.csv", (io.charges_csv(cm),), manifest)
     sigma, dev = cm.sign()
     tol = args.tolerance if args.tolerance is not None else decay.QUANTIZATION_TOL
     print(
@@ -157,8 +158,8 @@ def cmd_drive(args, out_dir: Path, manifest: RunManifest) -> int:
     at_peak = sweep[int(np.flatnonzero(peaks >= (1 - PEAK_TIE) * peaks.max())[0])]
     selection = response.mode_selection_check(at_peak, sys)
     del h, sys  # not held while the sweep is formatted
-    _write(out_dir, "sweep.csv", io.sweep_csv(sweep), manifest)
-    _write(out_dir, "selection.json", io.selection_json(selection, at_peak.omega), manifest)
+    _write(out_dir, "sweep.csv", io.sweep_chunks(sweep), manifest)
+    _write(out_dir, "selection.json", (io.selection_json(selection, at_peak.omega),), manifest)
     print(
         f"drive: peak at omega={at_peak.omega:.6g}, overlap with least-damped mode "
         f"{selection.overlap:.4f}, selected mode {selection.selected_mode + 1}"
@@ -190,7 +191,7 @@ def cmd_reproduce(args, out_dir: Path, manifest: RunManifest) -> int:
         }
         for r in results
     }
-    _write(out_dir, "checks.json", json.dumps(payload, sort_keys=True, indent=2) + "\n", manifest)
+    _write(out_dir, "checks.json", (json.dumps(payload, sort_keys=True, indent=2) + "\n",), manifest)
     return 0 if all_ok else 1
 
 

@@ -10,10 +10,10 @@ that mode.
 ``steady_state`` and ``frequency_sweep`` run one solve loop on one of two
 routes, chosen by the lattice alone: a lattice built from a ring, circulant,
 open-chain or product spec solves through its family's gauge, and a raw (or
-transposed) matrix through the complex Schur form of H.  An eigensystem,
-when given, only sets the loss check.  Each route solves the whole grid at
-once; both share the pole check, the certificate, refinement and failure
-text.
+transposed) matrix through the complex Schur form of H.  The loss check
+reads an eigensystem when one is given, else the route's own poles.  Each
+route solves the whole grid at once; both share the pole check, the
+certificate, refinement and failure text.
 """
 
 from __future__ import annotations
@@ -62,9 +62,10 @@ class DriveConfig:
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
 
-    def validate_against(self, sys: EigenSystem) -> None:
-        """Net decay requires gamma above every Im(E)."""
-        top = float(np.max(sys.values.imag))
+    def validate_against(self, sys: EigenSystem | np.ndarray) -> None:
+        """Net decay requires gamma above every Im(E), E the eigenvalues of
+        the system ``sys`` or the array of them."""
+        top = float(np.max(getattr(sys, "values", sys).imag))
         if self.gamma <= top:
             raise SingularSystem(
                 f"gamma = {self.gamma} must exceed max Im(E) = {top} for a decaying system"
@@ -183,8 +184,9 @@ def _drive(
     A lattice built from a spec takes the gauge route; a raw matrix, or a
     transposed lattice, whose reversed bonds the spec's gauge does not
     symmetrize, takes the Schur route.  Each gives its poles and a solve of
-    one right-hand side per frequency.  The loss (against ``sys``, when
-    given) and the poles are checked on the whole grid before any solve.
+    one right-hand side per frequency.  The loss (against ``sys``, else
+    against the route's poles) and the poles are checked on the whole grid
+    before any solve.
     Each row must meet max|b - (z I - H) x| <= SOLVE_RESIDUAL_FACTOR *
     amplitude, H x through ``h.dot``, within 3 refinement steps (Higham,
     Accuracy and Stability, ch. 12).  A failing row names max|x|, the
@@ -205,6 +207,8 @@ def _drive(
             route, (poles, solve) = "Schur", _schur_route(h)
         except ValueError as exc:
             raise _fail(omegas[0], f"no Schur form of H: {exc}") from exc
+    if sys is None:
+        cfg.validate_against(poles)
     on_pole = np.flatnonzero(np.min(np.abs(z[:, None] - poles), axis=1) < SINGULAR_DISTANCE)
     if on_pole.size:
         raise _fail(omegas[on_pole[0]], f"omega + i gamma = {z[on_pole[0]]} sits on an eigenvalue")
@@ -242,8 +246,8 @@ def steady_state(
 ) -> ResponseProfile:
     """Solve ((omega + i gamma) I - H) x = amplitude * e_source, certified: the
     one-frequency call of the sweep, through the gauge of a built lattice or
-    the Schur form of a raw matrix.  A given ``sys`` (any eigensystem of
-    ``h``) checks gamma > max Im(E)."""
+    the Schur form of a raw matrix.  gamma > max Im(E) is checked against
+    ``sys`` (any eigensystem of ``h``) when given, else the route's poles."""
     return _drive(h, cfg, np.array([float(omega)]), sys)[0]
 
 
@@ -252,7 +256,7 @@ def frequency_sweep(
 ) -> list[ResponseProfile]:
     """One steady state per grid frequency, in grid order: the batched gauge
     solve for a lattice built from a spec, the batched Schur solve for a raw
-    matrix.  ``sys`` (any eigensystem of ``h``) checks gamma > max Im(E)."""
+    matrix.  gamma > max Im(E) is checked as in ``steady_state``."""
     return _drive(h, cfg, cfg.omega_grid, sys)
 
 

@@ -47,6 +47,16 @@ def assert_same_csv(got: str, want: str) -> None:
     raise AssertionError(f"{where}: {ours[first]!r} against {theirs[first]!r}")
 
 
+def assert_same_chunks(chunks, want: str, width: int) -> None:
+    """The chunks joined are ``want``: the header line, then blocks of whole
+    rows, each at most max(ROWS_PER_DUMP, width) rows."""
+    chunks = list(chunks)
+    assert_same_csv("".join(chunks), want)
+    assert chunks[0] == want[:want.index("\n") + 1]
+    for chunk in chunks[1:]:
+        assert chunk[-1:] in ("", "\n") and chunk.count("\n") <= max(io.ROWS_PER_DUMP, width)
+
+
 RING_DOC = (
     '{"lattice":{"kind":"ring","t":1.5,'
     '"segments":[{"type":"A","len":29},{"type":"B","len":1}]}}'
@@ -175,9 +185,11 @@ class TestExports:
         assert lines[0] == "omega,node,abs_x,re_x,im_x"
         assert len(lines) == 1 + 2 * 2
 
-    def test_sweep_csv_matches_per_row_formatter(self):
-        # magnitudes from 1e-300 to 1e300, signed zeros, subnormals and
-        # non-finite parts, in complex and in real rows
+    @staticmethod
+    def special_profiles():
+        """40 profiles of 1 to 59 nodes: magnitudes from 1e-300 to 1e300,
+        signed zeros, subnormals and non-finite parts, in complex and in
+        real rows."""
         rng = np.random.default_rng(7)
         special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
                             1e-300, -1e300, np.inf, -np.inf, np.nan])
@@ -192,8 +204,38 @@ class TestExports:
                 x.imag = mag[1]
             omega = float(rng.choice([-0.0, 1e-310, rng.uniform(-5, 5)]))
             profiles.append(response.ResponseProfile(omega, x, 0.0))
+        return profiles
+
+    def test_sweep_csv_matches_per_row_formatter(self):
+        profiles = self.special_profiles()
         assert_same_csv(io.sweep_csv(profiles), per_row_sweep_csv(profiles))
         assert_same_csv(io.sweep_csv([]), per_row_sweep_csv([]))
+
+    def test_sweep_chunks_join_to_the_per_row_formatter(self):
+        profiles = self.special_profiles()
+        assert_same_chunks(io.sweep_chunks(profiles), per_row_sweep_csv(profiles), 59)
+        # 401 frequencies of 30 nodes: 12030 rows, in blocks of 136 frequencies
+        parts = self.seeded(np.random.default_rng(17), (2, 401, 30))
+        x = parts[0].astype(complex)
+        x.imag = parts[1]
+        long = [response.ResponseProfile(w, row, 0.0) for w, row in zip(np.linspace(-3, 3, 401).tolist(), x)]
+        chunks = list(io.sweep_chunks(long))
+        assert len(chunks) == 1 + 3
+        with np.errstate(over="ignore"):
+            assert_same_chunks(chunks, per_row_sweep_csv(long), 30)
+
+    def test_profiles_chunks_join_to_the_per_row_formatter(self):
+        # 80 modes of 80 sites: 6400 rows, one full block of 51 modes and a part
+        parts = self.seeded(np.random.default_rng(19), (2, 80, 80))
+        x = parts[0].astype(complex)
+        x.imag = parts[1]
+        with np.errstate(invalid="ignore", over="ignore"):
+            vectors = x / np.maximum(np.abs(x), 1.0)
+        sys = dg.EigenSystem(x[0], vectors, None, np.zeros(80), 1.0, 1e-10)
+        chunks = list(io.profiles_chunks(sys))
+        assert len(chunks) == 1 + 2
+        with np.errstate(over="ignore"):
+            assert_same_chunks(chunks, per_row_profiles_csv(sys), 80)
 
     @staticmethod
     def seeded(rng, shape):
@@ -331,6 +373,7 @@ class TestRowBlocks:
             profiles.append(response.ResponseProfile(float(rng.uniform(-5, 5)), x, 0.0))
         with np.errstate(over="ignore"):
             assert_same_csv(io.sweep_csv(profiles), per_row_sweep_csv(profiles))
+            assert_same_chunks(io.sweep_chunks(profiles), per_row_sweep_csv(profiles), max(lengths, default=0))
 
     @pytest.mark.parametrize("n", [0, 1, 3, 7, 10])
     def test_profiles(self, n):
@@ -341,6 +384,7 @@ class TestRowBlocks:
             vectors = x / np.maximum(np.abs(x), 1.0)
         sys = dg.EigenSystem(x[0] if n else np.zeros(0), vectors, None, np.zeros(n), 1.0, 1e-10)
         assert_same_csv(io.profiles_csv(sys), per_row_profiles_csv(sys))
+        assert_same_chunks(io.profiles_chunks(sys), per_row_profiles_csv(sys), n)
         h = dg.raw_hamiltonian(x)
         assert_same_csv(io.hamiltonian_csv(h), dense_hamiltonian_csv(h))
 
@@ -450,6 +494,23 @@ class TestCli:
         run_cli(tmp_path, "spectrum", "--spec", spec, "--numeric", "--analytic", "--profiles", "--out", out)
         for name, sys in (("numeric", spectra.gauged_eigendecompose(h)), ("analytic", sys)):
             assert_same_csv((out / f"profiles_{name}.csv").read_text(), per_row_profiles_csv(sys))
+
+    def test_sweep_and_profiles_are_written_block_by_block(self, tmp_path, ring_spec, monkeypatch):
+        def whole(*args):
+            raise AssertionError("a whole export was built in memory")
+
+        monkeypatch.setattr(io, "sweep_csv", whole)
+        monkeypatch.setattr(io, "profiles_csv", whole)
+        out = tmp_path / "out"
+        assert run_cli(tmp_path, "drive", "--spec", ring_spec, "--out", out) == 0
+        assert run_cli(tmp_path, "spectrum", "--spec", ring_spec, "--numeric", "--profiles", "--out", out) == 0
+        monkeypatch.undo()
+        doc = io.parse_spec(RING_DOC)
+        h, exact = doc.build(), spectra.closed_form(doc.spec, doc.t)
+        sweep = response.frequency_sweep(h, response.default_drive_config(h, exact, 0), exact)
+        assert (out / "sweep.csv").read_bytes() == io.sweep_csv(sweep).encode()
+        numeric = spectra.gauged_eigendecompose(h)
+        assert (out / "profiles_numeric.csv").read_bytes() == io.profiles_csv(numeric).encode()
 
     @pytest.mark.parametrize("options, named", [
         (["--gamma", "-1"], "gamma must be positive, got -1.0"),
@@ -812,6 +873,18 @@ class TestDriveRoute:
         ring = dg.SegmentedRing((("A", n_a), ("B", n_b)))
         cfg = dg.default_drive_config(dg.build(ring, t), dg.closed_form(ring, t))
         assert self.sweep_residual(tmp_path, n_a, n_b, t, cfg) <= response.SOLVE_RESIDUAL_FACTOR
+
+    def test_ring_600_holds_less_than_its_sweep_export(self, tmp_path):
+        # sweep.csv goes to disk a block at a time, so the whole export is
+        # never held: about 17 MiB traced at peak against a 20.6 MiB file
+        tracemalloc.start()
+        try:
+            rc = self.run_drive(tmp_path, ring_doc([("A", 400), ("B", 200)], 1.02))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < (tmp_path / "out" / "sweep.csv").stat().st_size
 
     @pytest.mark.parametrize("n_a, n_b, t", [(200, 100, 1.1), (400, 200, 1.02)])
     def test_raw_ring_certifies_every_row(self, tmp_path, n_a, n_b, t):

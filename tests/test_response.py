@@ -1,6 +1,7 @@
 """Driven steady states: solves, sweeps, mode selection, log profiles."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,24 @@ class TestDriveConfig:
         cfg = dg.DriveConfig(0, g_min / 2, np.array([omega]))
         with pytest.raises(dg.SingularSystem):
             dg.steady_state(h, cfg, omega, sys)
+
+    @pytest.mark.parametrize("raw", [False, True], ids=["gauge", "schur"])
+    def test_gamma_must_beat_max_im_without_a_system(self, raw):
+        # A11 B1 at t = 1.5 grows at max Im E = 0.416: with no system given,
+        # each route checks the loss against its own poles
+        h = dg.build(RING_12, T)
+        cfg = dg.DriveConfig(0, 0.208, np.array([0.3]))
+        with pytest.raises(dg.SingularSystem) as given:
+            dg.steady_state(h, cfg, 0.3, dg.closed_form(RING_12, T))
+        text = r"^gamma = 0\.208 must exceed max Im\(E\) = 0\.41579747545868\d* for a decaying system$"
+        assert re.match(text, str(given.value))
+        if raw:
+            h = dg.raw_hamiltonian(h.matrix)
+        for run in (lambda: dg.steady_state(h, cfg, 0.3), lambda: dg.frequency_sweep(h, cfg)):
+            with pytest.raises(dg.SingularSystem, match=text) as alone:
+                run()
+            if not raw:  # the gauge's poles are the closed form's values, bit for bit
+                assert str(alone.value) == str(given.value)
 
     def test_default_config(self):
         h, sys, *_ = selected_setup(RING_12)
