@@ -7,13 +7,14 @@ With gamma above the largest Im(E) the system is net-decaying and the
 response near omega = Re(E) of the least-damped mode is dominated by
 that mode.
 
-``steady_state`` and ``frequency_sweep`` run one solve loop on one of two
-routes, chosen by the lattice alone: a lattice built from a ring, circulant,
+``steady_state`` and ``frequency_sweep`` run one solve loop, on a route
+chosen by the lattice alone: a lattice built from a ring, circulant,
 open-chain or product spec solves through its family's gauge, and a raw (or
-transposed) matrix through the complex Schur form of H.  The loss check
-reads an eigensystem when one is given, else the route's own poles.  Each
-route solves the whole grid at once; both share the pole check, the
-certificate, refinement and failure text.
+transposed) matrix through its eigenvector expansion, numpy only, whose
+uncertified rows the complex Schur form of H rescues.  The loss check reads
+an eigensystem when one is given, else the route's own poles.  Each route
+solves the whole grid at once; all share the pole check, the certificate,
+refinement and failure text.
 """
 
 from __future__ import annotations
@@ -138,7 +139,10 @@ def _gauge_route(h: Hamiltonian, source: int):
     for (s, t), i in zip(axes, np.unravel_index(source, dims)):
         w = s.potential()
         log_d = np.add.outer(log_d, (w - w[i]) * np.log(t))
-    d, energies = np.exp(log_d), values.reshape(dims)
+    with np.errstate(over="ignore"):
+        d, energies = np.exp(log_d), values.reshape(dims)
+    if not np.all((d > 0) & (d < np.inf)):  # D leaves float64: the solve would give nan
+        raise SingularSystem(f"the steady state spans 10^{np.ptp(log_d) / np.log(10):.0f}, beyond float64")
 
     def solve(rhs, zs):
         y = rhs.reshape((-1,) + dims) / d
@@ -153,13 +157,27 @@ def _gauge_route(h: Hamiltonian, source: int):
     return values, solve
 
 
+def _modal_route(h: Hamiltonian):
+    """Poles E and batched solve x = V ((V**-1 b) / (z - E)) from H = V diag(E) V**-1,
+    one GEMM for the whole grid.  Its accuracy falls with cond(V) (Trefethen &
+    Embree, Spectra and Pseudospectra, 2005): ``_schur_route`` rescues it."""
+    values, v = np.linalg.eig(h.matrix)
+    w = np.linalg.inv(v)
+
+    def solve(rhs, zs):
+        return (v @ ((w @ np.atleast_2d(rhs).T) / (zs - values[:, None]))).T
+
+    return values, solve
+
+
 def _schur_route(h: Hamiltonian):
-    """Poles diag(T) and batched solve from the complex Schur form H = Q T Q**H:
+    """The expansion's rescue: poles diag(T) and batched solve from the complex
+    Schur form H = Q T Q**H:
     (z I - H) x = r is (z I - T) y = Q**H r with x = Q y, one back-substitution
     over the rows of T for every frequency at once.  A real H takes the real
     Schur form, made complex-triangular by rsf2csf.  A unitary reduction has no
     pivot growth (Golub & Van Loan, Matrix Computations, ch. 7)."""
-    # imported here: loading scipy.linalg at package import costs ~0.35 s
+    # imported here, by the rescue alone: scipy.linalg costs ~0.2-0.4 s and 27 MiB
     from scipy.linalg import rsf2csf, schur
 
     t, q = schur(h.matrix)
@@ -183,10 +201,13 @@ def _drive(
 
     A lattice built from a spec takes the gauge route; a raw matrix, or a
     transposed lattice, whose reversed bonds the spec's gauge does not
-    symmetrize, takes the Schur route.  Each gives its poles and a solve of
-    one right-hand side per frequency.  The loss (against ``sys``, else
-    against the route's poles) and the poles are checked on the whole grid
-    before any solve.
+    symmetrize, takes the eigenvector expansion.  Each gives its poles and a
+    solve of one right-hand side per frequency.  The loss (against ``sys``,
+    else against the route's poles) and the poles are checked on the whole
+    grid before any solve.  When ``eig`` or ``inv`` refuses H, or rows still
+    fail after the expansion's refinement, the Schur route solves the grid as
+    it does alone, checks and refinement included, and those rows take its
+    result, bit for bit.
     Each row must meet max|b - (z I - H) x| <= SOLVE_RESIDUAL_FACTOR *
     amplitude, H x through ``h.dot``, within 3 refinement steps (Higham,
     Accuracy and Stability, ch. 12).  A failing row names max|x|, the
@@ -201,17 +222,9 @@ def _drive(
     b[cfg.source_node] = cfg.amplitude
     z = omegas + 1j * cfg.gamma
     if h.spec is not None and not h.kind.endswith("_transposed"):
-        route, (poles, solve) = "gauge", _gauge_route(h, cfg.source_node)
+        routes = {"gauge": lambda: _gauge_route(h, cfg.source_node)}
     else:
-        try:  # scipy refuses a non-finite matrix
-            route, (poles, solve) = "Schur", _schur_route(h)
-        except ValueError as exc:
-            raise _fail(omegas[0], f"no Schur form of H: {exc}") from exc
-    if sys is None:
-        cfg.validate_against(poles)
-    on_pole = np.flatnonzero(np.min(np.abs(z[:, None] - poles), axis=1) < SINGULAR_DISTANCE)
-    if on_pole.size:
-        raise _fail(omegas[on_pole[0]], f"omega + i gamma = {z[on_pole[0]]} sits on an eigenvalue")
+        routes = {"modal": lambda: _modal_route(h), "Schur": lambda: _schur_route(h)}
 
     def misfit(x, zs):
         """b - (z I - H) x, one row per frequency, with H x through the edges,
@@ -222,17 +235,34 @@ def _drive(
         return r, np.max(np.abs(r), axis=1)
 
     bound = SOLVE_RESIDUAL_FACTOR * cfg.amplitude
-    x = solve(b, z)
-    r, residual = misfit(x, z)
-    for _ in range(3):
-        bad = np.flatnonzero(~(residual <= bound))
-        if bad.size == 0:
+    x = residual = None
+    for route, make in routes.items():
+        try:
+            poles, solve = make()
+        except (ValueError, np.linalg.LinAlgError) as exc:  # eig, inv or scipy refuse H
+            if route == "modal":
+                continue
+            raise _fail(omegas[0], f"no {route} form of H: {exc}") from exc
+        if sys is None:
+            cfg.validate_against(poles)
+        on_pole = np.flatnonzero(np.min(np.abs(z[:, None] - poles), axis=1) < SINGULAR_DISTANCE)
+        if on_pole.size:
+            raise _fail(omegas[on_pole[0]], f"omega + i gamma = {z[on_pole[0]]} sits on an eigenvalue")
+        xs = solve(b, z)
+        r, res = misfit(xs, z)
+        for _ in range(3):
+            miss = np.flatnonzero(~(res <= bound))
+            if miss.size == 0:
+                break
+            xs[miss] += solve(r[miss], z[miss])
+            r[miss], res[miss] = misfit(xs[miss], z[miss])
+        if x is not None:  # the rescue solved the whole grid, as a row's bits depend on its batch
+            xs[ok], res[ok] = x[ok], residual[ok]
+        x, residual, ok = xs, res, res <= bound
+        if ok.all():
             break
-        x[bad] += solve(r[bad], z[bad])
-        r[bad], residual[bad] = misfit(x[bad], z[bad])
-    bad = np.flatnonzero(~(residual <= bound))
-    if bad.size:
-        f = bad[0]
+    if not ok.all():
+        f = np.flatnonzero(~ok)[0]
         size, scale = np.max(np.abs(x[f])), abs(z[f]) + h.norm_inf()
         raise _fail(omegas[f], f"{route} solve residual {residual[f]:.3e} exceeds "
                     f"{SOLVE_RESIDUAL_FACTOR:.0e} * drive after 3 refinement steps "
@@ -246,7 +276,7 @@ def steady_state(
 ) -> ResponseProfile:
     """Solve ((omega + i gamma) I - H) x = amplitude * e_source, certified: the
     one-frequency call of the sweep, through the gauge of a built lattice or
-    the Schur form of a raw matrix.  gamma > max Im(E) is checked against
+    the eigenvector expansion of a raw matrix.  gamma > max Im(E) is checked against
     ``sys`` (any eigensystem of ``h``) when given, else the route's poles."""
     return _drive(h, cfg, np.array([float(omega)]), sys)[0]
 
@@ -255,8 +285,8 @@ def frequency_sweep(
     h: Hamiltonian, cfg: DriveConfig, sys: EigenSystem | None = None
 ) -> list[ResponseProfile]:
     """One steady state per grid frequency, in grid order: the batched gauge
-    solve for a lattice built from a spec, the batched Schur solve for a raw
-    matrix.  gamma > max Im(E) is checked as in ``steady_state``."""
+    solve for a lattice built from a spec, the batched eigenvector expansion
+    for a raw matrix.  gamma > max Im(E) is checked as in ``steady_state``."""
     return _drive(h, cfg, cfg.omega_grid, sys)
 
 

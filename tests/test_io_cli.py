@@ -860,7 +860,7 @@ class TestWarnings:
 
 class TestDriveRoute:
     """`drive` sweeps a structured lattice through the closed form's gauge and a
-    raw matrix through one Schur form."""
+    raw matrix through its eigenvector expansion, with the Schur form as rescue."""
 
     def run_drive(self, tmp_path, text):
         spec = tmp_path / "spec.json"
@@ -888,13 +888,25 @@ class TestDriveRoute:
 
     @pytest.mark.parametrize("n_a, n_b, t", [(200, 100, 1.1), (400, 200, 1.02)])
     def test_raw_ring_certifies_every_row(self, tmp_path, n_a, n_b, t):
-        # the same rings given as raw matrices take the Schur route
+        # the same rings given as raw matrices take the expansion, and the
+        # Schur form certifies the rows the expansion leaves
         h = dg.build(dg.SegmentedRing((("A", n_a), ("B", n_b))), t)
         entries = [[i + 1, j + 1, v, 0.0] for i, j, v in zip(*(a.tolist() for a in h.entries()))]
         doc = json.dumps({"lattice": {"kind": "raw", "dim": h.dim, "entries": entries}})
         assert self.run_drive(tmp_path, doc) == 0
         cfg = dg.default_drive_config(h, dg.eigendecompose(h))
         assert self.sweep_residual(tmp_path, n_a, n_b, t, cfg) <= 1e-10
+
+    @pytest.mark.parametrize("t", [64, 1 / 64], ids=["t64", "t1_64"])
+    def test_a_steady_state_beyond_float64_names_its_span(self, tmp_path, t):
+        # the gauge D = diag(t**w) of A512 B512 spans 10^462, so exp(log D)
+        # overflows (t = 64) or underflows to 0 (t = 1/64): the drive stops
+        # before any solve, with no nan cause and no numpy warning
+        assert self.run_drive(tmp_path, ring_doc([("A", 512), ("B", 512)], t)) == 2
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        message = "the steady state spans 10^462, beyond float64"
+        assert manifest["error"] == {"class": "SingularSystem", "message": message}
+        assert manifest["warnings"] == []
 
     @pytest.mark.parametrize("command", [["drive"], ["spectrum", "--analytic"]])
     def test_builds_the_lattice_once(self, tmp_path, monkeypatch, command):

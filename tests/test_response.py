@@ -2,9 +2,12 @@
 
 import dataclasses
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import decaygraph as dg
 from decaygraph import response, spectra
@@ -211,7 +214,8 @@ class TestSweepContract:
 
 class TestOneDriveLoop:
     """steady_state and frequency_sweep share one pole check, one
-    certificate and one failure format across the Schur and gauge routes."""
+    certificate and one failure format across the gauge route, the
+    eigenvector expansion and its Schur rescue."""
 
     FAILURE = (
         r"^sweep failed at omega=\S+: (gauge|Schur) solve residual \S+ exceeds 1e-10 \* drive "
@@ -225,13 +229,13 @@ class TestOneDriveLoop:
         gamma = float(np.nextafter(pole.imag, np.inf))
         cfg = dg.DriveConfig(0, gamma, np.array([pole.real - 2.0, pole.real - 1.0, pole.real]))
         solved = []
-        schur_route = response._schur_route
+        modal_route = response._modal_route
 
         def counted(h):
-            poles, solve = schur_route(h)
+            poles, solve = modal_route(h)
             return poles, lambda rhs, zs: solved.append(len(zs)) or solve(rhs, zs)
 
-        monkeypatch.setattr(response, "_schur_route", counted)
+        monkeypatch.setattr(response, "_modal_route", counted)
         with pytest.raises(dg.SingularSystem, match=r"^sweep failed at omega=.* sits on an eigenvalue$"):
             dg.frequency_sweep(h, cfg, sys)
         assert solved == []
@@ -284,7 +288,8 @@ class TestOneDriveLoop:
 class TestRouteChoice:
     """The lattice alone picks the route: a built lattice solves through its
     spec's gauge, whatever eigensystem checks the loss, and a raw or
-    transposed matrix through its Schur form."""
+    transposed matrix through its eigenvector expansion, which hands the
+    rows it leaves uncertified to the Schur form."""
 
     SPECS = [
         TestSweepContract.RING,
@@ -315,19 +320,20 @@ class TestRouteChoice:
         assert schur == []
 
     @pytest.mark.parametrize("with_t", [False, True], ids=["entries", "bonds"])
-    def test_a_raw_matrix_always_takes_schur(self, with_t, monkeypatch):
+    def test_a_raw_matrix_takes_the_expansion(self, with_t, monkeypatch):
         h = dg.build(RING_12, T)
         raw = dg.raw_hamiltonian(h.matrix, T if with_t else None)
         cfg = dg.default_drive_config(raw, dg.closed_form(RING_12, T))
-        gauge, schur = self.counting(monkeypatch, "_gauge_route"), self.counting(monkeypatch, "_schur_route")
+        names = ("_gauge_route", "_modal_route", "_schur_route")
+        gauge, modal, schur = (self.counting(monkeypatch, name) for name in names)
         for sys in (None, dg.eigendecompose(raw)):
-            dg.frequency_sweep(raw, cfg, sys)
-        assert gauge == [] and len(schur) == 2
+            assert max(p.solve_residual for p in dg.frequency_sweep(raw, cfg, sys)) <= 1e-10
+        assert gauge == [] and len(modal) == 2 and schur == []
 
     @pytest.mark.parametrize("spec", SPECS, ids=IDS)
     def test_a_transposed_lattice_sweeps_as_its_raw_matrix(self, spec):
         # the transpose keeps its spec but reverses every bond, which the
-        # spec's gauge no longer symmetrizes: it takes the Schur route
+        # spec's gauge no longer symmetrizes: it takes the raw matrix's route
         ht = dg.transpose(dg.build(spec, T))
         cfg = dg.default_drive_config(ht, dg.closed_form(spec, T), 3)
         cfg = dataclasses.replace(cfg, omega_grid=cfg.omega_grid[::40])
@@ -340,6 +346,54 @@ class TestRouteChoice:
         z = cfg.omega_grid + 1j * cfg.gamma
         untransposed = response._gauge_route(ht, 3)[1](b, z)
         assert np.max(np.abs(untransposed - np.stack([p.x for p in sweep]))) > 1e-3
+
+    def test_schur_rescues_the_rows_the_expansion_leaves(self, monkeypatch):
+        # on A45 B15 at t = 5 the expansion stops a few rows just above the
+        # bound; Schur solves the grid as it does alone and hands those rows
+        # over, so each certifies with the bits of a plain Schur sweep
+        h = dg.raw_hamiltonian(dg.build(dg.SegmentedRing((("A", 45), ("B", 15))), 5.0).matrix)
+        cfg = dg.default_drive_config(h, dg.eigendecompose(h))
+        schur = self.counting(monkeypatch, "_schur_route")
+        sweep = dg.frequency_sweep(h, cfg)
+        assert len(schur) == 1 and max(p.solve_residual for p in sweep) <= 1e-10
+
+        def refused(h):
+            raise np.linalg.LinAlgError("no expansion")
+
+        monkeypatch.setattr(response, "_modal_route", refused)
+        plain = dg.frequency_sweep(h, cfg)
+        rescued = [(p, q) for p, q in zip(sweep, plain) if p.x.tobytes() == q.x.tobytes()]
+        assert 0 < len(rescued) < 10
+        assert all(p.solve_residual == q.solve_residual for p, q in rescued)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_the_expansion_certifies_and_matches_schur(data):
+    # random complex matrices and raw copies of small two-segment rings: the
+    # expansion certifies every row without the rescue, and each row agrees
+    # with a plain Schur solve
+    if data.draw(st.booleans(), label="random"):
+        n = data.draw(st.integers(1, 40), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    else:
+        segments = (("A", data.draw(st.integers(1, 20))), ("B", data.draw(st.integers(2, 20))))
+        t = data.draw(st.one_of(st.floats(0.25, 1 / 1.01), st.floats(1.01, 4.0)), label="t")
+        m = dg.build(dg.SegmentedRing(segments), t).matrix
+    h = dg.raw_hamiltonian(m)
+    values = np.linalg.eigvals(m)
+    gamma = max(float(np.max(values.imag)), 0.0) + 0.05 * h.norm_inf()
+    grid = np.linspace(np.min(values.real) - 1.0, np.max(values.real) + 1.0, 41)
+    cfg = dg.DriveConfig(data.draw(st.integers(0, h.dim - 1), label="source"), gamma, grid)
+    with mock.patch.object(response, "_schur_route", side_effect=AssertionError("rescued")):
+        sweep = dg.frequency_sweep(h, cfg)
+    b = np.zeros(h.dim, dtype=complex)
+    b[cfg.source_node] = cfg.amplitude
+    schur = response._schur_route(h)[1](b, grid + 1j * gamma)
+    for p, x in zip(sweep, schur):
+        assert p.solve_residual <= 1e-10
+        assert np.max(np.abs(p.x - x)) <= 1e-9 * np.max(np.abs(x))
 
 
 class TestModeSelection:

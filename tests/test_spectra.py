@@ -624,8 +624,18 @@ def test_reproduce_all_loads_no_scipy(tmp_path):
     assert _scipy_modules_after(tmp_path, ["reproduce", "all"]) == []
 
 
-def test_raw_drive_loads_only_linalg(tmp_path):
-    # a raw matrix takes the Schur route, the one route that needs scipy
+def test_raw_drive_loads_no_scipy(tmp_path):
+    # a raw matrix solves through its eigenvector expansion, numpy only
     spec = tmp_path / "spec.json"
     spec.write_text(RAW)
+    assert _scipy_modules_after(tmp_path, ["drive", "--spec", str(spec)]) == []
+
+
+def test_raw_drive_loads_linalg_only_for_the_schur_rescue(tmp_path):
+    # on A45 B15 at t = 5 the expansion leaves a few rows uncertified, and the
+    # Schur form, the one route that needs scipy, certifies them
+    h = dg.build(dg.SegmentedRing((("A", 45), ("B", 15))), 5.0)
+    entries = [[i + 1, j + 1, v, 0.0] for i, j, v in zip(*(a.tolist() for a in h.entries()))]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"lattice": {"kind": "raw", "dim": h.dim, "entries": entries}}))
     assert _subpackages(_scipy_modules_after(tmp_path, ["drive", "--spec", str(spec)])) == {"linalg"}
