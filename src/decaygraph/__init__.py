@@ -89,6 +89,7 @@ from .response import (
     mode_selection_check,
     resolvent_response,
     steady_state,
+    transform_mode_selection,
 )
 from .io import LatticeDocument, RawMatrix, parse_spec, serialize_spec
 

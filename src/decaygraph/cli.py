@@ -25,8 +25,6 @@ from .errors import DecayGraphError
 from .io import LatticeDocument, RawMatrix, RunManifest
 from .lattice import ObcChain, ProductLattice
 
-PEAK_TIE = 1e-9  # relative: drive's peaks within it of the largest tie
-
 
 def _load_document(args) -> LatticeDocument:
     text = Path(args.spec).read_text()
@@ -135,10 +133,10 @@ def cmd_drive(args, out_dir: Path, manifest: RunManifest) -> int:
     source = args.source if args.source is not None else 1
     if not 1 <= source <= h.dim:
         raise DecayGraphError(f"--source {source} is outside 1..{h.dim}")
-    if isinstance(doc.spec, RawMatrix):
-        sys = spectra.eigendecompose(h)
-    else:
-        sys = spectra.closed_form(doc.spec, doc.t, h)
+    # a raw matrix's dense eigensystem serves the loss, the grid, the solve
+    # and the selection; a spec lattice needs only its closed-form values
+    raw = isinstance(doc.spec, RawMatrix)
+    sys = spectra.eigendecompose(h) if raw else spectra.closed_form_values(doc.spec, doc.t, h)
     cfg = response.default_drive_config(h, sys, source - 1)
     overrides = {"amplitude": args.amplitude}
     if args.gamma is not None:
@@ -153,10 +151,15 @@ def cmd_drive(args, out_dir: Path, manifest: RunManifest) -> int:
     except ValueError as exc:
         raise DecayGraphError(f"invalid drive option: {exc}") from exc
     sweep = response.frequency_sweep(h, cfg, sys)
-    peaks = np.max(np.abs(np.stack([p.x for p in sweep])), axis=1)
+    # max|x| per frequency, a block at a time: no copy of the whole sweep
+    peaks = np.concatenate([np.max(np.abs(np.stack([p.x for p in sweep[s]])), axis=1)
+                            for s in response.sweep_blocks(len(sweep), h.dim)])
     # an E -> -E symmetric spectrum has mirror peaks at +-omega: ties go to the lowest omega
-    at_peak = sweep[int(np.flatnonzero(peaks >= (1 - PEAK_TIE) * peaks.max())[0])]
-    selection = response.mode_selection_check(at_peak, sys)
+    at_peak = sweep[int(np.flatnonzero(peaks >= (1 - response.PEAK_TIE) * peaks.max())[0])]
+    if raw:
+        selection = response.mode_selection_check(at_peak, sys)
+    else:
+        selection = response.transform_mode_selection(at_peak, h)
     del h, sys  # not held while the sweep is formatted
     _write(out_dir, "sweep.csv", io.sweep_chunks(sweep), manifest)
     _write(out_dir, "selection.json", (io.selection_json(selection, at_peak.omega),), manifest)

@@ -12,9 +12,10 @@ chosen by the lattice alone: a lattice built from a ring, circulant,
 open-chain or product spec solves through its family's gauge, and a raw (or
 transposed) matrix through its eigenvector expansion, numpy only, whose
 uncertified rows the complex Schur form of H rescues.  The loss check reads
-an eigensystem when one is given, else the route's own poles.  Each route
-solves the whole grid at once; all share the pole check, the certificate,
-refinement and failure text.
+an eigensystem or its values when given, else the route's own poles.  Each
+route solves the grid in blocks of frequencies, into one (F, N) array; all
+share the pole check, the certificate, refinement and failure text.  The
+selected mode comes from the same transforms for a lattice built from a spec.
 """
 
 from __future__ import annotations
@@ -28,13 +29,15 @@ from .errors import SingularSystem, ZeroAmplitude
 from .lattice import Hamiltonian, ObcChain, ProductLattice
 # bench/tracer.py wraps eigendecompose at this binding site, which nothing here calls
 from .spectra import (  # noqa: F401
-    EigenSystem, eigendecompose, least_damped_mode, least_damped_set, mode_values,
+    RESIDUAL_FACTOR, EigenSystem, closed_form_columns, eigendecompose, least_damped_mode,
+    least_damped_set, mode_values,
 )
 
 SOLVE_RESIDUAL_FACTOR = 1e-10
 SINGULAR_DISTANCE = 1e-12
 DEFAULT_OMEGA_POINTS = 401
 DEFAULT_GAMMA_MARGIN = 0.05
+PEAK_TIE = 1e-9  # relative: peaks and mode overlaps within it of the largest tie
 
 
 @dataclass(frozen=True)
@@ -73,14 +76,17 @@ class DriveConfig:
             )
 
 
-def default_drive_config(h: Hamiltonian, sys: EigenSystem, source_node: int = 0) -> DriveConfig:
-    """Desk-scale defaults from the eigensystem ``sys`` of ``h``: gamma =
-    max Im(E) + 0.05 ||H||_inf, 401-point grid spanning
-    [min Re(E) - 1, max Re(E) + 1]."""
-    gamma = float(np.max(sys.values.imag) + DEFAULT_GAMMA_MARGIN * h.norm_inf())
+def default_drive_config(
+    h: Hamiltonian, sys: EigenSystem | np.ndarray, source_node: int = 0
+) -> DriveConfig:
+    """Desk-scale defaults from the eigensystem ``sys`` of ``h``, or the
+    array of its eigenvalues E: gamma = max Im(E) + 0.05 ||H||_inf,
+    401-point grid spanning [min Re(E) - 1, max Re(E) + 1]."""
+    values = getattr(sys, "values", sys)
+    gamma = float(np.max(values.imag) + DEFAULT_GAMMA_MARGIN * h.norm_inf())
     grid = np.linspace(
-        float(np.min(sys.values.real)) - 1.0,
-        float(np.max(sys.values.real)) + 1.0,
+        float(np.min(values.real)) - 1.0,
+        float(np.max(values.real)) + 1.0,
         DEFAULT_OMEGA_POINTS,
     )
     return DriveConfig(source_node, gamma, grid)
@@ -98,6 +104,14 @@ class ResponseProfile:
         arr = np.asarray(self.x)
         arr.setflags(write=False)
         object.__setattr__(self, "x", arr)
+
+
+def sweep_blocks(count: int, dim: int) -> list[slice]:
+    """Slices of a sweep's ``count`` frequencies, each block about 2**16
+    entries of the (F, dim) result: one block for dim <= 160 on the
+    401-point grid."""
+    step = max(1, (1 << 16) // dim)
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 def _fail(omega, what: str) -> SingularSystem:
@@ -118,6 +132,19 @@ def _transform(y: np.ndarray, chain: bool, inverse: bool) -> np.ndarray:
     return odd * (-2j if inverse else 0.5j)
 
 
+def _axes(h: Hamiltonian):
+    """(spec, t) of each axis of a lattice built from a spec, axis 0 first."""
+    return h.spec.axes if isinstance(h.spec, ProductLattice) else ((h.spec, h.t),)
+
+
+def _transforms(y: np.ndarray, axes, inverse: bool) -> np.ndarray:
+    """Every axis's ``_transform`` (or inverse) of y, shaped (k, n_0, n_1, ...):
+    each transforms the last axis, which then rotates to position 1."""
+    for spec, _ in reversed(axes):
+        y = np.moveaxis(_transform(y, isinstance(spec, ObcChain), inverse), -1, 1)
+    return y
+
+
 def _gauge_route(h: Hamiltonian, source: int):
     """Poles and batched solve from the gauge of the lattice's spec.
 
@@ -125,44 +152,42 @@ def _gauge_route(h: Hamiltonian, source: int):
     DFT diagonalizes (Davis, Circulant Matrices, 1979), or sqrt(t_k) times the
     symmetric hopping chain, which the sine transform diagonalizes.  A product
     is the Kronecker sum of its axes, so x = D T**-1 ((T D**-1 b) / (z - E)),
-    each T_k applied to the last axis of the (F, n_0, n_1, ...) array, which
-    then rotates to the front.  D is 1 at the source; the poles E are the
-    spec's ``mode_values``, in the transforms' order.
+    with T the axes' transforms (``_transforms``).  D is 1 at the source; the
+    poles E are the spec's ``mode_values``, in the transforms' order.  D and
+    D**-1 must both lie within float64, else the span is named.
     """
-    spec = h.spec
-    product = isinstance(spec, ProductLattice)
-    axes = spec.axes if product else ((spec, h.t),)
-    values = mode_values(spec, None if product else h.t)
+    axes = _axes(h)
+    values = mode_values(h.spec, h.t if len(h.ts) == 1 else None)
     dims = tuple(s.length for s, _ in axes)
-    chains = [isinstance(s, ObcChain) for s, _ in reversed(axes)]
     log_d = np.zeros(())
     for (s, t), i in zip(axes, np.unravel_index(source, dims)):
         w = s.potential()
         log_d = np.add.outer(log_d, (w - w[i]) * np.log(t))
-    with np.errstate(over="ignore"):
-        d, energies = np.exp(log_d), values.reshape(dims)
-    if not np.all((d > 0) & (d < np.inf)):  # D leaves float64: the solve would give nan
+    if not np.all(np.abs(log_d) < np.log(np.finfo(float).max)):  # the solve would give nan
         raise SingularSystem(f"the steady state spans 10^{np.ptp(log_d) / np.log(10):.0f}, beyond float64")
+    d, energies = np.exp(log_d), values.reshape(dims)
 
     def solve(rhs, zs):
-        y = rhs.reshape((-1,) + dims) / d
-        for chain in chains:
-            y = np.moveaxis(_transform(y, chain, inverse=False), -1, 1)
-        y = y / (zs.reshape((-1,) + (1,) * len(dims)) - energies)
-        for chain in chains:
-            y = np.moveaxis(_transform(y, chain, inverse=True), -1, 1)
+        y = _transforms(rhs.reshape((-1,) + dims) / d, axes, inverse=False)
+        den = zs.reshape((-1,) + (1,) * len(dims)) - energies
+        y = _transforms(np.divide(y, den, out=den), axes, inverse=True)
         y *= d
         return y.reshape(len(zs), -1)
 
     return values, solve
 
 
-def _modal_route(h: Hamiltonian):
+def _modal_route(h: Hamiltonian, sys: EigenSystem | np.ndarray | None = None):
     """Poles E and batched solve x = V ((V**-1 b) / (z - E)) from H = V diag(E) V**-1,
-    one GEMM for the whole grid.  Its accuracy falls with cond(V) (Trefethen &
+    one GEMM per block of the grid: the values, right vectors and left
+    vectors (V**-1) of the dense eigensystem ``sys`` of H when it holds
+    them, else one eig and inv.  Its accuracy falls with cond(V) (Trefethen &
     Embree, Spectra and Pseudospectra, 2005): ``_schur_route`` rescues it."""
-    values, v = np.linalg.eig(h.matrix)
-    w = np.linalg.inv(v)
+    if getattr(sys, "left_vectors", None) is not None:
+        values, v, w = sys.values, sys.right_vectors, sys.left_vectors
+    else:
+        values, v = np.linalg.eig(h.matrix)
+        w = np.linalg.inv(v)
 
     def solve(rhs, zs):
         return (v @ ((w @ np.atleast_2d(rhs).T) / (zs - values[:, None]))).T
@@ -195,19 +220,22 @@ def _schur_route(h: Hamiltonian):
 
 
 def _drive(
-    h: Hamiltonian, cfg: DriveConfig, omegas: np.ndarray, sys: EigenSystem | None
+    h: Hamiltonian, cfg: DriveConfig, omegas: np.ndarray, sys: EigenSystem | np.ndarray | None
 ) -> list[ResponseProfile]:
     """The certified steady state at every frequency of ``omegas``.
 
     A lattice built from a spec takes the gauge route; a raw matrix, or a
     transposed lattice, whose reversed bonds the spec's gauge does not
-    symmetrize, takes the eigenvector expansion.  Each gives its poles and a
-    solve of one right-hand side per frequency.  The loss (against ``sys``,
-    else against the route's poles) and the poles are checked on the whole
-    grid before any solve.  When ``eig`` or ``inv`` refuses H, or rows still
-    fail after the expansion's refinement, the Schur route solves the grid as
-    it does alone, checks and refinement included, and those rows take its
-    result, bit for bit.
+    symmetrize, takes the eigenvector expansion (from ``sys`` when it is a
+    dense eigensystem).  Each gives its poles and a solve of one right-hand
+    side per frequency.  The loss (against ``sys``, else against the route's
+    poles) and the poles are checked on the whole grid before any solve.
+    The grid is then solved in ``sweep_blocks``, each with its own
+    refinement, straight into one (F, N) array.  When ``eig`` or ``inv``
+    refuses H, or rows still fail after the expansion's refinement, the
+    Schur route solves each block that holds such a row as it does alone,
+    checks and refinement included, and those rows take its result, bit for
+    bit.
     Each row must meet max|b - (z I - H) x| <= SOLVE_RESIDUAL_FACTOR *
     amplitude, H x through ``h.dot``, within 3 refinement steps (Higham,
     Accuracy and Stability, ch. 12).  A failing row names max|x|, the
@@ -224,7 +252,7 @@ def _drive(
     if h.spec is not None and not h.kind.endswith("_transposed"):
         routes = {"gauge": lambda: _gauge_route(h, cfg.source_node)}
     else:
-        routes = {"modal": lambda: _modal_route(h), "Schur": lambda: _schur_route(h)}
+        routes = {"modal": lambda: _modal_route(h, sys), "Schur": lambda: _schur_route(h)}
 
     def misfit(x, zs):
         """b - (z I - H) x, one row per frequency, with H x through the edges,
@@ -235,7 +263,8 @@ def _drive(
         return r, np.max(np.abs(r), axis=1)
 
     bound = SOLVE_RESIDUAL_FACTOR * cfg.amplitude
-    x = residual = None
+    blocks = sweep_blocks(len(z), h.dim)
+    x, residual = np.empty((len(z), h.dim), dtype=complex), np.full(len(z), np.inf)
     for route, make in routes.items():
         try:
             poles, solve = make()
@@ -245,24 +274,32 @@ def _drive(
             raise _fail(omegas[0], f"no {route} form of H: {exc}") from exc
         if sys is None:
             cfg.validate_against(poles)
-        on_pole = np.flatnonzero(np.min(np.abs(z[:, None] - poles), axis=1) < SINGULAR_DISTANCE)
+        gap = np.concatenate([np.min(np.abs(z[s, None] - poles), axis=1) for s in blocks])
+        on_pole = np.flatnonzero(gap < SINGULAR_DISTANCE)
         if on_pole.size:
             raise _fail(omegas[on_pole[0]], f"omega + i gamma = {z[on_pole[0]]} sits on an eigenvalue")
-        xs = solve(b, z)
-        r, res = misfit(xs, z)
-        for _ in range(3):
-            miss = np.flatnonzero(~(res <= bound))
-            if miss.size == 0:
-                break
-            xs[miss] += solve(r[miss], z[miss])
-            r[miss], res[miss] = misfit(xs[miss], z[miss])
-        if x is not None:  # the rescue solved the whole grid, as a row's bits depend on its batch
-            xs[ok], res[ok] = x[ok], residual[ok]
-        x, residual, ok = xs, res, res <= bound
-        if ok.all():
+        for s in blocks:
+            keep = ~(residual[s] <= bound)  # the rows no earlier route certified
+            if not keep.any():
+                continue
+            zs = z[s]
+            xs = solve(b, zs)
+            r, res = misfit(xs, zs)
+            for _ in range(3):
+                miss = np.flatnonzero(~(res <= bound))
+                if miss.size == 0:
+                    break
+                xs[miss] += solve(r[miss], zs[miss])
+                r[miss], res[miss] = misfit(xs[miss], zs[miss])
+            # a rescue solves the whole block, as a row's bits depend on its batch
+            np.copyto(x[s], xs, where=keep[:, None])
+            np.copyto(residual[s], res, where=keep)
+            del xs, r  # not held through the next block's solve
+        if np.all(residual <= bound):
             break
-    if not ok.all():
-        f = np.flatnonzero(~ok)[0]
+    fails = np.flatnonzero(~(residual <= bound))
+    if fails.size:
+        f = fails[0]
         size, scale = np.max(np.abs(x[f])), abs(z[f]) + h.norm_inf()
         raise _fail(omegas[f], f"{route} solve residual {residual[f]:.3e} exceeds "
                     f"{SOLVE_RESIDUAL_FACTOR:.0e} * drive after 3 refinement steps "
@@ -272,21 +309,24 @@ def _drive(
 
 
 def steady_state(
-    h: Hamiltonian, cfg: DriveConfig, omega: float, sys: EigenSystem | None = None
+    h: Hamiltonian, cfg: DriveConfig, omega: float, sys: EigenSystem | np.ndarray | None = None
 ) -> ResponseProfile:
     """Solve ((omega + i gamma) I - H) x = amplitude * e_source, certified: the
     one-frequency call of the sweep, through the gauge of a built lattice or
-    the eigenvector expansion of a raw matrix.  gamma > max Im(E) is checked against
-    ``sys`` (any eigensystem of ``h``) when given, else the route's poles."""
+    the eigenvector expansion of a raw matrix (that of ``sys`` when it is
+    its dense eigensystem).  gamma > max Im(E) is checked against ``sys``
+    (any eigensystem of ``h``, or its values) when given, else the route's
+    poles."""
     return _drive(h, cfg, np.array([float(omega)]), sys)[0]
 
 
 def frequency_sweep(
-    h: Hamiltonian, cfg: DriveConfig, sys: EigenSystem | None = None
+    h: Hamiltonian, cfg: DriveConfig, sys: EigenSystem | np.ndarray | None = None
 ) -> list[ResponseProfile]:
     """One steady state per grid frequency, in grid order: the batched gauge
     solve for a lattice built from a spec, the batched eigenvector expansion
-    for a raw matrix.  gamma > max Im(E) is checked as in ``steady_state``."""
+    for a raw matrix, each in blocks of frequencies.  ``sys`` serves as in
+    ``steady_state``."""
     return _drive(h, cfg, cfg.omega_grid, sys)
 
 
@@ -312,24 +352,61 @@ class ModeSelection:
     matches: bool
 
 
+def _selection(overlaps: np.ndarray, values: np.ndarray, tolerance: float) -> ModeSelection:
+    """The one selection rule: the selected mode is the lowest index whose
+    overlap lies within PEAK_TIE (relative) of the largest, as the sweep's
+    peak is taken.  Every mode tied for the largest Im(E) within
+    ``tolerance`` (spectra.least_damped_set) is least damped: when the
+    selected mode is one of them, it is reported as the least-damped mode,
+    with its own overlap; otherwise spectra.least_damped_mode is."""
+    best = int(np.argmax(overlaps >= (1 - PEAK_TIE) * np.max(overlaps)))
+    matches = best in least_damped_set(values, tolerance)
+    ld = best if matches else least_damped_mode(values, tolerance)
+    return ModeSelection(best, ld, float(overlaps[ld]), matches)
+
+
 def mode_selection_check(profile: ResponseProfile, sys: EigenSystem) -> ModeSelection:
     """Overlap |<v_hat, x_hat>| of the response with the least-damped mode,
     plus the mode that maximizes the overlap (they should agree when the
-    loss sits just above the least-damped line).
-
-    Every mode tied for the largest Im(E) (spectra.least_damped_set) is
-    least damped: when the selected mode is one of them, it is reported
-    as the least-damped mode, with its own overlap.
+    loss sits just above the least-damped line), over the columns of the
+    eigensystem ``sys``: |V^H x| / (||V||_col ||x||), by ``_selection``'s rule.
     """
-    x_hat = profile.x / np.linalg.norm(profile.x)
-    overlaps = np.empty(sys.dim)
-    for n in range(sys.dim):
-        v = sys.right_vectors[:, n]
-        overlaps[n] = abs(np.vdot(v / np.linalg.norm(v), x_hat))
-    best = int(np.argmax(overlaps))
-    matches = best in least_damped_set(sys)
-    ld = best if matches else least_damped_mode(sys)
-    return ModeSelection(best, ld, float(overlaps[ld]), matches)
+    v = sys.right_vectors
+    overlaps = np.abs(profile.x.conj() @ v) / (np.linalg.norm(v, axis=0) * np.linalg.norm(profile.x))
+    return _selection(overlaps, sys.values, sys.tolerance)
+
+
+def _mode_overlaps(h: Hamiltonian, x: np.ndarray) -> np.ndarray:
+    """|<v_n, x>| / (||v_n|| ||x||) for every closed-form mode v_n = D B_n of a
+    lattice built from a spec, in ``mode_values`` order, without the basis:
+    with D per axis as in ``closed_form``, each <D B_n, x> is an entry of the
+    transforms of D x.  A Fourier column's norm is ||d||; a sine column's
+    squared norm sum d**2 sin**2((j + 1) theta_m) is (sum d**2 - C_m) / 2, C
+    the cosine transform of d**2 read off the DFT of (0, d**2); a product's
+    is the product of its axes'."""
+    axes = _axes(h)
+    y, norms = x.reshape((1,) + tuple(s.length for s, _ in axes)), np.ones(1)
+    for k, (spec, t) in enumerate(axes):
+        ls = spec.potential() * np.log(t)
+        d = np.exp(ls - ls.max())
+        y = y * d.reshape((-1,) + (1,) * (len(axes) - 1 - k))
+        sq = np.full(spec.length, np.sum(d * d))
+        if isinstance(spec, ObcChain):
+            sq = (sq - np.fft.fft(np.concatenate([[0.0], d * d])).real[1:]) / 2
+        norms = np.outer(norms, np.sqrt(sq)).ravel()
+    return np.abs(_transforms(y, axes, inverse=False).ravel()) / (norms * np.linalg.norm(x))
+
+
+def transform_mode_selection(profile: ResponseProfile, h: Hamiltonian) -> ModeSelection:
+    """``mode_selection_check`` against the closed-form modes of the lattice
+    ``h`` built from a spec, with no N x N basis: the overlaps from the
+    transforms (``_mode_overlaps``), the values from ``mode_values``, and
+    the modes it reports built alone and certified through ``h``
+    (``spectra.closed_form_columns``)."""
+    values = mode_values(h.spec, h.t if len(h.ts) == 1 else None)
+    selection = _selection(_mode_overlaps(h, profile.x), values, RESIDUAL_FACTOR * h.norm_inf())
+    closed_form_columns(h, sorted({selection.selected_mode, selection.least_damped}))
+    return selection
 
 
 @dataclass(frozen=True)

@@ -69,23 +69,29 @@ class EigenSystem:
 
     def degenerate_groups(self) -> list[list[int]]:
         """Mode indices grouped by eigenvalue collision within
-        DEGENERACY_FACTOR * ||H||_inf (transitive closure over all pairs).
-        Candidates are the modes within 2 * tol in real part, paired off the
-        sorted real parts in blocks; the exact |dE| < tol test decides."""
-        tol = DEGENERACY_FACTOR * self.h_norm
-        v, order = self.values, np.argsort(self.values.real, kind="stable")
-        re = v.real[order]
-        ahead = np.searchsorted(re, re + 2 * tol, side="right") - np.arange(len(re)) - 1
-        width = max(int(ahead.max(initial=0)), 1)  # the most candidates ahead of one mode
-        pairs, step = [np.empty((0, 2), dtype=np.intp)], _block_rows(width)
-        for p in range(0, len(re), step):
-            rows, k = np.nonzero(np.arange(width) < ahead[p:p + step, None])
-            i, j = order[p + rows], order[p + rows + k + 1]
-            pairs.append(np.column_stack([i, j])[np.abs(v[i] - v[j]) < tol])
-        labels = _components(self.dim, np.concatenate(pairs))
-        order = np.argsort(labels, kind="stable")
-        groups = np.split(order, np.cumsum(np.bincount(labels))[:-1])
-        return sorted(g.tolist() for g in groups)
+        DEGENERACY_FACTOR * ||H||_inf (``value_groups``)."""
+        return value_groups(self.values, self.h_norm)
+
+
+def value_groups(v: np.ndarray, h_norm: float) -> list[list[int]]:
+    """Indices of the eigenvalues ``v`` grouped by collision within
+    DEGENERACY_FACTOR * ``h_norm`` (transitive closure over all pairs).
+    Candidates are the values within 2 * tol in real part, paired off the
+    sorted real parts in blocks; the exact |dE| < tol test decides."""
+    tol = DEGENERACY_FACTOR * h_norm
+    order = np.argsort(v.real, kind="stable")
+    re = v.real[order]
+    ahead = np.searchsorted(re, re + 2 * tol, side="right") - np.arange(len(re)) - 1
+    width = max(int(ahead.max(initial=0)), 1)  # the most candidates ahead of one mode
+    pairs, step = [np.empty((0, 2), dtype=np.intp)], _block_rows(width)
+    for p in range(0, len(re), step):
+        rows, k = np.nonzero(np.arange(width) < ahead[p:p + step, None])
+        i, j = order[p + rows], order[p + rows + k + 1]
+        pairs.append(np.column_stack([i, j])[np.abs(v[i] - v[j]) < tol])
+    labels = _components(len(v), np.concatenate(pairs))
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.cumsum(np.bincount(labels))[:-1])
+    return sorted(g.tolist() for g in groups)
 
 
 def _normalize_columns(vectors: np.ndarray) -> np.ndarray:
@@ -367,22 +373,48 @@ def closed_form(spec, t: float | None = None, h: Hamiltonian | None = None) -> E
         sys = kron_sum_spectrum(axes, build_product_lattice(spec) if h is None else h)
     else:
         h = build_axis(spec, t) if h is None else h
-        n, meta, values = spec.length, {}, mode_values(spec, h.t)
-        if isinstance(spec, ObcChain):
-            theta = np.pi * np.arange(1, n + 1) / (n + 1)
-            vectors = np.sin(np.outer(np.arange(1, n + 1), theta)).astype(complex)
-            meta["rho_exponent"] = float(np.diff(spec.potential()[:2])[0])
-        else:
-            j, step, roots = np.arange(n), _block_rows(n), np.exp(2j * np.pi * np.arange(n) / n)
-            vectors = np.empty((n, n), dtype=complex)
-            for i in range(0, n, step):  # gathered in row blocks: no N x N phase table
-                vectors[i:i + step] = roots[np.outer(j[i:i + step], j) % n]
-        log_scale = _log_scale(h)
-        vectors *= np.exp(log_scale - log_scale.max())[:, None]
-        vectors = _normalize_columns(vectors)
-        sys = _certified(h, values, vectors, None, f"closed-form {h.kind} modes", meta)
+        meta = {"rho_exponent": float(np.diff(spec.potential()[:2])[0])} if isinstance(spec, ObcChain) else {}
+        vectors = _axis_columns(spec, h.t, np.arange(spec.length))
+        sys = _certified(h, mode_values(spec, h.t), vectors, None, f"closed-form {h.kind} modes", meta)
     sys.meta["route"] = "closed_form"
     return sys
+
+
+def _axis_columns(spec, t: float, cols: np.ndarray) -> np.ndarray:
+    """Columns ``cols`` of the closed form's basis of one axis: t**w times
+    the sine vector sin((j + 1) theta_m), theta_m = pi (m + 1) / (n + 1), of
+    an open chain or the Fourier vector exp(2 pi i j m / n) of a ring or
+    circulant graph, the scale formed in log space, each column divided by
+    its max-magnitude entry."""
+    n = spec.length
+    j = np.arange(n)
+    if isinstance(spec, ObcChain):
+        theta = np.pi * np.arange(1, n + 1) / (n + 1)
+        vectors = np.sin(np.outer(j + 1, theta[cols])).astype(complex)
+    else:
+        step, roots = _block_rows(n), np.exp(2j * np.pi * j / n)
+        vectors = np.empty((n, len(cols)), dtype=complex)
+        for i in range(0, n, step):  # gathered in row blocks: no N x N phase table
+            vectors[i:i + step] = roots[np.outer(j[i:i + step], cols) % n]
+    log_scale = spec.potential() * np.log(t)
+    vectors *= np.exp(log_scale - log_scale.max())[:, None]
+    return _normalize_columns(vectors)
+
+
+def closed_form_columns(h: Hamiltonian, modes: list[int]) -> EigenSystem:
+    """The pairs ``modes`` of ``closed_form`` for the lattice ``h`` built from
+    a spec, without the rest of its basis: each axis's column
+    (``_axis_columns``), their Kronecker product for a product lattice, and
+    the values of ``mode_values``.  Certified through ``h`` as the whole
+    closed form is."""
+    if isinstance(h.spec, ProductLattice):
+        vectors = np.ones((1, len(modes)), dtype=complex)
+        for (spec, t), m in zip(h.spec.axes, np.unravel_index(modes, h.spec.dims)):
+            vectors = (vectors[:, None] * _axis_columns(spec, t, m)[None]).reshape(-1, len(modes))
+        values, vectors = mode_values(h.spec)[modes], _normalize_columns(vectors)
+    else:
+        values, vectors = mode_values(h.spec, h.t)[modes], _axis_columns(h.spec, h.t, modes)
+    return _certified(h, values, vectors, None, f"closed-form {h.kind} modes", {"route": "closed_form"})
 
 
 # The per-family names stay public (and bench/tracer.py wraps them), all
@@ -430,30 +462,47 @@ def kron_sum_spectrum(axis_systems: list[EigenSystem], h: Hamiltonian) -> EigenS
     for sys_k in axis_systems:
         vectors = np.kron(vectors, sys_k.right_vectors)
     sys = _certified(h, values, _normalize_columns(vectors), None, "kronecker-sum spectrum", {})
-    degenerate = any(len(g) > 1 for g in sys.degenerate_groups())
+    sys.meta["degenerate"] = _warn_collisions(sys.degenerate_groups())
+    return sys
+
+
+def _warn_collisions(groups: list[list[int]]) -> bool:
+    """Whether product eigenvalues collide (a group holds more than one
+    mode), warned as DegenerateAmbiguity."""
+    degenerate = any(len(g) > 1 for g in groups)
     if degenerate:
         warnings.warn(
             "product eigenvalues collide within tolerance; subspace vectors are non-unique",
             DegenerateAmbiguity,
-            stacklevel=2,
+            stacklevel=3,
         )
-    sys.meta["degenerate"] = degenerate
-    return sys
+    return degenerate
 
 
-def least_damped_set(sys: EigenSystem) -> np.ndarray:
+def closed_form_values(spec, t: float | None, h: Hamiltonian) -> np.ndarray:
+    """``closed_form``'s eigenvalues of the lattice ``h`` built from ``spec``
+    without its basis: ``mode_values``, with the closed form's
+    DegenerateAmbiguity warning when a product's values collide."""
+    values = mode_values(spec, t)
+    if isinstance(spec, ProductLattice):
+        _warn_collisions(value_groups(values, h.norm_inf()))
+    return values
+
+
+def least_damped_set(sys: EigenSystem | np.ndarray, tolerance: float | None = None) -> np.ndarray:
     """Indices of the modes tied for the largest Im(E): imaginary parts
-    within the system's certified tolerance of the maximum (a numerically
-    real spectrum carries ~1e-16 noise)."""
-    im = sys.values.imag
-    return np.flatnonzero(im >= im.max() - sys.tolerance)
+    within the certified tolerance of the maximum (a numerically real
+    spectrum carries ~1e-16 noise).  ``sys`` is an eigensystem, with its
+    own tolerance, or an array of eigenvalues with its ``tolerance``."""
+    im = getattr(sys, "values", sys).imag
+    return np.flatnonzero(im >= im.max() - (sys.tolerance if tolerance is None else tolerance))
 
 
-def least_damped_mode(sys: EigenSystem) -> int:
+def least_damped_mode(sys: EigenSystem | np.ndarray, tolerance: float | None = None) -> int:
     """Mode with the largest Im(E): slowest-decaying once uniform loss is added.
 
-    Ties (least_damped_set) resolve to the smallest |Re(E)|, then to the
-    lowest index.
+    Ties (least_damped_set, which reads ``sys`` and ``tolerance``) resolve
+    to the smallest |Re(E)|, then to the lowest index.
     """
-    best = min(least_damped_set(sys), key=lambda n: (abs(sys.values[n].real), n))
-    return int(best)
+    values = getattr(sys, "values", sys)
+    return int(min(least_damped_set(sys, tolerance), key=lambda n: (abs(values[n].real), n)))

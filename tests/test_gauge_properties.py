@@ -14,7 +14,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import decaygraph as dg
@@ -160,3 +160,27 @@ def test_mode_values_are_the_closed_form_values_bit_for_bit(spec, t):
     # closed form its eigenvalues: one formula, the same bits
     got = dg.mode_values(spec, t)
     assert got.tobytes() == dg.closed_form(spec, t).values.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::decaygraph.DegenerateAmbiguity")
+@SETTINGS
+@given(st.one_of(rings(), circulants(), chains, axis_products()), ratios, st.data())
+def test_transform_overlaps_are_the_closed_form_column_overlaps(spec, t, data):
+    # the drive's selection without the basis: overlaps from the transforms
+    # of D x against the dense closed-form columns, and the reported modes
+    # built alone with the closed form's bits
+    h, exact = dg.build(spec, t), dg.closed_form(spec, t)
+    cfg = dg.default_drive_config(h, exact, data.draw(st.integers(0, h.dim - 1), label="source"))
+    omega = float(cfg.omega_grid[data.draw(st.integers(0, 400), label="omega")])
+    try:
+        prof = dg.steady_state(h, cfg, omega)
+    except dg.SingularSystem:
+        reject()
+    v = exact.right_vectors
+    dense = np.abs(prof.x.conj() @ v) / (np.linalg.norm(v, axis=0) * np.linalg.norm(prof.x))
+    assert np.max(np.abs(dg.response._mode_overlaps(h, prof.x) - dense)) <= 1e-12 * dense.max()
+    got, want = dg.transform_mode_selection(prof, h), dg.mode_selection_check(prof, exact)
+    assert (got.selected_mode, got.least_damped, got.matches) == (want.selected_mode, want.least_damped, want.matches)
+    assert abs(got.overlap - want.overlap) <= 1e-12 * dense.max()
+    modes = [got.selected_mode, got.least_damped]
+    assert dg.spectra.closed_form_columns(h, modes).right_vectors.tobytes() == v[:, modes].tobytes()

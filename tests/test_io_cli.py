@@ -1,8 +1,13 @@
 """Spec documents, exports, and the command-line pipeline."""
 
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -908,6 +913,17 @@ class TestDriveRoute:
         assert manifest["error"] == {"class": "SingularSystem", "message": message}
         assert manifest["warnings"] == []
 
+    @pytest.mark.parametrize("n, rc", [(682, 0), (684, 2)])
+    def test_the_subnormal_window_at_t_1_64_names_its_span(self, tmp_path, n, rc):
+        # from N = 684 the gauge's smallest entry is subnormal and its inverse
+        # overflows, which would turn the refinement's r / d into nan
+        assert self.run_drive(tmp_path, ring_doc([("A", n // 2), ("B", n // 2)], 1 / 64)) == rc
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["warnings"] == []
+        if rc:
+            message = "the steady state spans 10^309, beyond float64"
+            assert manifest["error"] == {"class": "SingularSystem", "message": message}
+
     @pytest.mark.parametrize("command", [["drive"], ["spectrum", "--analytic"]])
     def test_builds_the_lattice_once(self, tmp_path, monkeypatch, command):
         from decaygraph import lattice
@@ -966,6 +982,57 @@ class TestDriveRoute:
         assert residual <= floor
         assert backward == pytest.approx(residual / (scale * size + cfg.amplitude), rel=0.06)
         assert backward < 1e-15
+
+    @pytest.mark.parametrize("doc", [RING_DOC, CIRC_DOC, OBC_DOC, PRODUCT_DOC],
+                             ids=["ring", "circulant", "obc_chain", "product"])
+    def test_a_structured_drive_never_builds_the_closed_form(self, tmp_path, monkeypatch, doc):
+        # the loss and grid take mode_values, the selection the transforms'
+        # overlaps and two certified columns: no N x N basis is formed
+        def refuse(*args, **kwargs):
+            raise AssertionError("closed form built")
+
+        monkeypatch.setattr(spectra, "closed_form", refuse)
+        assert self.run_drive(tmp_path, doc) == 0
+
+    def test_the_cap_ring_drive_peaks_under_200_mib(self, tmp_path):
+        # A2048 B2048: the 401 x 4096 sweep is 26 MB; the closed form's
+        # 4096 x 4096 basis alone would be 268 MB
+        spec = tmp_path / "spec.json"
+        spec.write_text(ring_doc([("A", 2048), ("B", 2048)], 1.02))
+        argv = ["drive", "--spec", str(spec), "--out", str(tmp_path / "out")]
+        code = (
+            "from decaygraph import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM')))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(dg.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert int(out.stdout.split()[-1]) < 200 * 1024  # VmHWM, KiB
+
+    # sha256 of sweep.csv and the stdout line, taken before the drive
+    # stopped building the closed form: a change that moves the drive's
+    # bytes must update them on purpose
+    PINNED = {
+        "ring": (ring_doc([("A", 80), ("B", 120)], 1.05),
+                 "d5f3dd7407a4dfa68bbc29763d6ba9a3c6061a4d08ffecec4ceb7b2b7301953e",
+                 "drive: peak at omega=-2.04311, overlap with least-damped mode 0.0020, selected mode 106"),
+        "obc_chain": ('{"lattice":{"kind":"obc_chain","t":1.5,"n":40}}',
+                      "7e500cbbe180b3685a539fc8e2fdd877dd85841f85b2539a2acaf7a5d5a1fd22",
+                      "drive: peak at omega=-0.0860576, overlap with least-damped mode 0.9829, "
+                      "selected mode 21 (least damped)"),
+        "product": (json.dumps({"lattice": {"kind": "product", "axes": [
+                        {"kind": "ring", "t": 1.3, "segments": [{"type": "A", "len": 6}, {"type": "B", "len": 4}]},
+                        {"kind": "circulant", "t": 1.4, "n": 8, "a": [1, 1, 0, 0, 0, 1, 1]}]}}),
+                    "54ab2d25aa5b69991ba8cb84980187d9f83edb0ca7faf05b3e42a191c401e843",
+                    "drive: peak at omega=-0.2798, overlap with least-damped mode 0.0612, selected mode 50"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_the_sweep_bytes_are_pinned(self, tmp_path, capsys, name):
+        doc, digest, line = self.PINNED[name]
+        assert self.run_drive(tmp_path, doc) == 0
+        assert hashlib.sha256((tmp_path / "out" / "sweep.csv").read_bytes()).hexdigest() == digest
+        assert capsys.readouterr().out == line + "\n"
 
     def test_sweep_calls_no_dense_solver(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):

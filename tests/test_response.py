@@ -231,8 +231,8 @@ class TestOneDriveLoop:
         solved = []
         modal_route = response._modal_route
 
-        def counted(h):
-            poles, solve = modal_route(h)
+        def counted(*args):
+            poles, solve = modal_route(*args)
             return poles, lambda rhs, zs: solved.append(len(zs)) or solve(rhs, zs)
 
         monkeypatch.setattr(response, "_modal_route", counted)
@@ -357,7 +357,7 @@ class TestRouteChoice:
         sweep = dg.frequency_sweep(h, cfg)
         assert len(schur) == 1 and max(p.solve_residual for p in sweep) <= 1e-10
 
-        def refused(h):
+        def refused(*args):
             raise np.linalg.LinAlgError("no expansion")
 
         monkeypatch.setattr(response, "_modal_route", refused)
@@ -426,6 +426,35 @@ class TestModeSelection:
         assert (check.selected_mode, check.least_damped, check.matches) == (8, 8, True)
         assert check.overlap == pytest.approx(0.8602059548277289, rel=1e-9)
         assert dg.least_damped_mode(sys) == 7 and list(spectra.least_damped_set(sys)) == [7, 8]
+
+    def test_a_tie_goes_to_the_lowest_index(self):
+        # raw A16 B16 at t = 1.5 peaks at omega = 0, where modes 15 and 16
+        # (E ~ 0, Im +-9e-18) tie; the lower index wins even when the last
+        # bits of x favour the other
+        h = dg.raw_hamiltonian(dg.build(dg.SegmentedRing((("A", 16), ("B", 16))), T).matrix)
+        sys = dg.eigendecompose(h)
+        cfg = dataclasses.replace(dg.default_drive_config(h, sys), omega_grid=np.array([0.0]))
+        prof = dg.frequency_sweep(h, cfg, sys)[0]
+        v, x = sys.right_vectors, prof.x
+        overlaps = np.abs(x.conj() @ v) / (np.linalg.norm(v, axis=0) * np.linalg.norm(x))
+        assert set(np.argsort(overlaps)[-2:]) == {15, 16}
+        assert abs(overlaps[15] - overlaps[16]) <= response.PEAK_TIE * overlaps.max()
+        assert dg.mode_selection_check(prof, sys).selected_mode == 15
+        nudged = x + 1e-12 * np.linalg.norm(x) * v[:, 16] / np.linalg.norm(v[:, 16])
+        check = dg.mode_selection_check(dg.ResponseProfile(0.0, nudged, 0.0), sys)
+        assert check.selected_mode == 15 and (check.least_damped, check.matches) == (15, True)
+
+    def test_the_reported_modes_carry_a_certificate(self):
+        # the transforms' selection builds its two modes alone and certifies
+        # them through h: the transpose keeps the spec, whose closed-form
+        # modes no longer fit its reversed bonds
+        h = dg.build(RING_12, T)
+        values = dg.mode_values(RING_12, T)
+        prof = dg.steady_state(h, dg.default_drive_config(h, values), 0.3)
+        got, want = dg.transform_mode_selection(prof, h), dg.mode_selection_check(prof, dg.closed_form(RING_12, T))
+        assert dataclasses.replace(got, overlap=pytest.approx(want.overlap, rel=1e-12)) == want
+        with pytest.raises(dg.ConvergenceFailure, match=r"^closed-form ring_transposed modes: residual "):
+            dg.transform_mode_selection(prof, dg.transpose(h))
 
     def test_selected_mode_outside_the_tie_is_not_least_damped(self):
         h, sys, sel, omega, g_min = selected_setup(RING_12)

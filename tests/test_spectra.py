@@ -632,10 +632,34 @@ def test_raw_drive_loads_no_scipy(tmp_path):
 
 
 def test_raw_drive_loads_linalg_only_for_the_schur_rescue(tmp_path):
-    # on A45 B15 at t = 5 the expansion leaves a few rows uncertified, and the
-    # Schur form, the one route that needs scipy, certifies them
-    h = dg.build(dg.SegmentedRing((("A", 45), ("B", 15))), 5.0)
+    # on A39 B13 at t = 6 the expansion leaves one row uncertified, and the
+    # Schur form, the one route that needs scipy, certifies it
+    h = dg.build(dg.SegmentedRing((("A", 39), ("B", 13))), 6.0)
     entries = [[i + 1, j + 1, v, 0.0] for i, j, v in zip(*(a.tolist() for a in h.entries()))]
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"lattice": {"kind": "raw", "dim": h.dim, "entries": entries}}))
     assert _subpackages(_scipy_modules_after(tmp_path, ["drive", "--spec", str(spec)])) == {"linalg"}
+
+
+def test_no_drive_sweep_job_loads_scipy(tmp_path):
+    # every drive of the benchmark's drive-sweep workload at seeds 1-3, raw
+    # matrices included, meets its expected exit code with numpy alone: a
+    # raw drive reuses the one eigendecomposition and needs no Schur rescue
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    code = (
+        "import importlib.util, json, sys\n"
+        "from decaygraph import cli\n"
+        f"spec = importlib.util.spec_from_file_location('bench_workloads', {str(path)!r})\n"
+        "workloads = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(workloads)\n"
+        "for seed in (1, 2, 3):\n"
+        "    for job in workloads.generate('drive-sweep', seed):\n"
+        f"        doc = {str(tmp_path)!r} + '/spec.json'\n"
+        "        open(doc, 'w').write(json.dumps({'lattice': job['lattice']}))\n"
+        f"        argv = job['cmd'] + ['--spec', doc, '--out', {str(tmp_path / 'o')!r}]\n"
+        "        assert cli.main(argv) == job['expect'], (seed, job['id'])\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dg.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1].split() == []
