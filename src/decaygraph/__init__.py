@@ -59,7 +59,6 @@ from .spectra import (
     mode_values,
     obc_analytic_spectrum,
     ring_analytic_spectrum,
-    ring_mode_values,
     ring_solutions_as_system,
 )
 from .decay import (

@@ -36,12 +36,12 @@ from .lattice import (
     Edge,
     Hamiltonian,
     ObcChain,
-    ProductLattice,
     SegmentedRing,
     _assemble,
     _block_rows,
     _components,
     build,
+    build_axis,
     validate_hopping_ratio,
 )
 from . import spectra
@@ -234,19 +234,26 @@ def charges_from_fit(report: DecayReport, spec, h: Hamiltonian) -> np.ndarray:
 def _mode_profiles(sys: EigenSystem, spec, t: float) -> np.ndarray:
     """Amplitude profile of every mode, one column per mode.
 
-    Closed-form modes are used as they are.  In a dense system the
-    numerically mixed vectors inside a degenerate group are swapped for
-    the closed-form vectors matched by eigenvalue; modes with simple
-    eigenvalues keep their numerical profiles.
+    Every mode gives |v|, but in a dense system the members of a
+    degenerate group, whose vectors the solver mixes, take the group's
+    d sqrt(diag(Q Q^H)) max-normalized: d = t**w / max t**w, Q an
+    orthonormal basis of the gauged columns v / d (0 where d <
+    AMPLITUDE_FLOOR, reported as UnderflowSites).  It ignores the mixing,
+    and is the pure profile d iff Q Q^H has a constant diagonal.
     """
     profiles = np.abs(sys.right_vectors)
     if sys.meta.get("route") == "closed_form":
         return profiles
-    mixed = [n for group in sys.degenerate_groups() if len(group) > 1 for n in group]
-    if mixed:
-        exact = spectra.closed_form(spec, t)
-        for n in mixed:
-            profiles[:, n] = exact.profile(int(np.argmin(np.abs(exact.values - sys.values[n]))))
+    groups = [g for g in sys.degenerate_groups() if len(g) > 1]
+    if groups:
+        ls = spec.potential() * np.log(t)
+        d = np.exp(ls - ls.max())[:, None]
+        for group in groups:
+            gauged = np.zeros((len(d), len(group)), dtype=complex)
+            np.divide(sys.right_vectors[:, group], d, out=gauged, where=d >= AMPLITUDE_FLOOR)
+            q = np.linalg.qr(gauged)[0]
+            p = d * np.linalg.norm(q, axis=1, keepdims=True)
+            profiles[:, group] = p / p.max()
     return profiles
 
 
@@ -355,8 +362,8 @@ class ChargeMap:
 def decay_profile(spec, t: float, sys: EigenSystem | None = None, mode: int | None = None) -> np.ndarray:
     """Amplitude profile of one mode (least-damped by default) of ``sys``,
     or of the closed form when no system is given.  A dense mode inside a
-    degenerate subspace, where numerical vectors mix, is replaced by the
-    closed-form vector with its eigenvalue."""
+    degenerate subspace, where numerical vectors mix, takes the subspace's
+    profile (``_mode_profiles``); no closed-form vector is swapped in."""
     if sys is None:
         sys = spectra.closed_form(spec, t)
     if mode is None:
@@ -367,10 +374,11 @@ def decay_profile(spec, t: float, sys: EigenSystem | None = None, mode: int | No
 def charge_map(spec, t: float | None = None) -> ChargeMap:
     """Build the lattice once and compute both charges from its closed form.
 
-    A 1D lattice is a product of one axis.  Per axis, one closed form gives
-    the least-damped and most-damped modes (the next mode if the two
-    coincide); their Kronecker products are the two checked profiles, and
-    the reported amplitude charges come from the least-damped one.
+    A 1D lattice is a product of one axis.  Per axis, ``mode_values``
+    picks the least-damped and most-damped modes (the next mode if the two
+    coincide), built alone by ``closed_form_columns``; their Kronecker
+    products are the two checked profiles, and the reported amplitude
+    charges come from the least-damped one.
     """
     if isinstance(spec, SynthesizedChargeGraph):
         edges, n, ts, profiles = spec.edges, spec.n_nodes, spec.t, [spec.profile]
@@ -378,13 +386,14 @@ def charge_map(spec, t: float | None = None) -> ChargeMap:
         h = build(spec, t)
         edges, n, ts = h.edge_array, h.dim, h.ts
         profiles = [np.ones(1), np.ones(1)]
-        for s, at in spec.axes if isinstance(spec, ProductLattice) else ((spec, t),):
-            sys = spectra.closed_form(s, at)
-            sel = least_damped_mode(sys)
-            most = int(np.argmin(sys.values.imag))
+        for s, at in h.axes:
+            axis, values = build_axis(s, at), spectra.mode_values(s, at)
+            sel = least_damped_mode(values, spectra.RESIDUAL_FACTOR * axis.norm_inf())
+            most = int(np.argmin(values.imag))
             if most == sel:
-                most = (sel + 1) % sys.dim
-            profiles = [np.kron(p, sys.profile(m)) for p, m in zip(profiles, (sel, most))]
+                most = (sel + 1) % len(values)
+            columns = np.abs(spectra.closed_form_columns(axis, [sel, most]).right_vectors)
+            profiles = [np.kron(p, c) for p, c in zip(profiles, columns.T)]
     edges = np.asarray(edges, dtype=np.intp).reshape(-1, 3)
     q_amp, *checked = [amplitude_charges(p, edges, ts) for p in profiles]
     return ChargeMap.from_vectors(q_amp, combinatorial_charges(edges, n), checked)

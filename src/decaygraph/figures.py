@@ -124,7 +124,7 @@ def fig1b() -> CheckResult:
     res = CheckResult("fig1b", True)
     t = T_DEFAULT
     h, sys, _ = _ring_ratio_checks(res, RING_29_1, t)
-    analytic = spectra.ring_mode_values(29, 1, t)
+    analytic = spectra.mode_values(RING_29_1, t)
     res.record("analytic_numeric_dev", (dev := match_deviation(sys.values, analytic)) <= 1e-8, dev)
     sel = spectra.least_damped_mode(sys)
     res.record("localized_at_site_30", int(np.argmax(sys.profile(sel))) == 29)

@@ -307,6 +307,12 @@ class Hamiltonian:
             raise ValueError("multi-axis Hamiltonian: use .ts")
         return self.ts[0]
 
+    @property
+    def axes(self) -> tuple[tuple[AxisSpec, float], ...]:
+        """(spec, t) of each axis of a lattice built from a spec, axis 0
+        first: a product's axes, or the 1D spec as its one axis."""
+        return self.spec.axes if isinstance(self.spec, ProductLattice) else ((self.spec, self.t),)
+
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         """The stored edges as ``Edge`` tuples of Python ints, in stored order."""

@@ -26,7 +26,7 @@ import numpy as np
 
 from .decay import _fit_chains, spec_chains
 from .errors import SingularSystem, ZeroAmplitude
-from .lattice import Hamiltonian, ObcChain, ProductLattice
+from .lattice import Hamiltonian, ObcChain
 # bench/tracer.py wraps eigendecompose at this binding site, which nothing here calls
 from .spectra import (  # noqa: F401
     RESIDUAL_FACTOR, EigenSystem, closed_form_columns, eigendecompose, least_damped_mode,
@@ -132,11 +132,6 @@ def _transform(y: np.ndarray, chain: bool, inverse: bool) -> np.ndarray:
     return odd * (-2j if inverse else 0.5j)
 
 
-def _axes(h: Hamiltonian):
-    """(spec, t) of each axis of a lattice built from a spec, axis 0 first."""
-    return h.spec.axes if isinstance(h.spec, ProductLattice) else ((h.spec, h.t),)
-
-
 def _transforms(y: np.ndarray, axes, inverse: bool) -> np.ndarray:
     """Every axis's ``_transform`` (or inverse) of y, shaped (k, n_0, n_1, ...):
     each transforms the last axis, which then rotates to position 1."""
@@ -156,7 +151,7 @@ def _gauge_route(h: Hamiltonian, source: int):
     poles E are the spec's ``mode_values``, in the transforms' order.  D and
     D**-1 must both lie within float64, else the span is named.
     """
-    axes = _axes(h)
+    axes = h.axes
     values = mode_values(h.spec, h.t if len(h.ts) == 1 else None)
     dims = tuple(s.length for s, _ in axes)
     log_d = np.zeros(())
@@ -384,7 +379,7 @@ def _mode_overlaps(h: Hamiltonian, x: np.ndarray) -> np.ndarray:
     squared norm sum d**2 sin**2((j + 1) theta_m) is (sum d**2 - C_m) / 2, C
     the cosine transform of d**2 read off the DFT of (0, d**2); a product's
     is the product of its axes'."""
-    axes = _axes(h)
+    axes = h.axes
     y, norms = x.reshape((1,) + tuple(s.length for s, _ in axes)), np.ones(1)
     for k, (spec, t) in enumerate(axes):
         ls = spec.potential() * np.log(t)

@@ -25,8 +25,7 @@ from .lattice import (
     SegmentedRing,
     _block_rows,
     _components,
-    build_axis,
-    build_product_lattice,
+    build,
 )
 
 RESIDUAL_FACTOR = 1e-9
@@ -143,9 +142,8 @@ def _certified(h: Hamiltonian, values, vectors, left, what: str, meta: dict) -> 
 def _log_scale(h: Hamiltonian) -> np.ndarray:
     """ln of the gauge D = diag(t**w) of a built lattice: w ln t per site, a
     product's the Kronecker sum of its axes' (axis 0 slowest)."""
-    axes = h.spec.axes if isinstance(h.spec, ProductLattice) else ((h.spec, h.t),)
     ls = np.zeros(1)
-    for spec, t in axes:
+    for spec, t in h.axes:
         ls = (ls[:, None] + spec.potential() * np.log(t)).ravel()
     return ls
 
@@ -313,14 +311,6 @@ class RingModeSolution:
     residual: float
 
 
-def ring_mode_values(n_a: int, n_b: int, t: float) -> np.ndarray:
-    """Analytic eigenvalues t/alpha_n + alpha_n for the [N, M] ring."""
-    length = n_a + n_b
-    n = np.arange(length)
-    alpha = t ** (n_b / length) * np.exp(2j * np.pi * n / length)
-    return t / alpha + alpha
-
-
 def _kron_sum(axis_values) -> np.ndarray:
     """Every sum of one value per axis, axis 0 slowest: the spectrum of a
     Kronecker sum from its axes' spectra."""
@@ -362,21 +352,20 @@ def closed_form(spec, t: float | None = None, h: Hamiltonian | None = None) -> E
     diagonalized by the sine basis; the eigenvalues are ``mode_values``.  The
     eigenvectors are t**w times that basis, the scale formed in log space:
     nothing overflows, and sites beyond the double range underflow to zero
-    (which the decay checks report as UnderflowSites).  Every pair is
-    certified through the built lattice's edges.  Products combine their
-    axes through kron_sum_spectrum.  The open chain's per-site exponent
-    w[1] - w[0] is recorded in meta["rho_exponent"].  A given ``h`` is the
-    lattice already built from ``spec`` and is certified instead of a rebuild.
+    (which the decay checks report as UnderflowSites).  Every mode is a
+    column of ``closed_form_columns`` (a product's is the Kronecker product
+    of its axes'), certified through the edges of ``h``, the lattice
+    already built from ``spec`` when given.  A product records colliding
+    values in meta["degenerate"] (warned as DegenerateAmbiguity), the open
+    chain its exponent w[1] - w[0] in meta["rho_exponent"].  No dense
+    system borrows these vectors (see ``decay._mode_profiles``).
     """
+    h = build(spec, t) if h is None else h
+    sys = closed_form_columns(h, np.arange(h.dim))
+    if isinstance(spec, ObcChain):
+        sys.meta["rho_exponent"] = float(np.diff(spec.potential()[:2])[0])
     if isinstance(spec, ProductLattice):
-        axes = [closed_form(s, at) for s, at in spec.axes]
-        sys = kron_sum_spectrum(axes, build_product_lattice(spec) if h is None else h)
-    else:
-        h = build_axis(spec, t) if h is None else h
-        meta = {"rho_exponent": float(np.diff(spec.potential()[:2])[0])} if isinstance(spec, ObcChain) else {}
-        vectors = _axis_columns(spec, h.t, np.arange(spec.length))
-        sys = _certified(h, mode_values(spec, h.t), vectors, None, f"closed-form {h.kind} modes", meta)
-    sys.meta["route"] = "closed_form"
+        sys.meta["degenerate"] = _warn_collisions(sys.degenerate_groups())
     return sys
 
 
@@ -402,14 +391,13 @@ def _axis_columns(spec, t: float, cols: np.ndarray) -> np.ndarray:
 
 
 def closed_form_columns(h: Hamiltonian, modes: list[int]) -> EigenSystem:
-    """The pairs ``modes`` of ``closed_form`` for the lattice ``h`` built from
-    a spec, without the rest of its basis: each axis's column
+    """The closed-form pairs ``modes`` of the lattice ``h`` built from a
+    spec, without the rest of its basis: each axis's column
     (``_axis_columns``), their Kronecker product for a product lattice, and
-    the values of ``mode_values``.  Certified through ``h`` as the whole
-    closed form is."""
+    the values of ``mode_values``, certified through ``h``."""
     if isinstance(h.spec, ProductLattice):
         vectors = np.ones((1, len(modes)), dtype=complex)
-        for (spec, t), m in zip(h.spec.axes, np.unravel_index(modes, h.spec.dims)):
+        for (spec, t), m in zip(h.axes, np.unravel_index(modes, h.spec.dims)):
             vectors = (vectors[:, None] * _axis_columns(spec, t, m)[None]).reshape(-1, len(modes))
         values, vectors = mode_values(h.spec)[modes], _normalize_columns(vectors)
     else:

@@ -1,5 +1,7 @@
 """Decay-constant extraction, purity checks, and quantized charges."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,7 +135,7 @@ class TestPureDecayCheck:
 
     def test_degenerate_ring_handled(self):
         # equal segments give a real, doubly degenerate spectrum; the check
-        # must substitute analytic vectors instead of the mixed numerics
+        # must judge each mixed pair by its subspace, not its vectors
         ring = dg.SegmentedRing((("A", 6), ("B", 6)))
         sys = dg.eigendecompose(dg.build(ring, 2.0))
         assert any(len(g) > 1 for g in sys.degenerate_groups())
@@ -204,6 +206,56 @@ class TestPureDecayOnePass:
         ring = dg.SegmentedRing((("A", 13), ("B", 17)))
         assert dg.pure_decay_check(dg.closed_form(ring, T), ring, T).passed
         assert sorted(calls) == ["extract_decay_constants", "spec_chains"]
+
+
+class TestSubspacePurity:
+    """A dense system's degenerate group is judged by the profile of its
+    subspace, with no closed-form vector."""
+
+    RING = dg.SegmentedRing((("A", 150), ("B", 150)))
+
+    def test_balanced_ring_passes_without_the_closed_form(self, monkeypatch):
+        sys = dg.gauged_eigendecompose(dg.build(self.RING, 1.5))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense purity check built the closed form")
+
+        monkeypatch.setattr(dg.spectra, "closed_form", refuse)
+        assert sum(len(g) > 1 for g in sys.degenerate_groups()) == 149
+        result = dg.pure_decay_check(sys, self.RING, 1.5)
+        assert result.passed and result.purity <= 1e-12
+
+    @pytest.mark.parametrize("spec, t, solve", [
+        (dg.SegmentedRing((("A", 6), ("B", 6))), 2.0, dg.eigendecompose),
+        (dg.validate_circulant(4, [0, 1, 0]), 2.0, dg.eigendecompose),
+        (RING, 1.5, dg.gauged_eigendecompose),
+    ], ids=["balanced-ring", "circulant", "balanced-300-gauged"])
+    def test_group_profile_ignores_the_mixing(self, spec, t, solve):
+        sys = solve(dg.build(spec, t))
+        rng = np.random.default_rng(7)
+        vectors = np.array(sys.right_vectors)
+        groups = [g for g in sys.degenerate_groups() if len(g) > 1]
+        for group in groups:
+            z = rng.normal(size=(len(group), len(group))) + 1j * rng.normal(size=(len(group), len(group)))
+            vectors[:, group] = vectors[:, group] @ np.linalg.qr(z)[0]
+        mixed = dataclasses.replace(sys, right_vectors=vectors)
+        want, got = (decay._mode_profiles(s, spec, t) for s in (sys, mixed))
+        assert groups and not np.allclose(np.abs(vectors), np.abs(sys.right_vectors))
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+        # the pure profile: the closed form's, shared by every mode
+        exact = dg.closed_form(spec, t).profile(0)
+        for n in (n for g in groups for n in g):
+            np.testing.assert_allclose(got[:, n], exact, rtol=1e-9, atol=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gauge_beyond_float64_raises_underflow(self):
+        # the gauge of A400 B400 at t=64 spans far more than float64: sites
+        # below AMPLITUDE_FLOOR read 0 instead of overflowing v / d
+        ring = dg.SegmentedRing((("A", 400), ("B", 400)))
+        sys = dataclasses.replace(dg.closed_form(ring, 64.0), meta={"route": "gauged_dense"})
+        assert sum(len(g) > 1 for g in sys.degenerate_groups()) == 399
+        with pytest.raises(dg.UnderflowSites):
+            dg.pure_decay_check(sys, ring, 64.0)
 
 
 @st.composite

@@ -720,7 +720,8 @@ class TestGaugedSpectrum:
 
 
 class TestChargesSolveOnce:
-    """`charges` builds the lattice and solves its closed form once."""
+    """`charges` builds the lattice once and its closed-form columns once
+    per axis."""
 
     def count_calls(self, monkeypatch, module, name):
         calls = []
@@ -744,12 +745,12 @@ class TestChargesSolveOnce:
         assert len(calls) == 1
 
     def test_ring_solves_once(self, tmp_path, monkeypatch):
-        calls = self.count_calls(monkeypatch, spectra, "closed_form")
+        calls = self.count_calls(monkeypatch, spectra, "closed_form_columns")
         assert self.run_charges(tmp_path, ring_doc([("A", 6), ("B", 8), ("A", 7), ("B", 4)], 1.5)) == 0
         assert len(calls) == 1
 
     def test_product_solves_once_per_axis(self, tmp_path, monkeypatch):
-        calls = self.count_calls(monkeypatch, spectra, "closed_form")
+        calls = self.count_calls(monkeypatch, spectra, "closed_form_columns")
         assert self.run_charges(tmp_path, PRODUCT_DOC) == 0
         assert len(calls) == 2
 
@@ -786,6 +787,23 @@ class TestProductAtCapReadsEdges:
         assert rc == 0
         assert all(n <= 16 for n in assembled)  # axis matrices only
         assert peak < 4096 * 4096 * 8 / 4
+
+
+class TestRingAtCapBuildsTwoColumns:
+    """`charges` on the ring at the cap builds its two checked columns,
+    never the 4096 x 4096 closed-form basis (268 MB)."""
+
+    def test_peak_under_an_eighth_of_the_basis(self, tmp_path):
+        spec = tmp_path / "ring.json"
+        spec.write_text(ring_doc([("A", 2048), ("B", 2048)], 1.02))
+        tracemalloc.start()
+        try:
+            rc = run_cli(tmp_path, "charges", "--spec", spec, "--out", tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 4096 * 4096 * 16 / 8
 
 
 class TestOnlyDenseSolversAssemble:

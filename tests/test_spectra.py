@@ -27,7 +27,7 @@ class TestEigendecompose:
         ring = dg.SegmentedRing((("A", 29), ("B", 1)))
         t = 1.5
         sys = dg.eigendecompose(dg.build(ring, t))
-        analytic = dg.ring_mode_values(29, 1, t)
+        analytic = dg.mode_values(ring, t)
         assert match_deviation(sys.values, analytic) <= 1e-9
 
     def test_complete_circulant_cross_check(self):
@@ -387,6 +387,23 @@ class TestKronSum:
             combined = dg.kron_sum_spectrum([a, a], h)  # sums: -4, 0, 0, 4
         assert combined.meta["degenerate"]
 
+    @pytest.mark.parametrize("p", [
+        dg.ProductLattice(((dg.SegmentedRing((("A", 5), ("B", 3))), 2.0), (dg.SegmentedRing((("A", 8),)), 1.5))),
+        dg.ProductLattice(((dg.ObcChain(4), 2.0), (dg.validate_circulant(6, [1, 0, 1, 0, 1]), 1.5),
+                           (dg.SegmentedRing((("A", 3), ("B", 2))), 0.5))),
+        dg.ProductLattice(((dg.ObcChain(3), 2.0), (dg.ObcChain(3), 2.0))),
+    ], ids=["ring-ring", "chain-circulant-ring", "degenerate"])
+    def test_closed_form_is_the_kron_sum_of_its_axes_bit_for_bit(self, p):
+        h = dg.build(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", dg.DegenerateAmbiguity)
+            got = dg.closed_form(p)
+            want = dg.kron_sum_spectrum([dg.closed_form(s, t) for s, t in p.axes], h)
+        for name in ("values", "right_vectors", "residuals"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert (got.h_norm, got.tolerance) == (want.h_norm, want.tolerance)
+        assert got.meta["degenerate"] == want.meta["degenerate"]
+
     def test_vectors_row_major(self):
         c2 = dg.validate_circulant(2, [1])
         sys2 = dg.eigendecompose(dg.build(c2, 4.0))
@@ -406,7 +423,7 @@ class TestLeastDamped:
         ring = dg.SegmentedRing((("A", 11), ("B", 1)))
         sys = dg.eigendecompose(dg.build(ring, t))
         # oracle: evaluate E_n = t/alpha_n + alpha_n directly and take argmax Im
-        analytic = dg.ring_mode_values(11, 1, t)
+        analytic = dg.mode_values(ring, t)
         want = complex(analytic[np.argmax(analytic.imag)])
         got = sys.values[dg.least_damped_mode(sys)]
         assert abs(got - want) <= 1e-10
