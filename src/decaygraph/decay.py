@@ -361,11 +361,14 @@ class ChargeMap:
 
 def decay_profile(spec, t: float, sys: EigenSystem | None = None, mode: int | None = None) -> np.ndarray:
     """Amplitude profile of one mode (least-damped by default) of ``sys``,
-    or of the closed form when no system is given.  A dense mode inside a
-    degenerate subspace, where numerical vectors mix, takes the subspace's
-    profile (``_mode_profiles``); no closed-form vector is swapped in."""
+    or of that mode's closed-form column alone when no system is given.  A
+    dense mode inside a degenerate subspace, where numerical vectors mix,
+    takes the subspace's profile (``_mode_profiles``), not a closed form."""
     if sys is None:
-        sys = spectra.closed_form(spec, t)
+        h = build(spec, t)
+        if mode is None:
+            mode = least_damped_mode(spectra.mode_values(spec, t), spectra.RESIDUAL_FACTOR * h.norm_inf())
+        return np.abs(spectra.closed_form_columns(h, [mode]).right_vectors[:, 0])
     if mode is None:
         mode = least_damped_mode(sys)
     return _mode_profiles(sys, spec, t)[:, mode]

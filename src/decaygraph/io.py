@@ -190,7 +190,7 @@ def serialize_spec(doc: LatticeDocument) -> str:
 
 
 def _dump(values: np.ndarray) -> str:
-    """orjson's JSON array of a C-contiguous float64 or int64 array."""
+    """orjson's JSON array of a C-contiguous float64 array."""
     import orjson  # loaded on first export, not at package import
 
     return orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()
@@ -286,10 +286,17 @@ def _blocks(items: list[tuple[str, np.ndarray]]) -> Iterator[tuple[np.ndarray, l
 
 def hamiltonian_csv(h: Hamiltonian) -> str:
     """Nonzero entries as "row,col,real,imag", 1-based, row-major order,
-    read from ``Hamiltonian.entries`` (the edges of a built lattice)."""
+    read from ``Hamiltonian.entries`` (the edges of a built lattice).  Only
+    the distinct entries, keyed by bit pattern (-0.0 is not 0.0), go through
+    ``_rows``; each line is gathered from their lines and the node indices."""
     rows, cols, values = h.entries()
-    leads = (_dump(index + 1)[1:-1].split(",") for index in (rows, cols))  # "row", "col"
-    return "row,col,real,imag\n" + _rows(np.column_stack([values.real, values.imag]), *leads)
+    bits = values.view(np.int64 if values.dtype == float else "V16")  # a complex entry's 16 bytes
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    distinct = distinct.view(values.dtype)
+    table = np.array(_rows(np.column_stack([distinct.real, distinct.imag])).splitlines(True), dtype=object)
+    index = np.array([i + "," for i in _index(h.dim)], dtype=object)
+    lines = np.stack([index[rows], index[cols], table[inverse]], axis=1)  # "row," "col," "re,im\n"
+    return "row,col,real,imag\n" + "".join(lines.ravel().tolist())
 
 
 def spectrum_csv(values: np.ndarray) -> str:

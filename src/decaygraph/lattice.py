@@ -364,7 +364,7 @@ class Hamiltonian:
             rows = np.concatenate([tail, head])
             cols = np.concatenate([head, tail])
             values = np.concatenate([np.asarray(self.ts, dtype=float)[axis], np.ones(len(tail))])
-            order = np.lexsort((cols, rows))
+            order = np.argsort(rows * self.dim + cols, kind="stable")  # row-major
             found = rows[order], cols[order], values[order]
         for a in found:
             a.setflags(write=False)

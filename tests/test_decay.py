@@ -1,6 +1,8 @@
 """Decay-constant extraction, purity checks, and quantized charges."""
 
 import dataclasses
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +258,48 @@ class TestSubspacePurity:
         assert sum(len(g) > 1 for g in sys.degenerate_groups()) == 399
         with pytest.raises(dg.UnderflowSites):
             dg.pure_decay_check(sys, ring, 64.0)
+
+
+class TestDecayProfileOneColumn:
+    """decay_profile with no system builds its mode's closed-form column
+    alone, with the bits of that column of the whole closed form."""
+
+    SPECS = {
+        "ring": (RING_FIG3A, T),
+        "ring-degenerate": (dg.SegmentedRing((("A", 6), ("B", 6))), 2.0),
+        "circulant": (dg.validate_circulant(8, [1, 1, 0, 0, 0, 1, 1]), T),
+        "chain": (dg.ObcChain(12), 4.0),
+        "product": (dg.ProductLattice((
+            (dg.SegmentedRing((("A", 5), ("B", 3))), 2.0), (dg.validate_circulant(6, [1, 0, 1, 0, 1]), T),
+        )), None),
+    }
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_bits_equal_the_whole_closed_form(self, name, monkeypatch):
+        spec, t = self.SPECS[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", dg.DegenerateAmbiguity)
+            full = dg.closed_form(spec, t)
+        want = decay._mode_profiles(full, spec, t)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decay_profile built the whole closed form")
+
+        monkeypatch.setattr(dg.spectra, "closed_form", refuse)
+        assert dg.decay_profile(spec, t).tobytes() == want[:, dg.least_damped_mode(full)].tobytes()
+        for mode in range(full.dim):
+            assert dg.decay_profile(spec, t, mode=mode).tobytes() == want[:, mode].tobytes()
+
+    def test_cap_ring_peaks_under_an_eighth_of_the_basis(self):
+        ring = dg.SegmentedRing((("A", 2048), ("B", 2048)))
+        tracemalloc.start()
+        try:
+            profile = dg.decay_profile(ring, 1.02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert profile.shape == (4096,) and profile.max() == 1.0
+        assert peak < 4096 * 4096 * 16 / 8
 
 
 @st.composite

@@ -394,6 +394,68 @@ class TestRowBlocks:
         assert_same_csv(io.hamiltonian_csv(h), dense_hamiltonian_csv(h))
 
 
+# a small pool of values that repeat: signed zeros, non-finite values (a
+# NaN of either sign bit), a subnormal, and values of every notation
+POOL = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 3e-7, 1.5e-5, 1e16, -2.5e300])
+
+
+class TestDistinctEntryTable:
+    """hamiltonian.csv formats each distinct entry (by bit pattern) once and
+    gathers its lines from that table: the bytes of the dense scan."""
+
+    @staticmethod
+    def formatted_rows(monkeypatch):
+        """The number of rows of each ``_rows`` call, recorded."""
+        seen, rows = [], io._rows
+
+        def counted(values, *leads):
+            seen.append(len(values))
+            return rows(values, *leads)
+
+        monkeypatch.setattr(io, "_rows", counted)
+        return seen
+
+    @staticmethod
+    def distinct_bits(h) -> int:
+        values = h.entries()[2].astype(complex)
+        return len(np.unique(values.view(np.int64).reshape(-1, 2), axis=0))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_raw_matrices_from_a_repeating_pool(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        re = rng.choice(POOL, (n, n))
+        z = re.astype(complex)
+        z.imag = np.where(rng.random((n, n)) < 0.5, rng.choice(POOL, (n, n)), 0.0)
+        seen = self.formatted_rows(monkeypatch)
+        for m in (re, z):
+            h = dg.raw_hamiltonian(m)
+            assert_same_csv(io.hamiltonian_csv(h), dense_hamiltonian_csv(h))
+            assert seen.pop() == self.distinct_bits(h)
+
+    def test_signed_zeros_keep_their_text(self):
+        z = np.array([[0.0, complex(1.0, -0.0)], [complex(-0.0, 1.0), 1.0]])
+        h = dg.raw_hamiltonian(z)
+        assert io.hamiltonian_csv(h) == "row,col,real,imag\n1,2,1.0,-0.0\n2,1,-0.0,1.0\n2,2,1.0,0.0\n"
+
+    @pytest.mark.parametrize("spec", [
+        dg.SegmentedRing((("A", 6), ("B", 8), ("A", 7), ("B", 4))),
+        dg.SegmentedRing((("A", 12),)),
+        dg.validate_circulant(8, [1, 1, 0, 0, 0, 1, 1]),
+        dg.ObcChain(12),
+        dg.ProductLattice((
+            (dg.SegmentedRing((("A", 5), ("B", 3))), 2.0),
+            (dg.validate_circulant(6, [1, 0, 1, 0, 1]), 2.0),
+            (dg.ObcChain(4), 2.0),
+        )),
+    ], ids=["ring", "uniform-ring", "circulant", "chain", "product-one-t"])
+    def test_built_lattices_format_two_entries(self, spec, monkeypatch):
+        seen = self.formatted_rows(monkeypatch)
+        h = dg.build(spec, None if isinstance(spec, dg.ProductLattice) else 2.0)
+        assert_same_csv(io.hamiltonian_csv(h), dense_hamiltonian_csv(h))
+        assert seen == [2]  # t and 1.0
+
+
 def run_cli(tmp_path, *argv):
     return cli.main([str(a) for a in argv])
 
@@ -804,6 +866,25 @@ class TestRingAtCapBuildsTwoColumns:
             tracemalloc.stop()
         assert rc == 0
         assert peak < 4096 * 4096 * 16 / 8
+
+
+class TestProductAtCapHamiltonianCsv:
+    """`build` on a 64x64 two-ring product writes the dense scan's bytes,
+    in row-major order."""
+
+    def test_equals_the_dense_scan(self, tmp_path):
+        spec = tmp_path / "product.json"
+        spec.write_text(json.dumps({"lattice": {"kind": "product", "axes": [
+            json.loads(ring_doc([("A", 26), ("B", 38)], 1.43))["lattice"],
+            json.loads(ring_doc([("A", 17), ("B", 15), ("A", 16), ("B", 16)], 1.61))["lattice"],
+        ]}}))
+        assert run_cli(tmp_path, "build", "--spec", spec, "--out", tmp_path / "out") == 0
+        text = (tmp_path / "out" / "hamiltonian.csv").read_text()
+        h = io.parse_spec(spec.read_text()).build()
+        assert h.dim == 4096
+        assert_same_csv(text, dense_hamiltonian_csv(h))
+        index = np.loadtxt(text.splitlines()[1:], delimiter=",", usecols=(0, 1), dtype=np.int64)
+        assert len(index) == 4 * 4096 and np.all(np.diff((index[:, 0] - 1) * 4096 + index[:, 1]) > 0)
 
 
 class TestOnlyDenseSolversAssemble:

@@ -470,6 +470,19 @@ class TestEdgesFirst:
         h = {**EDGE_BUILT, **RAW}[name]()
         assert io.hamiltonian_csv(h) == dense_hamiltonian_csv(h)
 
+    @pytest.mark.parametrize("name", [*EDGE_BUILT, "repeated-pairs"])
+    def test_entries_in_lexsort_order(self, name):
+        # repeated-pairs: one (row, col) pair from three edges over two axes,
+        # a tie that keeps the edges' order
+        h = EDGE_BUILT[name]() if name in EDGE_BUILT else _assemble(
+            3, [0, 1, 0, 2], [1, 0, 1, 0], [0, 0, 1, 1], (2.0, 3.0), "repeated", None)
+        tail, head, axis = h.edge_array.T
+        rows, cols = np.concatenate([tail, head]), np.concatenate([head, tail])
+        values = np.concatenate([np.asarray(h.ts)[axis], np.ones(len(tail))])
+        order = np.lexsort((cols, rows))
+        for got, want in zip(h.entries(), (rows[order], cols[order], values[order])):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("name", [*EDGE_BUILT, "raw-real-t", "raw-complex-t"])
     def test_edges_equal_edge_list(self, name):
         h = {**EDGE_BUILT, **RAW}[name]()
