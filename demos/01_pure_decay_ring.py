@@ -19,10 +19,10 @@ ring = dg.SegmentedRing((("A", 29), ("B", 1)))
 h = dg.build(ring, t)
 print(f"ring with segments {ring.segments}, t = {t}: {h.dim} sites, {len(h.edges)} bonds")
 
-# dense numerics vs the boundary-matrix closed form E = t/alpha + alpha
+# dense numerics vs the closed form, whose mode n has E = alpha + t/alpha,
+# alpha = t^(N_B/L) exp(2 pi i n / L)
 sys = dg.eigendecompose(h)
-solutions = dg.ring_analytic_spectrum(ring, t)
-analytic = np.array([s.energy for s in solutions])
+analytic = dg.closed_form(ring, t).values
 pair_dev = max(
     min(abs(e - a) for a in analytic) for e in sys.values
 )

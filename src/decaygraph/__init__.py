@@ -19,7 +19,6 @@ from .errors import (
     InconsistentEntries,
     InvalidHopping,
     InvalidRing,
-    NotTwoSegment,
     ParseError,
     SingularSystem,
     SymmetryViolation,
@@ -48,18 +47,12 @@ from .lattice import (
 )
 from .spectra import (
     EigenSystem,
-    RingModeSolution,
-    alternating_ring_modes,
-    circulant_analytic_spectrum,
     closed_form,
     eigendecompose,
     gauged_eigendecompose,
     kron_sum_spectrum,
     least_damped_mode,
     mode_values,
-    obc_analytic_spectrum,
-    ring_analytic_spectrum,
-    ring_solutions_as_system,
 )
 from .decay import (
     ChainFit,

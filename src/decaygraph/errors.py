@@ -40,10 +40,6 @@ class InconsistentEntries(DecayGraphError):
     """A coupled pair of matrix entries is not {1, t} up to the stored ratio."""
 
 
-class NotTwoSegment(DecayGraphError):
-    """Analytic ring spectrum requires exactly one A and one B segment."""
-
-
 class ConvergenceFailure(DecayGraphError):
     """Dense eigensolver did not converge or failed residual certification."""
 

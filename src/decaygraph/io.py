@@ -134,9 +134,12 @@ def _parse_lattice(obj: dict, where: str = "lattice") -> LatticeDocument:
                  float(re), float(im))
                 for i, (r, c, re, im) in enumerate(_need(obj, "entries", where))
             )
+            seen = set()
             for r, c, _, _ in entries:
-                if not (1 <= r <= dim and 1 <= c <= dim):
-                    raise ValidationError(f"{where}: entry ({r},{c}) outside 1..{dim}")
+                if not (1 <= r <= dim and 1 <= c <= dim) or (r, c) in seen:
+                    why = "listed twice" if (r, c) in seen else f"outside 1..{dim}"
+                    raise ValidationError(f"{where}: entry ({r},{c}) {why}")
+                seen.add((r, c))
             t = obj.get("t")
             return LatticeDocument(RawMatrix(dim, entries, None if t is None else float(t)), None)
     except DecayGraphError as exc:

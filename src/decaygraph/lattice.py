@@ -125,10 +125,6 @@ class SegmentedRing:
     def is_uniform(self) -> bool:
         return len(self.segments) == 1
 
-    @property
-    def is_two_segment(self) -> bool:
-        return len(self.segments) == 2
-
     def bond_types(self) -> list[str]:
         """Chain type of bond (i, i+1 mod L): the type of the segment owning site i."""
         return [kind for kind, length in self.segments for _ in range(length)]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DegenerateAmbiguity, IllConditioned, NotTwoSegment
+from .errors import ConvergenceFailure, DegenerateAmbiguity, IllConditioned
 from .lattice import (
     Hamiltonian,
     ObcChain,
@@ -295,22 +295,6 @@ def eigendecompose(h: Hamiltonian) -> EigenSystem:
     return _certified(h, values, vectors, inv, "numerical eigendecomposition", meta)
 
 
-@dataclass(frozen=True)
-class RingModeSolution:
-    """One boundary-matrix mode of a two-segment ring.
-
-    alpha = t**(M/L) * exp(i k) with k = 2 pi n / L; the profile restricted
-    to each chain is a single geometric sequence (no two-branch mixing).
-    """
-
-    mode_index: int
-    k: float
-    alpha: complex
-    energy: complex
-    profile: np.ndarray
-    residual: float
-
-
 def _kron_sum(axis_values) -> np.ndarray:
     """Every sum of one value per axis, axis 0 slowest: the spectrum of a
     Kronecker sum from its axes' spectra."""
@@ -405,33 +389,10 @@ def closed_form_columns(h: Hamiltonian, modes: list[int]) -> EigenSystem:
     return _certified(h, values, vectors, None, f"closed-form {h.kind} modes", {"route": "closed_form"})
 
 
-# The per-family names stay public (and bench/tracer.py wraps them), all
-# bound to the one closed form.
-alternating_ring_modes = closed_form
-ring_solutions_as_system = closed_form
-circulant_analytic_spectrum = closed_form
-obc_analytic_spectrum = closed_form
-
-
-def ring_analytic_spectrum(ring: SegmentedRing, t: float) -> list[RingModeSolution]:
-    """All L mode solutions of a one-A-one-B segmented ring.
-
-    alpha_n = t**(M/L) exp(i k_n) labels mode n of the closed form, whose
-    certified vector is t**w times a Bloch wave: alpha**m through the A
-    chain and its junction site, then per-site factor alpha/t along B.
-    """
-    if not ring.is_two_segment:
-        raise NotTwoSegment(f"expected one A and one B segment, got {len(ring.segments)}")
-    sys = closed_form(ring, t)
-    k = 2.0 * np.pi * np.arange(ring.length) / ring.length
-    alpha = t ** (ring.n_sites_b / ring.length) * np.exp(1j * k)
-    return [
-        RingModeSolution(
-            n, float(k[n]), complex(alpha[n]), complex(sys.values[n]),
-            sys.right_vectors[:, n], float(sys.residuals[n]),
-        )
-        for n in range(ring.length)
-    ]
+# Not exported: bench/tracer.py looks these names up and wraps them.  Each
+# is closed_form itself, the one closed-form entry point of the package.
+alternating_ring_modes = ring_analytic_spectrum = ring_solutions_as_system = closed_form
+circulant_analytic_spectrum = obc_analytic_spectrum = closed_form
 
 
 def kron_sum_spectrum(axis_systems: list[EigenSystem], h: Hamiltonian) -> EigenSystem:

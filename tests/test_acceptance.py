@@ -101,7 +101,7 @@ def test_c04_circulant_family():
     for n, a in ((6, [1, 0, 1, 0, 1]), (8, [1, 1, 0, 0, 0, 1, 1])):
         g = dg.validate_circulant(n, a)
         h = dg.build(g, T)
-        analytic = dg.circulant_analytic_spectrum(g, T)
+        analytic = dg.closed_form(g, T)
         worst_resid_rel = max(
             worst_resid_rel, float(np.max(analytic.residuals)) / h.norm_inf()
         )
@@ -329,7 +329,7 @@ def test_c10_obc_control():
         prof = dg.steady_state(h, dg.DriveConfig(source, gamma, np.array([omega])), omega, sys)
         drive_residuals.append(dg.log_profile(prof, chain).residual)
     drives_fail = all(r > 1e-3 for r in drive_residuals)
-    analytic = dg.obc_analytic_spectrum(chain, T)
+    analytic = dg.closed_form(chain, T)
     certified = float(np.max(analytic.residuals)) <= 1e-9 * h.norm_inf()
     exponent = analytic.meta["rho_exponent"]
     ok = modes_fail and drives_fail and certified and exponent in (0.5, -0.5)

@@ -71,7 +71,7 @@ class TestExtractDecayConstants:
 
     def test_circulant_body_and_wrap(self):
         g = dg.validate_circulant(6, [1, 0, 1, 0, 1])
-        sys = dg.circulant_analytic_spectrum(g, T)
+        sys = dg.closed_form(g, T)
         report = dg.extract_decay_constants(sys.profile(0), g, T)
         ratios = {c.chain_id: c.ratio for c in report.per_chain}
         assert ratios["body"] == pytest.approx(T ** (-1 / 6), rel=1e-12)

@@ -6,7 +6,9 @@ and open chains with N <= 40 and t in [1/4, 1/1.01] or [1.01, 4].  Beyond
 t = 4 the dense reference itself stops certifying on some specs, so the
 range is bounded there on purpose.  The gauged dense route, whose bound
 holds for any t, is checked over N <= 64 and t in [1/8, 8], and on products
-of two equal uniform rings.
+of two equal uniform rings.  Uniform and two-segment rings of up to 64
+sites per segment, over the whole range t in [1/64, 64], have the values of
+the boundary-matrix solutions alpha + t / alpha.
 """
 
 import dataclasses
@@ -70,6 +72,27 @@ def test_every_mode_carries_the_normalized_gauge_profile(spec, t):
     want /= want.max()
     sys = dg.closed_form(spec, t)
     assert np.max(np.abs(np.abs(sys.right_vectors) - want[:, None])) <= 1e-12
+
+
+@st.composite
+def one_or_two_segment_rings(draw):
+    a = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        return dg.SegmentedRing((("A", max(a, 3)),))
+    return dg.SegmentedRing((("A", a), ("B", draw(st.integers(max(1, 3 - a), 64)))))
+
+
+full_ratios = st.one_of(st.floats(1 / 64, 1.0), st.floats(1.0, 64.0)).filter(lambda t: t != 1.0)
+
+
+@SETTINGS
+@given(one_or_two_segment_rings(), full_ratios)
+def test_ring_values_are_the_boundary_matrix_solutions(ring, t):
+    # alpha_n = t**(N_B/L) exp(2 pi i n / L) labels mode n: E_n = alpha_n + t / alpha_n
+    n = ring.length
+    alpha = t ** (ring.n_sites_b / n) * np.exp(2j * np.pi * np.arange(n) / n)
+    sys = dg.closed_form(ring, t)
+    assert np.max(np.abs(sys.values - (alpha + t / alpha))) <= 1e-12 * sys.h_norm
 
 
 @st.composite

@@ -627,6 +627,18 @@ class TestCli:
             tmp_path, "drive", "--spec", raw, "--gamma", "0.5", "--out", tmp_path / "o2"
         ) == 0
 
+    @pytest.mark.parametrize("first,named", [
+        ([1, 2, 0.7, 0], "entry (1,2) listed twice"),  # would overwrite 0.5 in hamiltonian.csv
+        ([4, 2, 0.7, 0], "entry (4,2) outside 1..3"),
+    ], ids=["listed-twice", "outside"])
+    def test_raw_position_refused_exits_2(self, tmp_path, capsys, first, named):
+        raw = tmp_path / "raw.json"
+        raw.write_text(json.dumps({"lattice": {"kind": "raw", "dim": 3, "entries": [
+            [1, 2, 0.5, 0], first, [2, 3, 1.0, 0], [3, 1, 1.0, 0]]}}))
+        assert run_cli(tmp_path, "build", "--spec", raw, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: lattice: {named}\n"
+        assert not (tmp_path / "o" / "hamiltonian.csv").exists()
+
     def test_t_override(self, tmp_path, ring_spec, capsys):
         out = tmp_path / "out"
         assert run_cli(tmp_path, "decay", "--spec", ring_spec, "--t", 2.5, "--out", out) == 0

@@ -72,7 +72,7 @@ def test_circulant_dft_similarity_invariance():
             q = np.arange(1, n)
             first_row = np.concatenate([[0.0], np.array(a) * t ** ((n - q) / n)])
             oracle = circulant_dft_eigenvalues(first_row)
-            got = dg.circulant_analytic_spectrum(g, t).values
+            got = dg.closed_form(g, t).values
             assert match_deviation(got, oracle) <= 1e-10
 
 

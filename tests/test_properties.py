@@ -63,13 +63,13 @@ class TestAnalyticNumericEquivalence:
     @pytest.mark.parametrize("ring,t", TWO_SEG)
     def test_rings(self, ring, t):
         sys = dg.eigendecompose(dg.build(ring, t))
-        analytic = [s.energy for s in dg.ring_analytic_spectrum(ring, t)]
+        analytic = dg.closed_form(ring, t).values
         assert match_deviation(sys.values, analytic) <= 1e-8
 
     @pytest.mark.parametrize("g,t", CIRCS)
     def test_circulants(self, g, t):
         sys = dg.eigendecompose(dg.build(g, t))
-        analytic = dg.circulant_analytic_spectrum(g, t)
+        analytic = dg.closed_form(g, t)
         assert match_deviation(sys.values, analytic.values) <= 1e-8
 
     @pytest.mark.parametrize("ring,t", TWO_SEG[:6])
@@ -140,7 +140,7 @@ class TestEquivalenceAtSizeBoundary:
         ring = dg.SegmentedRing((("A", 34), ("B", 30)))
         t = 4.0
         sys = dg.eigendecompose(dg.build(ring, t))
-        analytic = [s.energy for s in dg.ring_analytic_spectrum(ring, t)]
+        analytic = dg.closed_form(ring, t).values
         assert match_deviation(sys.values, analytic) <= 1e-8
 
     def test_circulant_n64(self):
@@ -151,7 +151,7 @@ class TestEquivalenceAtSizeBoundary:
         g = dg.validate_circulant(64, a)
         t = 4.0
         sys = dg.eigendecompose(dg.build(g, t))
-        analytic = dg.circulant_analytic_spectrum(g, t)
+        analytic = dg.closed_form(g, t)
         assert match_deviation(sys.values, analytic.values) <= 1e-8
 
 
