@@ -74,7 +74,6 @@ from .response import (
     DriveConfig,
     LogProfile,
     ModeSelection,
-    ResponseProfile,
     default_drive_config,
     frequency_sweep,
     log_profile,

@@ -9,7 +9,6 @@ deterministic (byte-identical across reruns of the same invocation).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys as _sys
@@ -137,7 +136,6 @@ def cmd_drive(args, out_dir: Path, manifest: RunManifest) -> int:
     # and the selection; a spec lattice needs only its closed-form values
     raw = isinstance(doc.spec, RawMatrix)
     sys = spectra.eigendecompose(h) if raw else spectra.closed_form_values(doc.spec, doc.t, h)
-    cfg = response.default_drive_config(h, sys, source - 1)
     overrides = {"amplitude": args.amplitude}
     if args.gamma is not None:
         overrides["gamma"] = args.gamma
@@ -147,24 +145,27 @@ def cmd_drive(args, out_dir: Path, manifest: RunManifest) -> int:
             if steps is None:
                 steps = response.DEFAULT_OMEGA_POINTS
             overrides["omega_grid"] = np.linspace(args.omega_min, args.omega_max, steps)
-        cfg = dataclasses.replace(cfg, **overrides)
+        cfg = response.default_drive_config(h, sys, source - 1, **overrides)
     except ValueError as exc:
-        raise DecayGraphError(f"invalid drive option: {exc}") from exc
-    sweep = response.frequency_sweep(h, cfg, sys)
-    # max|x| per frequency, a block at a time: no copy of the whole sweep
-    peaks = np.concatenate([np.max(np.abs(np.stack([p.x for p in sweep[s]])), axis=1)
-                            for s in response.sweep_blocks(len(sweep), h.dim)])
+        default = args.gamma is None and str(exc).startswith("gamma ")  # the default loss is at fault
+        margin = response.DEFAULT_GAMMA_MARGIN
+        hint = f" (the default loss max Im(E) + {margin} ||H||_inf): give --gamma" if default else ""
+        raise DecayGraphError(f"invalid drive option: {exc}{hint}") from exc
+    x = response.frequency_sweep(h, cfg, sys)
+    # max|x| per frequency, a block at a time: no |x| of the whole sweep
+    peaks = np.concatenate([np.max(np.abs(x[s]), axis=1) for s in response.sweep_blocks(len(x), h.dim)])
     # an E -> -E symmetric spectrum has mirror peaks at +-omega: ties go to the lowest omega
-    at_peak = sweep[int(np.flatnonzero(peaks >= (1 - response.PEAK_TIE) * peaks.max())[0])]
+    i = int(np.flatnonzero(peaks >= (1 - response.PEAK_TIE) * peaks.max())[0])
     if raw:
-        selection = response.mode_selection_check(at_peak, sys)
+        selection = response.mode_selection_check(x[i], sys)
     else:
-        selection = response.transform_mode_selection(at_peak, h)
+        selection = response.transform_mode_selection(x[i], h)
     del h, sys  # not held while the sweep is formatted
-    _write(out_dir, "sweep.csv", io.sweep_chunks(sweep), manifest)
-    _write(out_dir, "selection.json", (io.selection_json(selection, at_peak.omega),), manifest)
+    omega = float(cfg.omega_grid[i])
+    _write(out_dir, "sweep.csv", io.sweep_chunks(cfg.omega_grid, x), manifest)
+    _write(out_dir, "selection.json", (io.selection_json(selection, omega),), manifest)
     print(
-        f"drive: peak at omega={at_peak.omega:.6g}, overlap with least-damped mode "
+        f"drive: peak at omega={omega:.6g}, overlap with least-damped mode "
         f"{selection.overlap:.4f}, selected mode {selection.selected_mode + 1}"
         f"{' (least damped)' if selection.matches else ''}"
     )

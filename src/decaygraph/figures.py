@@ -287,8 +287,7 @@ def _selected_drive(spec, t: float, excess: float, source: int = 0):
     gamma = float(np.max(sys.values.imag)) + excess
     omega = float(sys.values[sel].real)
     cfg = response.DriveConfig(source, gamma, np.array([omega]))
-    prof = response.steady_state(h, cfg, omega, sys)
-    return h, sys, sel, prof
+    return h, sys, sel, response.steady_state(h, cfg, omega, sys)
 
 
 def fig4b() -> CheckResult:
@@ -302,16 +301,16 @@ def fig4b() -> CheckResult:
     overlaps = []
     for factor in (2.0, 1.5, 1.1):
         cfg = response.DriveConfig(0, factor * g0, np.array([omega]))
-        prof = response.steady_state(h, cfg, omega, sys)
-        check = response.mode_selection_check(prof, sys)
+        x = response.steady_state(h, cfg, omega, sys)
+        check = response.mode_selection_check(x, sys)
         overlaps.append(check.overlap)
     res.record("overlap_monotone", overlaps[0] < overlaps[1] < overlaps[2], overlaps)
     res.record("overlap_exceeds_0.99", overlaps[-1] > 0.99, overlaps[-1])
     res.record("selects_least_damped", check.matches)
     res.record("log_residual_at_1.1g0_reported", True,
-               response.log_profile(prof, RING_12).residual)
-    _, _, _, prof_iso = _selected_drive(RING_12, t, ISOLATION_EXCESS)
-    iso = response.log_profile(prof_iso, RING_12).residual
+               response.log_profile(x, RING_12).residual)
+    _, _, _, x_iso = _selected_drive(RING_12, t, ISOLATION_EXCESS)
+    iso = response.log_profile(x_iso, RING_12).residual
     res.record("log_linear_when_isolated", iso <= 1e-3, iso)
     return res
 
@@ -319,13 +318,13 @@ def fig4b() -> CheckResult:
 def fig4c() -> CheckResult:
     res = CheckResult("fig4c", True)
     t = T_DEFAULT
-    _, sys, sel, prof = _selected_drive(COMPLETE_4, t, ISOLATION_EXCESS)
-    amp = np.abs(prof.x)
+    _, sys, sel, x = _selected_drive(COMPLETE_4, t, ISOLATION_EXCESS)
+    amp = np.abs(x)
     res.record("monotone_decay_over_nodes", bool(np.all(np.diff(amp) < 0)),
                (amp / amp.max()).tolist())
-    iso = response.log_profile(prof, COMPLETE_4).residual
+    iso = response.log_profile(x, COMPLETE_4).residual
     res.record("log_linear_when_isolated", iso <= 1e-3, iso)
-    res.record("selects_least_damped", response.mode_selection_check(prof, sys).matches)
+    res.record("selects_least_damped", response.mode_selection_check(x, sys).matches)
     return res
 
 
@@ -340,10 +339,10 @@ def fig4d() -> CheckResult:
     profiles = []
     for source in (0, 3, 5):
         cfg = response.DriveConfig(source, gamma, np.array([omega]))
-        prof = response.steady_state(h, cfg, omega, sys)
-        residual = response.log_profile(prof, OBC_12).residual
+        x = response.steady_state(h, cfg, omega, sys)
+        residual = response.log_profile(x, OBC_12).residual
         res.record(f"oscillatory_source_{source + 1}", residual > 1e-3, residual)
-        profiles.append(np.abs(prof.x) / np.max(np.abs(prof.x)))
+        profiles.append(np.abs(x) / np.max(np.abs(x)))
     spread = max(
         float(np.max(np.abs(profiles[i] - profiles[j])))
         for i in range(3)

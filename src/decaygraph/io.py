@@ -9,6 +9,7 @@ inputs always produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
@@ -26,7 +27,7 @@ from .lattice import (
     raw_hamiltonian,
     validate_circulant,
 )
-from .response import ModeSelection, ResponseProfile
+from .response import ModeSelection
 from .spectra import EigenSystem
 
 TOOL_VERSION = "0.1.0"
@@ -135,9 +136,11 @@ def _parse_lattice(obj: dict, where: str = "lattice") -> LatticeDocument:
                 for i, (r, c, re, im) in enumerate(_need(obj, "entries", where))
             )
             seen = set()
-            for r, c, _, _ in entries:
-                if not (1 <= r <= dim and 1 <= c <= dim) or (r, c) in seen:
-                    why = "listed twice" if (r, c) in seen else f"outside 1..{dim}"
+            for r, c, re, im in entries:
+                why = (f"outside 1..{dim}" if not (1 <= r <= dim and 1 <= c <= dim) else "listed twice"
+                       if (r, c) in seen else None if math.isfinite(re) and math.isfinite(im)
+                       else f"is not finite: re {re}, im {im}")
+                if why:
                     raise ValidationError(f"{where}: entry ({r},{c}) {why}")
                 seen.add((r, c))
             t = obj.get("t")
@@ -274,17 +277,15 @@ def _index(n: int) -> list[str]:
     return list(map(str, range(1, n + 1)))
 
 
-def _blocks(items: list[tuple[str, np.ndarray]]) -> Iterator[tuple[np.ndarray, list[str], list[str]]]:
-    """Runs of ``(lead, x)`` items of about ROWS_PER_DUMP rows in all, each as
-    (the x concatenated, each row's lead, each row's 1-based index in its x)."""
-    nodes = _index(max((len(x) for _, x in items), default=0))
-    k = max(1, ROWS_PER_DUMP // max(len(nodes), 1))
-    for i in range(0, len(items), k):
-        leads, index = [], []
-        for lead, x in items[i:i + k]:
-            leads += [lead] * len(x)
-            index += nodes[:len(x)]
-        yield np.concatenate([x for _, x in items[i:i + k]]), leads, index
+def _grid(leads: list[str], x: np.ndarray) -> Iterator[tuple[np.ndarray, list[str], list[str]]]:
+    """The (K, N) grid ``x`` in blocks of max(1, ROWS_PER_DUMP // N) grid rows,
+    each as (its entries row-major, each entry's lead ``leads[k]``, each
+    entry's 1-based column)."""
+    n = x.shape[1]
+    columns, step = _index(n), max(1, ROWS_PER_DUMP // max(n, 1))
+    for i in range(0, len(x), step):
+        block = x[i:i + step]
+        yield block.ravel(), [lead for lead in leads[i:i + step] for _ in columns], columns * len(block)
 
 
 def hamiltonian_csv(h: Hamiltonian) -> str:
@@ -318,9 +319,9 @@ def _modulus(x: np.ndarray) -> np.ndarray:
 def profiles_chunks(sys: EigenSystem) -> Iterator[str]:
     """Per-mode profiles as "n,site,re_psi,im_psi,abs_psi" (1-based): the
     header, then the modes in blocks of about ROWS_PER_DUMP rows
-    (``_blocks``), one string per block."""
+    (``_grid``), one string per block."""
     yield "n,site,re_psi,im_psi,abs_psi\n"
-    for x, modes, sites in _blocks(list(zip(_index(sys.dim), sys.right_vectors.T))):
+    for x, modes, sites in _grid(_index(sys.dim), sys.right_vectors.T):
         yield _rows(np.column_stack([x.real, x.imag, _modulus(x)]), modes, sites)
 
 
@@ -334,11 +335,12 @@ def charges_csv(cm: ChargeMap) -> str:
     return "node,Q_amplitude,Q_combinatorial\n" + _rows(block, _index(len(block)))
 
 
-def sweep_chunks(profiles: list[ResponseProfile]) -> Iterator[str]:
-    """One row "omega,node,abs_x,re_x,im_x" per frequency and node (1-based):
-    the header, then consecutive frequencies in blocks of about
-    ROWS_PER_DUMP rows (``_blocks``), one ``_rows`` string per block, so a
-    writer holds one block at a time, never the whole export.
+def sweep_chunks(omegas: np.ndarray, x: np.ndarray) -> Iterator[str]:
+    """One row "omega,node,abs_x,re_x,im_x" per frequency and node (1-based)
+    of the (F, N) sweep ``x`` over the grid ``omegas``: the header, then
+    consecutive frequencies in blocks of about ROWS_PER_DUMP rows
+    (``_grid``), one ``_rows`` string per block, so a writer holds one block
+    at a time, never the whole export.
 
     All five CSV exports write each float as the bytes of its Python repr
     (``_rows``): repr of a Python float is repr of the numpy scalar, and
@@ -346,13 +348,13 @@ def sweep_chunks(profiles: list[ResponseProfile]) -> Iterator[str]:
     (``_modulus``).
     """
     yield "omega,node,abs_x,re_x,im_x\n"
-    for x, omegas, nodes in _blocks([(repr(float(p.omega)), p.x) for p in profiles]):
-        yield _rows(np.column_stack([_modulus(x), x.real, x.imag]), omegas, nodes)
+    for v, leads, nodes in _grid(list(map(repr, np.asarray(omegas, dtype=float).tolist())), x):
+        yield _rows(np.column_stack([_modulus(v), v.real, v.imag]), leads, nodes)
 
 
-def sweep_csv(profiles: list[ResponseProfile]) -> str:
+def sweep_csv(omegas: np.ndarray, x: np.ndarray) -> str:
     """The whole ``sweep_chunks`` export as one string."""
-    return "".join(sweep_chunks(profiles))
+    return "".join(sweep_chunks(omegas, x))
 
 
 def decay_report_json(report: DecayReport, purity: PurityResult | None = None) -> str:

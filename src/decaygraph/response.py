@@ -77,33 +77,17 @@ class DriveConfig:
 
 
 def default_drive_config(
-    h: Hamiltonian, sys: EigenSystem | np.ndarray, source_node: int = 0
+    h: Hamiltonian, sys: EigenSystem | np.ndarray, source_node: int = 0, **options
 ) -> DriveConfig:
     """Desk-scale defaults from the eigensystem ``sys`` of ``h``, or the
     array of its eigenvalues E: gamma = max Im(E) + 0.05 ||H||_inf,
-    401-point grid spanning [min Re(E) - 1, max Re(E) + 1]."""
+    401-point grid spanning [min Re(E) - 1, max Re(E) + 1], each replaced
+    by its DriveConfig field in ``options``."""
     values = getattr(sys, "values", sys)
     gamma = float(np.max(values.imag) + DEFAULT_GAMMA_MARGIN * h.norm_inf())
-    grid = np.linspace(
-        float(np.min(values.real)) - 1.0,
-        float(np.max(values.real)) + 1.0,
-        DEFAULT_OMEGA_POINTS,
-    )
-    return DriveConfig(source_node, gamma, grid)
-
-
-@dataclass(frozen=True)
-class ResponseProfile:
-    """Steady-state node amplitudes at one drive frequency."""
-
-    omega: float
-    x: np.ndarray
-    solve_residual: float
-
-    def __post_init__(self):
-        arr = np.asarray(self.x)
-        arr.setflags(write=False)
-        object.__setattr__(self, "x", arr)
+    lo, hi = float(np.min(values.real)) - 1.0, float(np.max(values.real)) + 1.0
+    grid = np.linspace(lo, hi, DEFAULT_OMEGA_POINTS)
+    return DriveConfig(**{"source_node": source_node, "gamma": gamma, "omega_grid": grid, **options})
 
 
 def sweep_blocks(count: int, dim: int) -> list[slice]:
@@ -216,8 +200,9 @@ def _schur_route(h: Hamiltonian):
 
 def _drive(
     h: Hamiltonian, cfg: DriveConfig, omegas: np.ndarray, sys: EigenSystem | np.ndarray | None
-) -> list[ResponseProfile]:
-    """The certified steady state at every frequency of ``omegas``.
+) -> np.ndarray:
+    """The certified steady state at every frequency of ``omegas``: the
+    read-only (F, N) array, one row per frequency.
 
     A lattice built from a spec takes the gauge route; a raw matrix, or a
     transposed lattice, whose reversed bonds the spec's gauge does not
@@ -300,28 +285,29 @@ def _drive(
                     f"{SOLVE_RESIDUAL_FACTOR:.0e} * drive after 3 refinement steps "
                     f"(max|x| {size:.1e}, float64 floor {np.finfo(float).eps * scale * size:.1e}, "
                     f"backward error {residual[f] / (scale * size + cfg.amplitude):.1e})")
-    return [ResponseProfile(float(w), row, float(res)) for w, row, res in zip(omegas, x, residual)]
+    x.setflags(write=False)
+    return x
 
 
 def steady_state(
     h: Hamiltonian, cfg: DriveConfig, omega: float, sys: EigenSystem | np.ndarray | None = None
-) -> ResponseProfile:
+) -> np.ndarray:
     """Solve ((omega + i gamma) I - H) x = amplitude * e_source, certified: the
-    one-frequency call of the sweep, through the gauge of a built lattice or
-    the eigenvector expansion of a raw matrix (that of ``sys`` when it is
-    its dense eigensystem).  gamma > max Im(E) is checked against ``sys``
-    (any eigensystem of ``h``, or its values) when given, else the route's
-    poles."""
+    read-only x, shape (N,), of the one-frequency sweep, through the gauge
+    of a built lattice or the eigenvector expansion of a raw matrix (that of
+    ``sys`` when it is its dense eigensystem).  gamma > max Im(E) is checked
+    against ``sys`` (any eigensystem of ``h``, or its values) when given,
+    else the route's poles."""
     return _drive(h, cfg, np.array([float(omega)]), sys)[0]
 
 
 def frequency_sweep(
     h: Hamiltonian, cfg: DriveConfig, sys: EigenSystem | np.ndarray | None = None
-) -> list[ResponseProfile]:
-    """One steady state per grid frequency, in grid order: the batched gauge
-    solve for a lattice built from a spec, the batched eigenvector expansion
-    for a raw matrix, each in blocks of frequencies.  ``sys`` serves as in
-    ``steady_state``."""
+) -> np.ndarray:
+    """One steady state per grid frequency, as the rows of a read-only
+    (F, N) array in grid order: the batched gauge solve for a lattice built
+    from a spec, the batched eigenvector expansion for a raw matrix, each in
+    blocks of frequencies.  ``sys`` serves as in ``steady_state``."""
     return _drive(h, cfg, cfg.omega_grid, sys)
 
 
@@ -360,14 +346,14 @@ def _selection(overlaps: np.ndarray, values: np.ndarray, tolerance: float) -> Mo
     return ModeSelection(best, ld, float(overlaps[ld]), matches)
 
 
-def mode_selection_check(profile: ResponseProfile, sys: EigenSystem) -> ModeSelection:
+def mode_selection_check(x: np.ndarray, sys: EigenSystem) -> ModeSelection:
     """Overlap |<v_hat, x_hat>| of the response with the least-damped mode,
     plus the mode that maximizes the overlap (they should agree when the
     loss sits just above the least-damped line), over the columns of the
     eigensystem ``sys``: |V^H x| / (||V||_col ||x||), by ``_selection``'s rule.
     """
     v = sys.right_vectors
-    overlaps = np.abs(profile.x.conj() @ v) / (np.linalg.norm(v, axis=0) * np.linalg.norm(profile.x))
+    overlaps = np.abs(x.conj() @ v) / (np.linalg.norm(v, axis=0) * np.linalg.norm(x))
     return _selection(overlaps, sys.values, sys.tolerance)
 
 
@@ -392,14 +378,14 @@ def _mode_overlaps(h: Hamiltonian, x: np.ndarray) -> np.ndarray:
     return np.abs(_transforms(y, axes, inverse=False).ravel()) / (norms * np.linalg.norm(x))
 
 
-def transform_mode_selection(profile: ResponseProfile, h: Hamiltonian) -> ModeSelection:
+def transform_mode_selection(x: np.ndarray, h: Hamiltonian) -> ModeSelection:
     """``mode_selection_check`` against the closed-form modes of the lattice
     ``h`` built from a spec, with no N x N basis: the overlaps from the
     transforms (``_mode_overlaps``), the values from ``mode_values``, and
     the modes it reports built alone and certified through ``h``
     (``spectra.closed_form_columns``)."""
     values = mode_values(h.spec, h.t if len(h.ts) == 1 else None)
-    selection = _selection(_mode_overlaps(h, profile.x), values, RESIDUAL_FACTOR * h.norm_inf())
+    selection = _selection(_mode_overlaps(h, x), values, RESIDUAL_FACTOR * h.norm_inf())
     closed_form_columns(h, sorted({selection.selected_mode, selection.least_damped}))
     return selection
 
@@ -419,13 +405,13 @@ class LogProfile:
         object.__setattr__(self, "log_abs", arr)
 
 
-def log_profile(profile: ResponseProfile, spec=None) -> LogProfile:
-    """Fit log|x| chainwise (with a spec) or as one run (without).
+def log_profile(x: np.ndarray, spec=None) -> LogProfile:
+    """Fit log|x| of the response x chainwise (with a spec) or as one run (without).
 
     The residual is the worst max-abs fit deviation over chains: small for
     a pure-exponential response, large for an oscillatory one.
     """
-    amp = np.abs(profile.x)
+    amp = np.abs(x)
     if np.any(amp == 0.0):
         raise ZeroAmplitude("response vanishes at a site; log profile undefined")
     log_amp = np.log(amp)

@@ -150,8 +150,10 @@ def _log_scale(h: Hamiltonian) -> np.ndarray:
 
 def _normal_eig(gauge, scale: np.ndarray, what: str):
     """Eigenpairs of the real G = ``gauge()`` (built twice, so none is alive
-    through eigh): values sorted by (Re, Im), unit vectors u times ``scale``
-    row by row, and a meta of the commutator and each mode's ||G u - E u||_2.
+    through eigh): values sorted by (Re, Im), a real part within
+    DEGENERACY_FACTOR * ||G||_inf of the one before counted as equal to it,
+    unit vectors u times ``scale`` row by row, and a meta of the commutator
+    and each mode's ||G u - E u||_2.
     G must be normal, max|G G^T - G^T G| <= RESIDUAL_FACTOR * ||G||_inf**2, or
     ConvergenceFailure names that commutator.  G then leaves the eigenspaces
     of its symmetric part S invariant: one eigh of S, split wherever its
@@ -187,7 +189,11 @@ def _normal_eig(gauge, scale: np.ndarray, what: str):
                 # U and G U as (clusters, n, k) views, about 2**15 entries a chunk
                 u, gu = (a.reshape(n, -1, k).transpose(1, 0, 2) for a in (basis[:, idx], g @ basis[:, idx]))
                 mu, y = np.linalg.eig(u.transpose(0, 2, 1) @ gu)
-                local = np.lexsort((mu.imag, mu.real))
+                # tied real parts go by Im, not by their last bits
+                order = np.argsort(mu.real, axis=-1, kind="stable")
+                re, im = (np.take_along_axis(part, order, -1) for part in (mu.real, mu.imag))
+                tied = np.cumsum(np.diff(re, prepend=-np.inf) > DEGENERACY_FACTOR * g_norm, axis=-1)
+                local = np.take_along_axis(order, np.lexsort((im, tied)), -1)
                 mu, y = np.take_along_axis(mu, local, -1), np.take_along_axis(y, local[:, None, :], -1)
                 v, r = u @ y, gu @ y
                 r -= v * mu[:, None, :]

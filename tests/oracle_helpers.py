@@ -377,6 +377,18 @@ def csr_reference(h):
     return edge_order_csr(h) if h.raw_matrix is None else csr_array(h.matrix)
 
 
+def drive_residual(h, cfg, omegas, x) -> float:
+    """max|b - (z I - H) x| over the steady states ``x`` (one row per
+    frequency of ``omegas``, or one vector), z = omega + i gamma, b the
+    point drive of ``cfg`` (reference).  H x goes through ``csr_reference``,
+    whose sums have the bits of ``h.dot``, so this is the residual that the
+    solve certified."""
+    x = np.atleast_2d(x)
+    r = (csr_reference(h) @ x.T).T - (np.asarray(omegas, dtype=float)[:, None] + 1j * cfg.gamma) * x
+    r[:, cfg.source_node] += cfg.amplitude
+    return float(np.max(np.abs(r)))
+
+
 def same_bits(a, b) -> bool:
     """Same dtype and shape, NaN at the same components (real and imaginary
     parts apart) and the same bits everywhere else: a NaN's sign and payload
@@ -437,13 +449,14 @@ def per_row_charges_csv(cm) -> str:
     return "\n".join(lines) + "\n"
 
 
-def per_row_sweep_csv(profiles) -> str:
-    """sweep.csv formatted one row at a time from numpy scalars (reference)."""
+def per_row_sweep_csv(omegas, x) -> str:
+    """sweep.csv of the (F, N) sweep ``x`` over the grid ``omegas``, formatted
+    one row at a time from numpy scalars (reference)."""
     lines = ["omega,node,abs_x,re_x,im_x"]
-    for p in profiles:
-        for i, v in enumerate(p.x):
+    for omega, row in zip(np.asarray(omegas, dtype=float), x):
+        for i, v in enumerate(row):
             lines.append(
-                f"{repr(float(p.omega))},{i + 1},{repr(float(abs(v)))},"
+                f"{repr(float(omega))},{i + 1},{repr(float(abs(v)))},"
                 f"{repr(float(v.real))},{repr(float(v.imag))}"
             )
     return "\n".join(lines) + "\n"

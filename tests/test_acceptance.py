@@ -273,7 +273,7 @@ def test_c09_four_node_response_monotone():
     omega = float(sys.values[sel].real)
     g0 = float(np.max(sys.values.imag)) + 0.01
     cfg = dg.DriveConfig(0, 1.1 * g0, np.array([omega]))
-    amp = np.abs(dg.steady_state(h, cfg, omega, sys).x)
+    amp = np.abs(dg.steady_state(h, cfg, omega, sys))
     ok = bool(np.all(np.diff(amp) < 0))
     assert report(
         "criterion-09", ok, f"response monotone over nodes: {np.round(amp / amp.max(), 4)}"

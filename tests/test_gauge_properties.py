@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import decaygraph as dg
 
-from oracle_helpers import match_deviation
+from oracle_helpers import drive_residual, match_deviation
 
 MAX_N = 40
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -113,7 +113,7 @@ def test_gauge_sweep_matches_schur_where_schur_certifies(spec, t, data):
     raw, schur = dg.raw_hamiltonian(h.matrix), {}
     for omega in cfg.omega_grid.tolist():
         try:
-            schur[omega] = dg.steady_state(raw, cfg, omega).x
+            schur[omega] = dg.steady_state(raw, cfg, omega)
         except dg.SingularSystem:
             pass
     try:
@@ -127,11 +127,11 @@ def test_gauge_sweep_matches_schur_where_schur_certifies(spec, t, data):
             scale = abs(omega + 1j * cfg.gamma) + h.norm_inf()
             assert np.finfo(float).eps * scale * np.max(np.abs(schur[omega])) > 0.1 * bound
         return
-    assert [p.omega for p in sweep] == cfg.omega_grid.tolist()
-    for p in sweep:
-        assert p.solve_residual <= bound
-        if p.omega in schur:
-            assert np.max(np.abs(p.x - schur[p.omega])) <= 1e-9 * np.max(np.abs(schur[p.omega]))
+    assert sweep.shape == (len(cfg.omega_grid), h.dim)
+    assert drive_residual(h, cfg, cfg.omega_grid, sweep) <= bound
+    for omega, x in zip(cfg.omega_grid.tolist(), sweep):
+        if omega in schur:
+            assert np.max(np.abs(x - schur[omega])) <= 1e-9 * np.max(np.abs(schur[omega]))
 
 
 wide_ratios = st.floats(1 / 8, 8.0).filter(lambda t: t != 1.0)
@@ -196,13 +196,13 @@ def test_transform_overlaps_are_the_closed_form_column_overlaps(spec, t, data):
     cfg = dg.default_drive_config(h, exact, data.draw(st.integers(0, h.dim - 1), label="source"))
     omega = float(cfg.omega_grid[data.draw(st.integers(0, 400), label="omega")])
     try:
-        prof = dg.steady_state(h, cfg, omega)
+        x = dg.steady_state(h, cfg, omega)
     except dg.SingularSystem:
         reject()
     v = exact.right_vectors
-    dense = np.abs(prof.x.conj() @ v) / (np.linalg.norm(v, axis=0) * np.linalg.norm(prof.x))
-    assert np.max(np.abs(dg.response._mode_overlaps(h, prof.x) - dense)) <= 1e-12 * dense.max()
-    got, want = dg.transform_mode_selection(prof, h), dg.mode_selection_check(prof, exact)
+    dense = np.abs(x.conj() @ v) / (np.linalg.norm(v, axis=0) * np.linalg.norm(x))
+    assert np.max(np.abs(dg.response._mode_overlaps(h, x) - dense)) <= 1e-12 * dense.max()
+    got, want = dg.transform_mode_selection(x, h), dg.mode_selection_check(x, exact)
     assert (got.selected_mode, got.least_damped, got.matches) == (want.selected_mode, want.least_damped, want.matches)
     assert abs(got.overlap - want.overlap) <= 1e-12 * dense.max()
     modes = [got.selected_mode, got.least_damped]

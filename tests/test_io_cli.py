@@ -186,13 +186,13 @@ class TestExports:
         sys = dg.eigendecompose(h)
         cfg = dg.DriveConfig(0, 1.0, np.array([0.0, 1.0]))
         sweep = dg.frequency_sweep(h, cfg, sys)
-        lines = io.sweep_csv(sweep).strip().split("\n")
+        lines = io.sweep_csv(cfg.omega_grid, sweep).strip().split("\n")
         assert lines[0] == "omega,node,abs_x,re_x,im_x"
         assert len(lines) == 1 + 2 * 2
 
     @staticmethod
     def special_profiles():
-        """40 profiles of 1 to 59 nodes: magnitudes from 1e-300 to 1e300,
+        """40 (omega, x) of 1 to 59 nodes: magnitudes from 1e-300 to 1e300,
         signed zeros, subnormals and non-finite parts, in complex and in
         real rows."""
         rng = np.random.default_rng(7)
@@ -208,26 +208,28 @@ class TestExports:
                 x = x.astype(complex)
                 x.imag = mag[1]
             omega = float(rng.choice([-0.0, 1e-310, rng.uniform(-5, 5)]))
-            profiles.append(response.ResponseProfile(omega, x, 0.0))
+            profiles.append((omega, x))
         return profiles
 
     def test_sweep_csv_matches_per_row_formatter(self):
-        profiles = self.special_profiles()
-        assert_same_csv(io.sweep_csv(profiles), per_row_sweep_csv(profiles))
-        assert_same_csv(io.sweep_csv([]), per_row_sweep_csv([]))
+        # each profile of its own length, a one-frequency sweep
+        for omega, x in self.special_profiles():
+            assert_same_csv(io.sweep_csv([omega], x[None]), per_row_sweep_csv([omega], x[None]))
+        empty = np.zeros((0, 0))
+        assert_same_csv(io.sweep_csv([], empty), per_row_sweep_csv([], empty))
 
     def test_sweep_chunks_join_to_the_per_row_formatter(self):
-        profiles = self.special_profiles()
-        assert_same_chunks(io.sweep_chunks(profiles), per_row_sweep_csv(profiles), 59)
+        for omega, x in self.special_profiles():
+            assert_same_chunks(io.sweep_chunks([omega], x[None]), per_row_sweep_csv([omega], x[None]), 59)
         # 401 frequencies of 30 nodes: 12030 rows, in blocks of 136 frequencies
         parts = self.seeded(np.random.default_rng(17), (2, 401, 30))
         x = parts[0].astype(complex)
         x.imag = parts[1]
-        long = [response.ResponseProfile(w, row, 0.0) for w, row in zip(np.linspace(-3, 3, 401).tolist(), x)]
-        chunks = list(io.sweep_chunks(long))
+        omegas = np.linspace(-3, 3, 401)
+        chunks = list(io.sweep_chunks(omegas, x))
         assert len(chunks) == 1 + 3
         with np.errstate(over="ignore"):
-            assert_same_chunks(chunks, per_row_sweep_csv(long), 30)
+            assert_same_chunks(chunks, per_row_sweep_csv(omegas, x), 30)
 
     def test_profiles_chunks_join_to_the_per_row_formatter(self):
         # 80 modes of 80 sites: 6400 rows, one full block of 51 modes and a part
@@ -276,12 +278,13 @@ class TestExports:
     def test_modulus_above_the_float_max_is_written_as_inf(self):
         big = 1.7976931348623157e308 + 1.7976931348623157e308j
         x = np.array([1.0 - 2.0j, big, -0.0j])
-        profiles = [response.ResponseProfile(0.5, x, 0.0), response.ResponseProfile(1.0, x[[0, 2]], 0.0)]
+        profiles = [([0.5], x[None]), ([1.0], x[None, [0, 2]])]
         sys = dg.EigenSystem(x, np.stack([x, x[::-1], x], axis=1), None, np.zeros(3), 1.0, 1e-10)
         with np.errstate(over="ignore"):
-            assert_same_csv(io.sweep_csv(profiles), per_row_sweep_csv(profiles))
+            for omegas, rows in profiles:
+                assert_same_csv(io.sweep_csv(omegas, rows), per_row_sweep_csv(omegas, rows))
             assert_same_csv(io.profiles_csv(sys), per_row_profiles_csv(sys))
-        assert io.sweep_csv(profiles).splitlines()[2] == (
+        assert io.sweep_csv(*profiles[0]).splitlines()[2] == (
             "0.5,2,inf,1.7976931348623157e+308,1.7976931348623157e+308"
         )
 
@@ -339,8 +342,8 @@ class TestFloatKernel:
         z.imag = im
         with np.errstate(over="ignore"):
             assert np.any(np.isfinite(z) & np.isinf(np.abs(z)))  # a modulus that overflows to inf
-            profiles = [response.ResponseProfile(om, z, 0.0) for om in BOUNDARY]
-            assert_same_csv(io.sweep_csv(profiles), per_row_sweep_csv(profiles))
+            grid = np.broadcast_to(z, (len(BOUNDARY), len(z)))  # z at every omega
+            assert_same_csv(io.sweep_csv(BOUNDARY, grid), per_row_sweep_csv(BOUNDARY, grid))
             sys = dg.EigenSystem(z[:len(BOUNDARY)], z.reshape(len(BOUNDARY), -1), None,
                                  np.zeros(len(BOUNDARY)), 1.0, 1e-10)
             assert_same_csv(io.profiles_csv(sys), per_row_profiles_csv(sys))
@@ -360,25 +363,30 @@ class TestRowBlocks:
         monkeypatch.setattr(io, "ROWS_PER_DUMP", 7)
 
     @pytest.mark.parametrize("lengths", [
-        [3, 1, 2, 3, 1, 1, 2, 3, 2],  # unequal, two per block
         [3, 3, 3, 3, 3],  # equal, two per block
-        [2, 0, 2, 1, 2],  # one zero-length profile, three per block
         [0, 0],  # no rows: ROWS_PER_DUMP // 0 would fail
         [],
-        [10, 9, 16, 10],  # more nodes than one block
-    ], ids=["unequal", "equal", "zero-length", "all-zero-length", "empty", "above-block"])
+        [10, 9, 16, 10],  # more nodes than one block: each its own one-frequency sweep
+    ], ids=["equal", "all-zero-length", "empty", "above-block"])
     def test_sweep(self, lengths):
         rng = np.random.default_rng(len(lengths))
-        profiles = []
+        omegas, rows = [], []
         for k, n in enumerate(lengths):
             x = TestExports.seeded(rng, n)
             if k % 3:  # real and complex rows in one block
                 x = x.astype(complex)
                 x.imag = TestExports.seeded(rng, n)
-            profiles.append(response.ResponseProfile(float(rng.uniform(-5, 5)), x, 0.0))
+            omegas.append(float(rng.uniform(-5, 5)))
+            rows.append(x)
+        if len(set(lengths)) > 1:
+            sweeps = [([w], x[None]) for w, x in zip(omegas, rows)]
+        else:
+            shape = (len(lengths), lengths[0] if lengths else 0)
+            sweeps = [(omegas, np.array(rows, dtype=complex).reshape(shape))]
         with np.errstate(over="ignore"):
-            assert_same_csv(io.sweep_csv(profiles), per_row_sweep_csv(profiles))
-            assert_same_chunks(io.sweep_chunks(profiles), per_row_sweep_csv(profiles), max(lengths, default=0))
+            for w, x in sweeps:
+                assert_same_csv(io.sweep_csv(w, x), per_row_sweep_csv(w, x))
+                assert_same_chunks(io.sweep_chunks(w, x), per_row_sweep_csv(w, x), max(lengths, default=0))
 
     @pytest.mark.parametrize("n", [0, 1, 3, 7, 10])
     def test_profiles(self, n):
@@ -554,9 +562,11 @@ class TestCli:
         parsed = io.parse_spec(doc)
         h = parsed.build()
         sys = spectra.closed_form(parsed.spec, parsed.t)
-        sweep = response.frequency_sweep(h, response.default_drive_config(h, sys, 0), sys)
+        cfg = response.default_drive_config(h, sys, 0)
+        sweep = response.frequency_sweep(h, cfg, sys)
         assert len(sweep) == response.DEFAULT_OMEGA_POINTS
-        assert_same_csv((tmp_path / "drive" / "sweep.csv").read_text(), per_row_sweep_csv(sweep))
+        want = per_row_sweep_csv(cfg.omega_grid, sweep)
+        assert_same_csv((tmp_path / "drive" / "sweep.csv").read_text(), want)
         out = tmp_path / "spectrum"
         run_cli(tmp_path, "spectrum", "--spec", spec, "--numeric", "--analytic", "--profiles", "--out", out)
         for name, sys in (("numeric", spectra.gauged_eigendecompose(h)), ("analytic", sys)):
@@ -574,8 +584,9 @@ class TestCli:
         monkeypatch.undo()
         doc = io.parse_spec(RING_DOC)
         h, exact = doc.build(), spectra.closed_form(doc.spec, doc.t)
-        sweep = response.frequency_sweep(h, response.default_drive_config(h, exact, 0), exact)
-        assert (out / "sweep.csv").read_bytes() == io.sweep_csv(sweep).encode()
+        cfg = response.default_drive_config(h, exact, 0)
+        sweep = response.frequency_sweep(h, cfg, exact)
+        assert (out / "sweep.csv").read_bytes() == io.sweep_csv(cfg.omega_grid, sweep).encode()
         numeric = spectra.gauged_eigendecompose(h)
         assert (out / "profiles_numeric.csv").read_bytes() == io.profiles_csv(numeric).encode()
 
@@ -638,6 +649,44 @@ class TestCli:
         assert run_cli(tmp_path, "build", "--spec", raw, "--out", tmp_path / "o") == 2
         assert capsys.readouterr().err == f"error: lattice: {named}\n"
         assert not (tmp_path / "o" / "hamiltonian.csv").exists()
+
+    @pytest.mark.parametrize("entry, named", [
+        ("[1, 2, NaN, 0]", "entry (1,2) is not finite: re nan, im 0.0"),
+        ("[1, 2, 0.5, -Infinity]", "entry (1,2) is not finite: re 0.5, im -inf"),
+    ], ids=["nan", "infinity"])
+    @pytest.mark.parametrize("command", [["build"], ["spectrum"], ["drive"]])
+    def test_raw_non_finite_entry_refused_at_parse(self, tmp_path, capsys, entry, named, command):
+        raw = tmp_path / "raw.json"
+        raw.write_text('{"lattice": {"kind": "raw", "dim": 2, "entries": [%s, [2, 1, 1.0, 0]]}}' % entry)
+        assert run_cli(tmp_path, *command, "--spec", raw, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: lattice: {named}\n"
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["error"]["class"] == "ValidationError" and manifest["outputs"] == []
+
+    # max Im E + 0.05 ||H||_inf is 0 for the zero matrix and -1 + 0.05 * 2
+    # for a loss -1 on every site with two unit couplings
+    NON_POSITIVE_LOSS = {
+        "zero": ({"kind": "raw", "dim": 3, "entries": []}, "0.0", "0.1"),
+        "lossy": ({"kind": "raw", "dim": 3, "entries": [[1, 1, 0, -1], [2, 2, 0, -1], [3, 3, 0, -1],
+                                                          [1, 2, 1.0, 0], [2, 1, 1.0, 0]]}, "-0.9", "0.5"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NON_POSITIVE_LOSS))
+    def test_a_non_positive_default_loss_exits_2_or_takes_gamma(self, tmp_path, capsys, case):
+        lattice, default, gamma = self.NON_POSITIVE_LOSS[case]
+        spec = tmp_path / "raw.json"
+        spec.write_text(json.dumps({"lattice": lattice}))
+        assert run_cli(tmp_path, "drive", "--spec", spec, "--out", tmp_path / "o") == 2
+        message = (f"invalid drive option: gamma must be positive, got {default} "
+                   "(the default loss max Im(E) + 0.05 ||H||_inf): give --gamma")
+        assert capsys.readouterr().err == f"error: {message}\n"
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["error"] == {"class": "DecayGraphError", "message": message}
+        assert run_cli(tmp_path, "drive", "--spec", spec, "--gamma", gamma, "--out", tmp_path / "g") == 0
+        outputs = json.loads((tmp_path / "g" / "manifest.json").read_text())["outputs"]
+        assert outputs == ["sweep.csv", "selection.json"]
+        sweep = np.loadtxt(tmp_path / "g" / "sweep.csv", delimiter=",", skiprows=1)
+        assert sweep.shape == (3 * response.DEFAULT_OMEGA_POINTS, 5) and np.all(np.isfinite(sweep))
 
     def test_t_override(self, tmp_path, ring_spec, capsys):
         out = tmp_path / "out"

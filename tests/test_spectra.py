@@ -212,6 +212,13 @@ def test_eigendecompose_in_column_blocks_keeps_its_bits(monkeypatch):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (h.dim, name)
 
 
+def assert_tie_order(values, tol):
+    """``values`` in (Re, Im) order, real parts within ``tol`` of the one
+    before counted as equal to it."""
+    step_re, step_im = np.diff(values.real), np.diff(values.imag)
+    assert np.all((step_re > tol) | ((np.abs(step_re) <= tol) & (step_im >= 0)))
+
+
 class TestGaugedEigendecompose:
     def test_meta_and_route(self):
         ring = dg.SegmentedRing((("A", 7), ("B", 5)))
@@ -222,6 +229,25 @@ class TestGaugedEigendecompose:
         assert match_deviation(sys.values, dg.closed_form(ring, 1.5).values) <= 1e-13
         keys = [(v.real, v.imag) for v in sys.values]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("spec", [
+        dg.ProductLattice(((dg.SegmentedRing((("A", 5), ("B", 3))), 2.0), (dg.SegmentedRing((("A", 8),)), 1.5))),
+        dg.ProductLattice(tuple((dg.SegmentedRing(s), t) for s, t in (
+            ((("A", 2), ("B", 2)), 1.4), ((("A", 4),), 1.5), ((("A", 3), ("B", 1)), 1.6)))),
+        dg.validate_circulant(12, [0, 1, 1, 0, 0, 0, 0, 0, 1, 1, 0]),  # offsets 2 and 3
+    ], ids=["2-axis", "3-axis", "circulant"])
+    def test_tied_real_parts_are_ordered_by_im(self, spec):
+        # real parts equal in exact arithmetic come out about 1e-15 apart;
+        # within DEGENERACY_FACTOR * ||G||_inf they tie, and Im orders them
+        h = dg.build(spec, 1.5)
+        values, tol = dg.gauged_eigendecompose(h).values, spectra.DEGENERACY_FACTOR * h.norm_inf()
+        assert_tie_order(values, tol)
+        assert np.any(np.abs(np.diff(values.real)) <= tol)
+        exact = dg.mode_values(spec, 1.5)
+        order = np.argsort(exact.real, kind="stable")
+        runs = np.cumsum(np.diff(exact.real[order], prepend=-np.inf) > tol)
+        keyed = exact[order[np.lexsort((exact.imag[order], runs))]]
+        assert np.max(np.abs(values - keyed)) <= 1e-12 * h.norm_inf()
 
     def test_balanced_ring_groups_every_degenerate_pair(self):
         sys = dg.gauged_eigendecompose(dg.build(dg.SegmentedRing((("A", 150), ("B", 150))), 1.5))
@@ -245,8 +271,7 @@ class TestGaugedEigendecompose:
         assert match_deviation(values, eig(m)[0]) <= 1e-13 * np.max(np.sum(np.abs(m), axis=1))
         assert np.max(np.abs(m @ vectors - vectors * values)) <= 1e-13 * np.max(np.abs(m))
         assert np.max(meta["bauer_fike"]) <= 1e-13 * np.max(np.abs(m))
-        keys = [(v.real, v.imag) for v in values]
-        assert keys == sorted(keys)
+        assert_tie_order(values, spectra.DEGENERACY_FACTOR * np.max(np.sum(np.abs(m), axis=1)))
         return shapes
 
     def test_skew_gauge_is_one_cluster(self, monkeypatch):
