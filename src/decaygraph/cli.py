@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys as _sys
 import time
@@ -37,9 +38,14 @@ def _load_document(args) -> LatticeDocument:
 
 def _write(out_dir: Path, name: str, chunks: Iterable[str], manifest: RunManifest) -> None:
     # each chunk written as it comes: the sweep and profile exports arrive as
-    # blocks of about io.ROWS_PER_DUMP rows, so no whole export is held
-    with (out_dir / name).open("w") as fh:
-        fh.writelines(chunks)
+    # blocks of about io.ROWS_PER_DUMP rows, so no whole export is held; when
+    # the chunks stop on an error, no partial file is left
+    try:
+        with (out_dir / name).open("w") as fh:
+            fh.writelines(chunks)
+    except BaseException:
+        (out_dir / name).unlink(missing_ok=True)
+        raise
     manifest.outputs.append(name)
 
 
@@ -151,18 +157,29 @@ def cmd_drive(args, out_dir: Path, manifest: RunManifest) -> int:
         margin = response.DEFAULT_GAMMA_MARGIN
         hint = f" (the default loss max Im(E) + {margin} ||H||_inf): give --gamma" if default else ""
         raise DecayGraphError(f"invalid drive option: {exc}{hint}") from exc
-    x = response.frequency_sweep(h, cfg, sys)
-    # max|x| per frequency, a block at a time: no |x| of the whole sweep
-    peaks = np.concatenate([np.max(np.abs(x[s]), axis=1) for s in response.sweep_blocks(len(x), h.dim)])
+    # each certified block goes to sweep.csv as it comes; kept are max|x| per frequency
+    # and the rows within PEAK_TIE of the running maximum, every row the tie rule can pick
+    peaks, tied = np.empty(len(cfg.omega_grid)), {}
+
+    def sweep():
+        nonlocal tied
+        for s, x in response._drive(h, cfg, cfg.omega_grid, sys):
+            peaks[s] = np.max(np.abs(x), axis=1)
+            top = (1 - response.PEAK_TIE) * peaks[:s.stop].max()
+            tied = {k: v for k, v in tied.items() if peaks[k] >= top}
+            tied.update((s.start + k, x[k].copy()) for k in np.flatnonzero(peaks[s] >= top).tolist())
+            # the header goes with the first block
+            yield from itertools.islice(io.sweep_chunks(cfg.omega_grid[s], x), min(s.start, 1), None)
+            del x  # not held through the next block's solve
+
+    _write(out_dir, "sweep.csv", sweep(), manifest)
     # an E -> -E symmetric spectrum has mirror peaks at +-omega: ties go to the lowest omega
     i = int(np.flatnonzero(peaks >= (1 - response.PEAK_TIE) * peaks.max())[0])
     if raw:
-        selection = response.mode_selection_check(x[i], sys)
+        selection = response.mode_selection_check(tied[i], sys)
     else:
-        selection = response.transform_mode_selection(x[i], h)
-    del h, sys  # not held while the sweep is formatted
+        selection = response.transform_mode_selection(tied[i], h)
     omega = float(cfg.omega_grid[i])
-    _write(out_dir, "sweep.csv", io.sweep_chunks(cfg.omega_grid, x), manifest)
     _write(out_dir, "selection.json", (io.selection_json(selection, omega),), manifest)
     print(
         f"drive: peak at omega={omega:.6g}, overlap with least-damped mode "

@@ -12,14 +12,15 @@ chosen by the lattice alone: a lattice built from a ring, circulant,
 open-chain or product spec solves through its family's gauge, and a raw (or
 transposed) matrix through its eigenvector expansion, numpy only, whose
 uncertified rows the complex Schur form of H rescues.  The loss check reads
-an eigensystem or its values when given, else the route's own poles.  Each
-route solves the grid in blocks of frequencies, into one (F, N) array; all
-share the pole check, the certificate, refinement and failure text.  The
-selected mode comes from the same transforms for a lattice built from a spec.
+an eigensystem or its values when given, else the route's own poles.  The
+grid is solved in blocks of frequencies, each certified before it is handed
+on; all routes share the pole check, the certificate, refinement and failure
+text.  The selected mode comes from the same transforms for a spec lattice.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,27 +201,24 @@ def _schur_route(h: Hamiltonian):
 
 def _drive(
     h: Hamiltonian, cfg: DriveConfig, omegas: np.ndarray, sys: EigenSystem | np.ndarray | None
-) -> np.ndarray:
-    """The certified steady state at every frequency of ``omegas``: the
-    read-only (F, N) array, one row per frequency.
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """The certified steady states at the frequencies ``omegas``, as one
+    (slice, rows) pair per ``sweep_blocks`` slice of the grid, in grid order.
 
     A lattice built from a spec takes the gauge route; a raw matrix, or a
     transposed lattice, whose reversed bonds the spec's gauge does not
     symmetrize, takes the eigenvector expansion (from ``sys`` when it is a
-    dense eigensystem).  Each gives its poles and a solve of one right-hand
-    side per frequency.  The loss (against ``sys``, else against the route's
-    poles) and the poles are checked on the whole grid before any solve.
-    The grid is then solved in ``sweep_blocks``, each with its own
-    refinement, straight into one (F, N) array.  When ``eig`` or ``inv``
+    dense eigensystem).  Each block tries the routes in order; a route is
+    built on its first need, when the loss (against ``sys``, else its poles)
+    and its poles are checked on the whole grid.  When ``eig`` or ``inv``
     refuses H, or rows still fail after the expansion's refinement, the
-    Schur route solves each block that holds such a row as it does alone,
-    checks and refinement included, and those rows take its result, bit for
-    bit.
-    Each row must meet max|b - (z I - H) x| <= SOLVE_RESIDUAL_FACTOR *
-    amplitude, H x through ``h.dot``, within 3 refinement steps (Higham,
-    Accuracy and Stability, ch. 12).  A failing row names max|x|, the
-    float64 floor eps (|z| + ||H||_inf) max|x| that rounding x alone leaves,
-    and the normwise backward error.
+    Schur route solves the block as it does alone, and those rows take its
+    result, bit for bit.  Each row must meet max|b - (z I - H) x| <=
+    SOLVE_RESIDUAL_FACTOR * amplitude, H x through ``h.dot``, within 3
+    refinement steps (Higham, Accuracy and Stability, ch. 12).  The first
+    block with a failing row raises, naming its max|x|, the float64 floor
+    eps (|z| + ||H||_inf) max|x| that rounding x alone leaves, and the
+    normwise backward error.
     """
     if not 0 <= cfg.source_node < h.dim:
         raise ValueError(f"source node {cfg.source_node} outside 0..{h.dim - 1}")
@@ -229,28 +227,19 @@ def _drive(
     b = np.zeros(h.dim, dtype=complex)
     b[cfg.source_node] = cfg.amplitude
     z = omegas + 1j * cfg.gamma
+    blocks = sweep_blocks(len(z), h.dim)
     if h.spec is not None and not h.kind.endswith("_transposed"):
         routes = {"gauge": lambda: _gauge_route(h, cfg.source_node)}
     else:
         routes = {"modal": lambda: _modal_route(h, sys), "Schur": lambda: _schur_route(h)}
 
-    def misfit(x, zs):
-        """b - (z I - H) x, one row per frequency, with H x through the edges,
-        and its max-abs per row."""
-        r = h.dot(x.T).T
-        r -= zs[:, None] * x
-        r += b
-        return r, np.max(np.abs(r), axis=1)
-
-    bound = SOLVE_RESIDUAL_FACTOR * cfg.amplitude
-    blocks = sweep_blocks(len(z), h.dim)
-    x, residual = np.empty((len(z), h.dim), dtype=complex), np.full(len(z), np.inf)
-    for route, make in routes.items():
+    def build(route):
+        """The route's solve, checked on the whole grid; None if eig or inv refuse H."""
         try:
-            poles, solve = make()
+            poles, solve = routes[route]()
         except (ValueError, np.linalg.LinAlgError) as exc:  # eig, inv or scipy refuse H
             if route == "modal":
-                continue
+                return None
             raise _fail(omegas[0], f"no {route} form of H: {exc}") from exc
         if sys is None:
             cfg.validate_against(poles)
@@ -258,33 +247,59 @@ def _drive(
         on_pole = np.flatnonzero(gap < SINGULAR_DISTANCE)
         if on_pole.size:
             raise _fail(omegas[on_pole[0]], f"omega + i gamma = {z[on_pole[0]]} sits on an eigenvalue")
-        for s in blocks:
-            keep = ~(residual[s] <= bound)  # the rows no earlier route certified
-            if not keep.any():
+        return solve
+
+    def misfit(x, zs):
+        """b - (z I - H) x, one row per frequency, with H x through the edges
+        from one (N, k) copy of x that then holds z x, and its max-abs per row."""
+        xt = x.T.copy()  # C order, whatever the layout of x
+        r = h.dot(xt)
+        np.multiply(zs[:, None], xt.T, out=xt.T)  # z x in place, the bits of zs[:, None] * x
+        r -= xt
+        r += b[:, None]
+        return r.T, np.max(np.abs(r), axis=0)
+
+    bound, solvers = SOLVE_RESIDUAL_FACTOR * cfg.amplitude, {}
+    for s in blocks:
+        zs, x = z[s], None
+        for route in routes:
+            if route not in solvers:
+                solvers[route] = build(route)
+            if solvers[route] is None:
                 continue
-            zs = z[s]
-            xs = solve(b, zs)
+            xs = solvers[route](b, zs)
             r, res = misfit(xs, zs)
             for _ in range(3):
                 miss = np.flatnonzero(~(res <= bound))
                 if miss.size == 0:
                     break
-                xs[miss] += solve(r[miss], zs[miss])
+                xs[miss] += solvers[route](r[miss], zs[miss])
                 r[miss], res[miss] = misfit(xs[miss], zs[miss])
-            # a rescue solves the whole block, as a row's bits depend on its batch
-            np.copyto(x[s], xs, where=keep[:, None])
-            np.copyto(residual[s], res, where=keep)
-            del xs, r  # not held through the next block's solve
-        if np.all(residual <= bound):
-            break
-    fails = np.flatnonzero(~(residual <= bound))
-    if fails.size:
-        f = fails[0]
-        size, scale = np.max(np.abs(x[f])), abs(z[f]) + h.norm_inf()
-        raise _fail(omegas[f], f"{route} solve residual {residual[f]:.3e} exceeds "
-                    f"{SOLVE_RESIDUAL_FACTOR:.0e} * drive after 3 refinement steps "
-                    f"(max|x| {size:.1e}, float64 floor {np.finfo(float).eps * scale * size:.1e}, "
-                    f"backward error {residual[f] / (scale * size + cfg.amplitude):.1e})")
+            if x is None:
+                x, residual = xs, res
+            else:  # a rescue solves the whole block, as a row's bits depend on its batch
+                keep = ~(residual <= bound)  # the rows no earlier route certified
+                np.copyto(x, xs, where=keep[:, None])
+                np.copyto(residual, res, where=keep)
+            del xs, r  # not held through the next solve
+            if np.all(residual <= bound):
+                break
+        fails = np.flatnonzero(~(residual <= bound))
+        if fails.size:
+            f = fails[0]
+            size, scale = np.max(np.abs(x[f])), abs(zs[f]) + h.norm_inf()
+            raise _fail(omegas[s][f], f"{route} solve residual {residual[f]:.3e} exceeds "
+                        f"{SOLVE_RESIDUAL_FACTOR:.0e} * drive after 3 refinement steps "
+                        f"(max|x| {size:.1e}, float64 floor {np.finfo(float).eps * scale * size:.1e}, "
+                        f"backward error {residual[f] / (scale * size + cfg.amplitude):.1e})")
+        yield s, x
+
+
+def _sweep(h: Hamiltonian, cfg: DriveConfig, omegas: np.ndarray, sys) -> np.ndarray:
+    """The read-only (F, N) array of ``_drive``'s blocks, one row per frequency."""
+    x = np.empty((len(omegas), h.dim), dtype=complex)
+    for s, rows in _drive(h, cfg, omegas, sys):
+        x[s] = rows
     x.setflags(write=False)
     return x
 
@@ -298,7 +313,7 @@ def steady_state(
     ``sys`` when it is its dense eigensystem).  gamma > max Im(E) is checked
     against ``sys`` (any eigensystem of ``h``, or its values) when given,
     else the route's poles."""
-    return _drive(h, cfg, np.array([float(omega)]), sys)[0]
+    return _sweep(h, cfg, np.array([float(omega)]), sys)[0]
 
 
 def frequency_sweep(
@@ -308,7 +323,7 @@ def frequency_sweep(
     (F, N) array in grid order: the batched gauge solve for a lattice built
     from a spec, the batched eigenvector expansion for a raw matrix, each in
     blocks of frequencies.  ``sys`` serves as in ``steady_state``."""
-    return _drive(h, cfg, cfg.omega_grid, sys)
+    return _sweep(h, cfg, cfg.omega_grid, sys)
 
 
 def resolvent_response(

@@ -1,11 +1,14 @@
 """Spec documents, exports, and the command-line pipeline."""
 
+import contextlib
 import hashlib
+import io as io_module
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -1154,20 +1157,44 @@ class TestDriveRoute:
         monkeypatch.setattr(spectra, "closed_form", refuse)
         assert self.run_drive(tmp_path, doc) == 0
 
-    def test_the_cap_ring_drive_peaks_under_200_mib(self, tmp_path):
-        # A2048 B2048: the 401 x 4096 sweep is 26 MB; the closed form's
-        # 4096 x 4096 basis alone would be 268 MB
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_the_cap_ring_drive_adds_under_20_mib(self, tmp_path):
+        # A2048 B2048: the 401 x 4096 sweep alone would be 26 MB, and the
+        # closed form's 4096 x 4096 basis 268 MB; the drive streams its
+        # blocks, so the peak grows by a few blocks and the formatting.
+        # VmHWM is the process's own peak: ru_maxrss would carry the
+        # parent's across fork and exec
         spec = tmp_path / "spec.json"
         spec.write_text(ring_doc([("A", 2048), ("B", 2048)], 1.02))
         argv = ["drive", "--spec", str(spec), "--out", str(tmp_path / "out")]
         code = (
+            "def hwm():\n"
+            "    return next(int(line.split()[1]) for line in open('/proc/self/status') if line.startswith('VmHWM'))\n"
             "from decaygraph import cli\n"
+            "before = hwm()\n"
             f"assert cli.main({argv!r}) == 0\n"
-            "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM')))"
+            "print(before, hwm())"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(dg.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert int(out.stdout.split()[-1]) < 200 * 1024  # VmHWM, KiB
+        before, after = map(int, out.stdout.split()[-2:])  # KiB
+        assert after - before < 20 * 1024
+
+    def test_a_failed_drive_leaves_no_partial_export(self, tmp_path, capsys):
+        # A150 B150 at t = 1.5 fails in a block of the grid after sweep.csv
+        # is opened for the stream: the partial file goes, and only the
+        # manifest is written
+        assert self.run_drive(tmp_path, ring_doc([("A", 150), ("B", 150)], 1.5)) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: sweep failed at omega=-2.1041887430977386: gauge solve residual 1.302e-10 exceeds "
+            "1e-10 * drive after 3 refinement steps (max|x| 5.8e+05, float64 floor 6.5e-10, "
+            "backward error 4.4e-17)\n"
+        )
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json"]
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["outputs"] == []
+        assert manifest["error"] == {"class": "SingularSystem", "message": err[len("error: "):-1]}
 
     # sha256 of sweep.csv and the stdout line, taken before the drive
     # stopped building the closed form: a change that moves the drive's
@@ -1201,3 +1228,109 @@ class TestDriveRoute:
         monkeypatch.setattr(spectra, "eigendecompose", refuse)
         monkeypatch.setattr(response, "steady_state", refuse)
         assert self.run_drive(tmp_path, PRODUCT_DOC) == 0
+
+
+def _array_exports(text: str) -> tuple[bytes, bytes] | None:
+    """sweep.csv and selection.json as the drive would write them from the
+    whole (F, N) array of ``frequency_sweep``, with the peak row picked by
+    the CLI's rule; None when the sweep raises."""
+    doc = io.parse_spec(text)
+    h = doc.build()
+    raw = isinstance(doc.spec, io.RawMatrix)
+    sys_ = spectra.eigendecompose(h) if raw else spectra.closed_form_values(doc.spec, doc.t, h)
+    cfg = response.default_drive_config(h, sys_, 0)
+    try:
+        x = response.frequency_sweep(h, cfg, sys_)
+    except dg.SingularSystem:
+        return None
+    peaks = np.max(np.abs(x), axis=1)
+    i = int(np.flatnonzero(peaks >= (1 - response.PEAK_TIE) * peaks.max())[0])
+    selection = (response.mode_selection_check(x[i], sys_) if raw
+                 else response.transform_mode_selection(x[i], h))
+    return io.sweep_csv(cfg.omega_grid, x).encode(), io.selection_json(selection, float(cfg.omega_grid[i])).encode()
+
+
+def _segments(draw, n: int) -> list[tuple[str, int]]:
+    a = draw(st.integers(1, n - 1))
+    return [("A", a), ("B", n - a)]
+
+
+@st.composite
+def drive_lattices(draw, kind: str):
+    """A ``kind`` lattice of 8 to 400 sites, so that sweeps of one block
+    (N <= 160) and of several are drawn."""
+    n, t = draw(st.integers(8, 400)), draw(st.floats(1.01, 1.1))
+    if kind == "ring":
+        return {"kind": "ring", "t": t, "segments": [{"type": k, "len": m} for k, m in _segments(draw, n)]}
+    if kind == "circulant":
+        q = draw(st.integers(1, n // 2))
+        return {"kind": "circulant", "t": t, "n": n, "a": [int(p in (q, n - q)) for p in range(1, n)]}
+    if kind == "obc_chain":
+        return {"kind": "obc_chain", "t": t, "n": min(n, 300)}
+    m = draw(st.integers(2, 20))
+    ring_axis = {"kind": "ring", "t": t, "segments": [{"type": k, "len": s} for k, s in _segments(draw, max(3, n // m))]}
+    return {"kind": "product", "axes": [ring_axis, {"kind": "obc_chain", "t": draw(st.floats(1.01, 1.2)), "n": m}]}
+
+
+class TestStreamedSweep:
+    """`drive` streams the certified blocks of its sweep into sweep.csv and
+    keeps only the per-frequency peaks and the rows tied for the largest:
+    its exports are those of the whole array."""
+
+    @staticmethod
+    def drive(directory: Path, text: str, *options) -> int:
+        spec = directory / "spec.json"
+        spec.write_text(text)
+        return cli.main(["drive", "--spec", str(spec), "--out", str(directory / "out"), *map(str, options)])
+
+    @pytest.mark.parametrize("kind", ["ring", "circulant", "obc_chain", "product"])
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_the_streamed_exports_are_the_array_exports(self, kind, data):
+        text = json.dumps({"lattice": data.draw(drive_lattices(kind), label="lattice")})
+        with tempfile.TemporaryDirectory() as directory:
+            out = Path(directory)
+            with contextlib.redirect_stdout(io_module.StringIO()), contextlib.redirect_stderr(io_module.StringIO()):
+                rc = self.drive(out, text)
+            want = _array_exports(text)
+            if want is None:
+                assert rc == 2 and sorted(p.name for p in (out / "out").iterdir()) == ["manifest.json"]
+                return
+            assert rc == 0
+            assert (out / "out" / "sweep.csv").read_bytes() == want[0]
+            assert (out / "out" / "selection.json").read_bytes() == want[1]
+
+    def test_raw_a39_b13_takes_the_schur_rescue_once(self, tmp_path, monkeypatch):
+        # the expansion leaves rows of this raw ring uncertified; the Schur
+        # form is built once and rescues them, block by block
+        h = dg.build(dg.SegmentedRing((("A", 39), ("B", 13))), 6.0)
+        entries = [[i + 1, j + 1, v, 0.0] for i, j, v in zip(*(a.tolist() for a in h.entries()))]
+        text = json.dumps({"lattice": {"kind": "raw", "dim": h.dim, "entries": entries}})
+        calls, schur = [], response._schur_route
+        monkeypatch.setattr(response, "_schur_route", lambda *args: calls.append(args) or schur(*args))
+        assert self.drive(tmp_path, text) == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+        sweep, selection = _array_exports(text)
+        assert (tmp_path / "out" / "sweep.csv").read_bytes() == sweep
+        assert (tmp_path / "out" / "selection.json").read_bytes() == selection
+
+    def test_mirror_peaks_in_different_blocks_go_to_the_lowest_omega(self, tmp_path):
+        # the open chain's spectrum is symmetric under E -> -E, so its sweep
+        # peaks at +-omega; on 10001 frequencies a block holds 65536 // 12
+        # of them, and the two peaks fall in different blocks
+        grid = np.linspace(-3.0, 3.0, 10001)
+        assert self.drive(tmp_path, OBC_DOC, "--omega-min", -3, "--omega-max", 3, "--omega-steps", 10001) == 0
+        doc = io.parse_spec(OBC_DOC)
+        h = doc.build()
+        values = spectra.closed_form_values(doc.spec, doc.t, h)
+        cfg = response.default_drive_config(h, values, 0, omega_grid=grid)
+        x = response.frequency_sweep(h, cfg, values)
+        peaks = np.max(np.abs(x), axis=1)
+        top = np.flatnonzero(peaks >= (1 - response.PEAK_TIE) * peaks.max())
+        blocks = response.sweep_blocks(len(grid), h.dim)
+        assert len(top) == 2 and grid[top[0]] == pytest.approx(-grid[top[1]], rel=1e-12)
+        assert [next(k for k, s in enumerate(blocks) if s.start <= i < s.stop) for i in top] == [0, 1]
+        selection = json.loads((tmp_path / "out" / "selection.json").read_text())
+        assert selection["omega_at_peak"] == grid[top[0]] < 0
+        assert (tmp_path / "out" / "sweep.csv").read_bytes() == io.sweep_csv(grid, x).encode()

@@ -309,6 +309,54 @@ class TestGaugedEigendecompose:
         assert np.all(gap <= bound + 1e-12 * h.norm_inf())
 
 
+
+def _dense_circulant(n):
+    return dg.validate_circulant(n, [1] * (n - 1))
+
+
+class TestCommutatorFromEntries:
+    """``_commutator`` sums the products of entry pairs that share a column
+    or a row: the dense max|G G^T - G^T G| to rounding."""
+
+    SPECS = {
+        "ring": (dg.SegmentedRing((("A", 40), ("B", 23))), 1.3),
+        "balanced_ring": (dg.SegmentedRing((("A", 150), ("B", 150))), 1.5),
+        "circulant": (dg.validate_circulant(61, [int(q in (1, 7, 54, 60)) for q in range(1, 61)]), 1.06),
+        "dense_circulant": (_dense_circulant(40), 1.1),
+        "chain": (dg.ObcChain(70), 2.0),
+        "product": (dg.ProductLattice(((dg.ObcChain(6), 1.2), (dg.SegmentedRing((("A", 7), ("B", 5))), 1.4))), None),
+        "product_3": (dg.ProductLattice(tuple((dg.SegmentedRing((("A", 3), ("B", 2))), t) for t in (1.1, 1.3, 2.0))),
+                      None),
+    }
+
+    @staticmethod
+    def gauge(h):
+        ls = spectra._log_scale(h)
+        rows, cols, entries = h.entries()
+        g = np.zeros((h.dim, h.dim))
+        g[rows, cols] = entries * np.exp(ls[cols] - ls[rows])
+        return g
+
+    @staticmethod
+    def assert_dense(g):
+        dense = float(np.max(np.abs(g @ g.T - g.T @ g)))
+        assert abs(spectra._commutator(g) - dense) <= 1e-12 * np.max(np.sum(np.abs(g), axis=1)) ** 2
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_gauge_and_raw_matrix_match_the_dense_commutator(self, name):
+        spec, t = self.SPECS[name]
+        h = dg.build(spec, t) if t is not None else dg.build(spec)
+        self.assert_dense(self.gauge(h))  # normal: rounding only
+        self.assert_dense(h.matrix)  # the non-normal matrix itself
+
+    @pytest.mark.parametrize("density", [0.02, 0.2, 1.0])
+    def test_random_sparse_matrices(self, density):
+        # the sparser ones sum entry pairs, the densest takes the GEMMs
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 9, 50):
+            g = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
+            self.assert_dense(g)
+
 def ring_alpha(ring, t):
     """alpha_n = t**(N_B/L) exp(2 pi i n / L), the label of the closed form's
     mode n of a ring: E_n = alpha_n + t / alpha_n."""
