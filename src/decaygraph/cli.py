@@ -175,10 +175,16 @@ def cmd_drive(args, out_dir: Path, manifest: RunManifest) -> int:
     _write(out_dir, "sweep.csv", sweep(), manifest)
     # an E -> -E symmetric spectrum has mirror peaks at +-omega: ties go to the lowest omega
     i = int(np.flatnonzero(peaks >= (1 - response.PEAK_TIE) * peaks.max())[0])
-    if raw:
-        selection = response.mode_selection_check(tied[i], sys)
-    else:
-        selection = response.transform_mode_selection(tied[i], h)
+    try:
+        if raw:
+            selection = response.mode_selection_check(tied[i], sys)
+        else:
+            selection = response.transform_mode_selection(tied[i], h)
+    except BaseException:
+        # a failed selection leaves no sweep.csv either
+        (out_dir / "sweep.csv").unlink()
+        manifest.outputs.remove("sweep.csv")
+        raise
     omega = float(cfg.omega_grid[i])
     _write(out_dir, "selection.json", (io.selection_json(selection, omega),), manifest)
     print(

@@ -149,30 +149,11 @@ def _log_scale(h: Hamiltonian) -> np.ndarray:
 
 
 def _commutator(g: np.ndarray) -> float:
-    """max|G G^T - G^T G| of the real square ``g`` from its stored entries,
-    summed by key (i, j) over entry pairs: (G G^T)_ij over the pairs G_ik,
-    G_jk that share a column, (G^T G)_ij over G_ki, G_kj that share a row.
-    A graph with more pairs than N**2 takes row blocks of the two GEMMs."""
-    n = len(g)
-    in_col, in_row = np.count_nonzero(g, axis=0), np.count_nonzero(g, axis=1)
-    if in_col @ in_col + in_row @ in_row > n * n:
-        step = _block_rows(n)
-        return max(float(np.max(np.abs(g[i:i + step] @ g.T - g[:, i:i + step].T @ g)))
-                   for i in range(0, n, step))
-    rows, cols = np.nonzero(g)
-    keys, products = [], []
-    for shared, other, count, sign in ((cols, rows, in_col, 1.0), (rows, cols, in_row, -1.0)):
-        order = np.argsort(shared, kind="stable")
-        other, values, reps = other[order], g[rows, cols][order], count[shared[order]]
-        a = np.repeat(np.arange(len(order)), reps)
-        # entry a pairs with each entry b of its group, from the group's first on
-        b = np.repeat((np.cumsum(count) - count)[shared[order]] - np.cumsum(reps) + reps, reps) + np.arange(len(a))
-        keys.append(other[a] * n + other[b])
-        products.append(sign * values[a] * values[b])
-    keys = np.concatenate(keys)
-    order = np.argsort(keys, kind="stable")
-    sums = np.add.reduceat(np.concatenate(products)[order], np.flatnonzero(np.diff(keys[order], prepend=-1)))
-    return float(np.max(np.abs(sums), initial=0.0))
+    """max|G G^T - G^T G| of the real square ``g``, over row blocks of the
+    two GEMMs, so no N x N temporary is formed."""
+    step = _block_rows(len(g))
+    return max(float(np.max(np.abs(g[i:i + step] @ g.T - g[:, i:i + step].T @ g)))
+               for i in range(0, len(g), step))
 
 
 def _normal_eig(gauge, scale: np.ndarray, what: str):
@@ -223,10 +204,7 @@ def _normal_eig(gauge, scale: np.ndarray, what: str):
                 v, r = u @ y, gu @ y
                 r -= v * mu[:, None, :]
                 values[idx] = mu.ravel()
-                # squared 2-norms of the columns of r and v, without |.|**2 temporaries
-                sq = [np.einsum("cnk,cnk->ck", a.real, a.real) + np.einsum("cnk,cnk->ck", a.imag, a.imag)
-                      for a in (r, v)]
-                bauer_fike[idx] = np.sqrt(sq[0] / sq[1]).ravel()
+                bauer_fike[idx] = (np.linalg.norm(r, axis=1) / np.linalg.norm(v, axis=1)).ravel()
                 vectors[:, idx] = (v.transpose(1, 0, 2) * scale[:, None, None]).reshape(n, -1)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"dense eigensolver failed: {exc}") from exc

@@ -1196,6 +1196,22 @@ class TestDriveRoute:
         assert manifest["outputs"] == []
         assert manifest["error"] == {"class": "SingularSystem", "message": err[len("error: "):-1]}
 
+    @pytest.mark.parametrize("doc, select", [(ring_doc([("A", 6), ("B", 4)], 1.5), "transform_mode_selection"),
+                                             (RAW_DOC, "mode_selection_check")], ids=["ring", "raw"])
+    def test_a_failed_selection_leaves_no_sweep(self, tmp_path, capsys, monkeypatch, doc, select):
+        # the selection runs once sweep.csv is written: when it fails, the
+        # sweep goes too, as when the selection ran first
+        def fail(*args):
+            raise dg.ConvergenceFailure("selection failed")
+
+        monkeypatch.setattr(response, select, fail)
+        assert self.run_drive(tmp_path, doc) == 2
+        assert capsys.readouterr().err == "error: selection failed\n"
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json"]
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["outputs"] == []
+        assert manifest["error"] == {"class": "ConvergenceFailure", "message": "selection failed"}
+
     # sha256 of sweep.csv and the stdout line, taken before the drive
     # stopped building the closed form: a change that moves the drive's
     # bytes must update them on purpose

@@ -314,9 +314,9 @@ def _dense_circulant(n):
     return dg.validate_circulant(n, [1] * (n - 1))
 
 
-class TestCommutatorFromEntries:
-    """``_commutator`` sums the products of entry pairs that share a column
-    or a row: the dense max|G G^T - G^T G| to rounding."""
+class TestCommutator:
+    """``_commutator`` takes row blocks of the two GEMMs: the dense
+    max|G G^T - G^T G| to rounding, also when the rows span several blocks."""
 
     SPECS = {
         "ring": (dg.SegmentedRing((("A", 40), ("B", 23))), 1.3),
@@ -351,9 +351,9 @@ class TestCommutatorFromEntries:
 
     @pytest.mark.parametrize("density", [0.02, 0.2, 1.0])
     def test_random_sparse_matrices(self, density):
-        # the sparser ones sum entry pairs, the densest takes the GEMMs
+        # 700 rows are two blocks of _block_rows(700) = 374
         rng = np.random.default_rng(7)
-        for n in (1, 2, 9, 50):
+        for n in (1, 2, 9, 50, 700):
             g = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
             self.assert_dense(g)
 
