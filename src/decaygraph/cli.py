@@ -99,9 +99,9 @@ def cmd_decay(args, out_dir: Path, manifest: RunManifest) -> int:
             "decay analysis runs on validated 1D families (ring, circulant, obc_chain); "
             "product lattices decompose axiswise and raw matrices carry no claim"
         )
-    sys = spectra.closed_form(doc.spec, doc.t)
     threshold = args.tolerance if args.tolerance is not None else decay.PURITY_THRESHOLD
-    result = decay.pure_decay_check(sys, doc.spec, doc.t, threshold)
+    # no system: the closed form's columns go block by block, never its N x N basis
+    result = decay.pure_decay_check(None, doc.spec, doc.t, threshold)
     _write(out_dir, "decay_report.json", (io.decay_report_json(result.report, result),), manifest)
     print(
         f"pure decay: {'PASS' if result.passed else 'FAIL'} "

@@ -231,8 +231,9 @@ def charges_from_fit(report: DecayReport, spec, h: Hamiltonian) -> np.ndarray:
     return amplitude_charges(np.exp(log_amp), h.edge_array, h.ts)
 
 
-def _mode_profiles(sys: EigenSystem, spec, t: float) -> np.ndarray:
-    """Amplitude profile of every mode, one column per mode.
+def _mode_profiles(sys: EigenSystem, spec, t: float, groups: list[list[int]] | None = None) -> np.ndarray:
+    """Amplitude profile of every mode, one column per mode, or of the modes
+    of ``groups``, whole value groups of ``sys``, in increasing mode order.
 
     Every mode gives |v|, but in a dense system the members of a
     degenerate group, whose vectors the solver mixes, take the group's
@@ -241,10 +242,11 @@ def _mode_profiles(sys: EigenSystem, spec, t: float) -> np.ndarray:
     AMPLITUDE_FLOOR, reported as UnderflowSites).  It ignores the mixing,
     and is the pure profile d iff Q Q^H has a constant diagonal.
     """
-    profiles = np.abs(sys.right_vectors)
+    modes = np.arange(sys.dim) if groups is None else np.sort(np.concatenate(groups))
+    profiles = np.abs(sys.right_vectors if groups is None else sys.right_vectors[:, modes])
     if sys.meta.get("route") == "closed_form":
         return profiles
-    groups = [g for g in sys.degenerate_groups() if len(g) > 1]
+    groups = [g for g in (sys.degenerate_groups() if groups is None else groups) if len(g) > 1]
     if groups:
         ls = spec.potential() * np.log(t)
         d = np.exp(ls - ls.max())[:, None]
@@ -253,8 +255,33 @@ def _mode_profiles(sys: EigenSystem, spec, t: float) -> np.ndarray:
             np.divide(sys.right_vectors[:, group], d, out=gauged, where=d >= AMPLITUDE_FLOOR)
             q = np.linalg.qr(gauged)[0]
             p = d * np.linalg.norm(q, axis=1, keepdims=True)
-            profiles[:, group] = p / p.max()
+            profiles[:, np.searchsorted(modes, group)] = p / p.max()
     return profiles
+
+
+def _profile_groups(sys: EigenSystem) -> list[list[int]]:
+    """The mode groups ``_mode_profiles`` keeps whole: a dense system's
+    value groups, or every closed-form mode on its own."""
+    if sys.meta.get("route") == "closed_form":
+        return [[n] for n in range(sys.dim)]
+    return sys.degenerate_groups()
+
+
+def _group_profile(sys: EigenSystem, spec, t: float, groups: list[list[int]], mode: int) -> np.ndarray:
+    """``_mode_profiles``' profile of ``mode``, from its group alone."""
+    group = next(g for g in groups if mode in g)
+    return _mode_profiles(sys, spec, t, [group])[:, group.index(mode)]
+
+
+def _closed_form_profiles(h: Hamiltonian, modes) -> np.ndarray:
+    """|v| of the closed-form columns ``modes`` of the lattice ``h``, built
+    alone (``closed_form_columns``), one column per mode."""
+    return np.abs(spectra.closed_form_columns(h, modes).right_vectors)
+
+
+def _least_damped_closed_form(spec, t: float, h: Hamiltonian) -> int:
+    """The closed form's least-damped mode, picked from ``mode_values``."""
+    return least_damped_mode(spectra.mode_values(spec, t), spectra.RESIDUAL_FACTOR * h.norm_inf())
 
 
 @dataclass(frozen=True)
@@ -266,7 +293,7 @@ class PurityResult:
 
 
 def pure_decay_check(
-    sys: EigenSystem, spec, t: float, threshold: float = PURITY_THRESHOLD
+    sys: EigenSystem | None, spec, t: float, threshold: float = PURITY_THRESHOLD
 ) -> PurityResult:
     """Do all modes share one purely geometric amplitude profile?
 
@@ -276,25 +303,47 @@ def pure_decay_check(
     spread across modes.  The report is the least-damped mode's, carrying
     both figures.
 
-    The modes go in blocks of about 2**18 entries; per block, one
-    amplitude check and one stacked fit per chain (``_fit_chains``) give
-    each residual the bits of a per-mode ``np.polyfit``.
+    The modes are those of ``sys``, or with no system the closed form's of
+    ``spec`` at ``t``, built column block by column block, so its N x N
+    basis is never held.  They go in blocks of about 2**18 entries, a dense
+    system's degenerate groups each whole in one block (``_mode_profiles``);
+    per block, one amplitude check and one stacked fit per chain
+    (``_fit_chains``) give each residual the bits of a per-mode
+    ``np.polyfit``, and a running per-site min and max give the spread.
     """
-    profiles = _mode_profiles(sys, spec, t)
-    report = extract_decay_constants(profiles[:, least_damped_mode(sys)], spec, t)
+    if sys is None:
+        h = build(spec, t)
+        step = _block_rows(h.dim)
+        report = _closed_form_profiles(h, [_least_damped_closed_form(spec, t, h)])[:, 0]
+        blocks = (_closed_form_profiles(h, np.arange(i, min(i + step, h.dim))) for i in range(0, h.dim, step))
+    else:
+        groups = _profile_groups(sys)
+        report = _group_profile(sys, spec, t, groups, least_damped_mode(sys))
+        blocks = (_mode_profiles(sys, spec, t, block) for block in _packed(groups, _block_rows(sys.dim)))
+    report = extract_decay_constants(report, spec, t)
     chains = [c.sites for c in report.per_chain]
-    step = _block_rows(len(profiles))
-    purity = float(max(
-        np.max(_fit_chains(log_amp, sites)[2])
-        for log_amp in (
-            np.log(_amplitude(profiles[:, i:i + step].T, spec))
-            for i in range(0, profiles.shape[1], step)
-        )
-        for sites in chains
-    ))
-    cross = float(np.max(np.ptp(profiles, axis=1)))
+    residuals, low, high = [], np.inf, -np.inf
+    for profiles in blocks:
+        log_amp = np.log(_amplitude(profiles.T, spec))
+        residuals += [np.max(_fit_chains(log_amp, sites)[2]) for sites in chains]
+        low, high = np.minimum(low, profiles.min(axis=1)), np.maximum(high, profiles.max(axis=1))
+    purity, cross = float(max(residuals)), float(np.max(high - low))
     report = replace(report, purity=purity, cross_mode_deviation=cross)
     return PurityResult(purity, cross, purity <= threshold and cross <= threshold, report)
+
+
+def _packed(groups: list[list[int]], size: int):
+    """The ``groups`` in order, packed into lists of whole groups that each
+    reach ``size`` modes (the last may hold fewer)."""
+    block, count = [], 0
+    for group in groups:
+        block.append(group)
+        count += len(group)
+        if count >= size:
+            yield block
+            block, count = [], 0
+    if block:
+        yield block
 
 
 def _edge_flow(e: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
@@ -366,12 +415,8 @@ def decay_profile(spec, t: float, sys: EigenSystem | None = None, mode: int | No
     takes the subspace's profile (``_mode_profiles``), not a closed form."""
     if sys is None:
         h = build(spec, t)
-        if mode is None:
-            mode = least_damped_mode(spectra.mode_values(spec, t), spectra.RESIDUAL_FACTOR * h.norm_inf())
-        return np.abs(spectra.closed_form_columns(h, [mode]).right_vectors[:, 0])
-    if mode is None:
-        mode = least_damped_mode(sys)
-    return _mode_profiles(sys, spec, t)[:, mode]
+        return _closed_form_profiles(h, [_least_damped_closed_form(spec, t, h) if mode is None else mode])[:, 0]
+    return _group_profile(sys, spec, t, _profile_groups(sys), least_damped_mode(sys) if mode is None else mode)
 
 
 def charge_map(spec, t: float | None = None) -> ChargeMap:

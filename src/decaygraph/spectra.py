@@ -148,31 +148,67 @@ def _log_scale(h: Hamiltonian) -> np.ndarray:
     return ls
 
 
-def _commutator(g: np.ndarray) -> float:
-    """max|G G^T - G^T G| of the real square ``g``, over row blocks of the
-    two GEMMs, so no N x N temporary is formed."""
-    step = _block_rows(len(g))
-    return max(float(np.max(np.abs(g[i:i + step] @ g.T - g[:, i:i + step].T @ g)))
-               for i in range(0, len(g), step))
+def _commutator(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n: int) -> float:
+    """max|G G^T - G^T G| of the real n x n G with these entries (row-major,
+    as ``Hamiltonian.entries`` gives them), from their pair products: entry
+    (i, k) meets column k's entries (j, k) in (G G^T)_ij, and entry (k, i)
+    meets row k's entries (k, j) in (G^T G)_ij.  Output rows go in blocks of
+    about 2**18 entries, and each block's pairs in chunks of about as many
+    products, so nothing grows with N**2 or with the pair count."""
+    by_col = np.argsort(cols, kind="stable")
+    csr, csc = (rows, cols, values), (cols[by_col], rows[by_col], values[by_col])
+    # (output row, shared index, value) of the left entries, sorted by output
+    # row; then (shared index, output column, value) of their partners, sorted
+    # by the shared index, with where each shared index's partners start
+    sides = [(left, right, np.searchsorted(right[0], np.arange(n + 1)), sign)
+             for left, right, sign in ((csr, csc, 1.0), (csc, csr, -1.0))]
+    step, worst = _block_rows(n), 0.0
+    for r0 in range(0, n, step):
+        acc = np.zeros(min(step, n - r0) * n)
+        for (out, shared, a), (_, minor, b), ptr, sign in sides:
+            lo, hi = np.searchsorted(out, [r0, r0 + step])
+            begin, count = ptr[shared[lo:hi]], np.diff(ptr)[shared[lo:hi]]
+            at, weight, ends = (out[lo:hi] - r0) * n, sign * a[lo:hi], np.cumsum(count)
+            first = 0
+            while first < hi - lo:  # chunks of left entries with about 2**18 pairs
+                base = ends[first] - count[first]
+                last = max(first + 1, int(np.searchsorted(ends, base + (1 << 18), side="right")))
+                c, chunk = count[first:last], slice(first, last)
+                pair = np.arange(ends[last - 1] - base) + np.repeat(begin[chunk] - (ends[chunk] - c - base), c)
+                acc += np.bincount(np.repeat(at[chunk], c) + minor[pair], np.repeat(weight[chunk], c) * b[pair], len(acc))
+                first = last
+        worst = np.maximum(worst, np.max(np.abs(acc), initial=0.0))  # a NaN stays
+    return float(worst)
 
 
-def _normal_eig(gauge, scale: np.ndarray, what: str):
-    """Eigenpairs of the real G = ``gauge()`` (built twice, so none is alive
-    through eigh): values sorted by (Re, Im), a real part within
+def _normal_eig(rows: np.ndarray, cols: np.ndarray, entries: np.ndarray, scale: np.ndarray, what: str):
+    """Eigenpairs of the real G with these ``entries`` (row-major), of order
+    len(``scale``): values sorted by (Re, Im), a real part within
     DEGENERACY_FACTOR * ||G||_inf of the one before counted as equal to it,
     unit vectors u times ``scale`` row by row, and a meta of the commutator
     and each mode's ||G u - E u||_2.
-    G must be normal, max|G G^T - G^T G| <= RESIDUAL_FACTOR * ||G||_inf**2, or
-    ConvergenceFailure names that commutator.  G then leaves the eigenspaces
-    of its symmetric part S invariant: one eigh of S, split wherever its
-    sorted eigenvalues part by more than 100 eps / RESIDUAL_FACTOR *
-    ||G||_inf (Davis & Kahan, 1970), then one small eig of each cluster
-    basis U's block U^T G U, batched by size; u = U y.  The clusters come in
-    order of Re E, so each sorts its own values and fills its own columns.
+    G must be normal, max|G G^T - G^T G| <= RESIDUAL_FACTOR * ||G||_inf**2
+    (``_commutator``), or ConvergenceFailure names that commutator.  G then
+    leaves the eigenspaces of its symmetric part S invariant: one eigh of S,
+    split wherever its sorted eigenvalues part by more than 100 eps /
+    RESIDUAL_FACTOR * ||G||_inf (Davis & Kahan, 1970), then one small eig of
+    each cluster basis U's block U^T G U, batched by size; u = U y.  The
+    clusters come in order of Re E, so each sorts its own values and fills
+    its own columns.
+    Only one stage's N x N arrays are alive at a time: S through eigh (which
+    holds about four more of its own), then U, G, rebuilt from the entries,
+    and the complex basis, allocated only once eigh has returned.
     """
+    n = len(scale)
+
+    def gauge():
+        g = np.zeros((n, n))
+        g[rows, cols] = entries
+        return g
+
     g = gauge()
-    n, g_norm = len(g), float(np.max(np.sum(np.abs(g), axis=1)))
-    bound, commutator = RESIDUAL_FACTOR * g_norm ** 2, _commutator(g)
+    g_norm = float(np.max(np.sum(np.abs(g), axis=1)))
+    bound, commutator = RESIDUAL_FACTOR * g_norm ** 2, _commutator(rows, cols, entries, n)
     if not commutator <= bound:
         raise ConvergenceFailure(
             f"{what} is not normal: commutator "
@@ -180,10 +216,11 @@ def _normal_eig(gauge, scale: np.ndarray, what: str):
         )
     g += g.T
     g *= 0.5
-    values, bauer_fike, vectors = np.empty(n, complex), np.empty(n), np.empty((n, n), complex)
+    values, bauer_fike = np.empty(n, complex), np.empty(n)
     try:
         real_parts, basis = np.linalg.eigh(g)
         del g
+        vectors = np.empty((n, n), complex)
         g = gauge()
         starts = np.flatnonzero(np.diff(real_parts, prepend=-np.inf)
                                 > 100 * np.finfo(float).eps / RESIDUAL_FACTOR * g_norm)
@@ -204,28 +241,29 @@ def _normal_eig(gauge, scale: np.ndarray, what: str):
                 v, r = u @ y, gu @ y
                 r -= v * mu[:, None, :]
                 values[idx] = mu.ravel()
-                bauer_fike[idx] = (np.linalg.norm(r, axis=1) / np.linalg.norm(v, axis=1)).ravel()
+                bauer_fike[idx] = (_column_norms(r) / _column_norms(v)).ravel()
                 vectors[:, idx] = (v.transpose(1, 0, 2) * scale[:, None, None]).reshape(n, -1)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"dense eigensolver failed: {exc}") from exc
     return values, vectors, {"commutator": commutator, "bauer_fike": bauer_fike}
 
 
+def _column_norms(a: np.ndarray) -> np.ndarray:
+    """||a[c, :, j]||_2 of a complex (clusters, n, k) stack, from the squares
+    of its real and imaginary parts (strided views): no complex temporary."""
+    return np.sqrt(sum(np.einsum("cnk,cnk->ck", part, part) for part in (a.real, a.imag)))
+
+
 def gauged_eigendecompose(h: Hamiltonian) -> EigenSystem:
     """Certified eigensystem of a built lattice through its gauge G = D^-1 H D
-    (``closed_form``'s D = diag(exp(ls))), scattered from the entries and
+    (``closed_form``'s D = diag(exp(ls))), its entries scaled from H's and
     solved by ``_normal_eig``; its unit vectors u map back to D u.  As G is
     normal, each value lies within ||G u - E u||_2 of an eigenvalue (Bauer &
     Fike, 1960): meta["bauer_fike"].  No left vectors are formed."""
     ls = _log_scale(h)
     rows, cols, entries = h.entries()
-
-    def gauge():
-        g = np.zeros((h.dim, h.dim))
-        g[rows, cols] = entries * np.exp(ls[cols] - ls[rows])
-        return g
-
-    values, vectors, meta = _normal_eig(gauge, np.exp(ls - ls.max()), f"gauge of the {h.kind} lattice")
+    values, vectors, meta = _normal_eig(rows, cols, entries * np.exp(ls[cols] - ls[rows]),
+                                        np.exp(ls - ls.max()), f"gauge of the {h.kind} lattice")
     meta["route"] = "gauged_dense"
     return _certified(h, values, _normalize_columns(vectors), None, "gauged eigendecomposition", meta)
 

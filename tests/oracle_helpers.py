@@ -9,8 +9,21 @@ explicitly inverted eigenvector matrix.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+
+
+def traced_peak(fn):
+    """(fn(), the peak of the memory traced by tracemalloc during the call):
+    the bytes numpy and Python allocated on top of what was alive before."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def match_deviation(a, b) -> float:

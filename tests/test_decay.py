@@ -1,7 +1,6 @@
 """Decay-constant extraction, purity checks, and quantized charges."""
 
 import dataclasses
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +17,7 @@ from oracle_helpers import (
     loop_combinatorial_charges,
     per_mode_pure_decay_check,
     polyfit_chain,
+    traced_peak,
     union_find_synthesize,
 )
 
@@ -292,12 +292,7 @@ class TestDecayProfileOneColumn:
 
     def test_cap_ring_peaks_under_an_eighth_of_the_basis(self):
         ring = dg.SegmentedRing((("A", 2048), ("B", 2048)))
-        tracemalloc.start()
-        try:
-            profile = dg.decay_profile(ring, 1.02)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        profile, peak = traced_peak(lambda: dg.decay_profile(ring, 1.02))
         assert profile.shape == (4096,) and profile.max() == 1.0
         assert peak < 4096 * 4096 * 16 / 8
 

@@ -9,7 +9,6 @@ import re
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +26,7 @@ from oracle_helpers import (
     per_row_profiles_csv,
     per_row_spectrum_csv,
     per_row_sweep_csv,
+    traced_peak,
 )
 
 # signed zeros, subnormals, extremes and non-finite values
@@ -904,12 +904,7 @@ class TestProductAtCapReadsEdges:
         monkeypatch.setattr(lattice.Hamiltonian, "matrix", property(spy))
         spec = tmp_path / "cube.json"
         spec.write_text(self.CUBE)
-        tracemalloc.start()
-        try:
-            rc = run_cli(tmp_path, command, "--spec", spec, "--out", tmp_path / "out")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rc, peak = traced_peak(lambda: run_cli(tmp_path, command, "--spec", spec, "--out", tmp_path / "out"))
         assert rc == 0
         assert all(n <= 16 for n in assembled)  # axis matrices only
         assert peak < 4096 * 4096 * 8 / 4
@@ -922,14 +917,24 @@ class TestRingAtCapBuildsTwoColumns:
     def test_peak_under_an_eighth_of_the_basis(self, tmp_path):
         spec = tmp_path / "ring.json"
         spec.write_text(ring_doc([("A", 2048), ("B", 2048)], 1.02))
-        tracemalloc.start()
-        try:
-            rc = run_cli(tmp_path, "charges", "--spec", spec, "--out", tmp_path / "out")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rc, peak = traced_peak(lambda: run_cli(tmp_path, "charges", "--spec", spec, "--out", tmp_path / "out"))
         assert rc == 0
         assert peak < 4096 * 4096 * 16 / 8
+
+
+class TestDecayInColumnBlocks:
+    """`decay` checks the closed form's columns block by block, never its
+    N x N basis, and writes the report of the whole basis's check."""
+
+    def test_ring_2048_peaks_under_a_quarter_of_the_basis(self, tmp_path):
+        ring, t = dg.SegmentedRing((("A", 1024), ("B", 1024))), 1.02
+        spec = tmp_path / "ring.json"
+        spec.write_text(ring_doc(ring.segments, t))
+        rc, peak = traced_peak(lambda: run_cli(tmp_path, "decay", "--spec", spec, "--out", tmp_path / "out"))
+        assert rc == 0
+        assert peak < 2048 * 2048 * 16 / 4
+        whole = dg.pure_decay_check(dg.closed_form(ring, t), ring, t)
+        assert (tmp_path / "out" / "decay_report.json").read_text() == io.decay_report_json(whole.report, whole)
 
 
 class TestProductAtCapHamiltonianCsv:
@@ -1045,12 +1050,7 @@ class TestDriveRoute:
     def test_ring_600_holds_less_than_its_sweep_export(self, tmp_path):
         # sweep.csv goes to disk a block at a time, so the whole export is
         # never held: about 17 MiB traced at peak against a 20.6 MiB file
-        tracemalloc.start()
-        try:
-            rc = self.run_drive(tmp_path, ring_doc([("A", 400), ("B", 200)], 1.02))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rc, peak = traced_peak(lambda: self.run_drive(tmp_path, ring_doc([("A", 400), ("B", 200)], 1.02)))
         assert rc == 0
         assert peak < (tmp_path / "out" / "sweep.csv").stat().st_size
 

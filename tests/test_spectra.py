@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 import decaygraph as dg
 from decaygraph import io, spectra
 
-from oracle_helpers import match_deviation, union_find_groups
+from oracle_helpers import match_deviation, traced_peak, union_find_groups
 
 
 class TestEigendecompose:
@@ -267,7 +268,8 @@ class TestGaugedEigendecompose:
     def _solve_recording_eig(monkeypatch, m):
         shapes, eig = [], np.linalg.eig
         monkeypatch.setattr(np.linalg, "eig", lambda a: shapes.append(a.shape) or eig(a))
-        values, vectors, meta = spectra._normal_eig(m.copy, np.ones(len(m)), "synthetic G")
+        rows, cols = np.nonzero(m)
+        values, vectors, meta = spectra._normal_eig(rows, cols, m[rows, cols], np.ones(len(m)), "synthetic G")
         assert match_deviation(values, eig(m)[0]) <= 1e-13 * np.max(np.sum(np.abs(m), axis=1))
         assert np.max(np.abs(m @ vectors - vectors * values)) <= 1e-13 * np.max(np.abs(m))
         assert np.max(meta["bauer_fike"]) <= 1e-13 * np.max(np.abs(m))
@@ -297,6 +299,16 @@ class TestGaugedEigendecompose:
         dg.gauged_eigendecompose(dg.build(dg.validate_circulant(600, a), 1.06))
         assert shapes and max(shape[-1] for shape in shapes) < 600
 
+    def test_no_complex_basis_is_alive_through_eigh(self, monkeypatch):
+        # on entry to eigh only the symmetric part (N**2 floats) is held: the
+        # complex basis (2 N**2) is allocated once eigh has returned
+        h = dg.build(dg.SegmentedRing((("A", 150), ("B", 250))), 1.5)
+        h.entries()
+        held, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: held.append(tracemalloc.get_traced_memory()[0]) or eigh(a))
+        traced_peak(lambda: dg.gauged_eigendecompose(h))
+        assert len(held) == 1 and held[0] < 1.5 * h.dim ** 2 * 8
+
     def test_bauer_fike_bounds_stay_finite_where_the_gauge_scale_underflows(self):
         # ln t**w spans 832 on A400 B400 at t = 64: exp(ls - ls.max()) underflows
         ring = dg.SegmentedRing((("A", 400), ("B", 400)))
@@ -315,8 +327,9 @@ def _dense_circulant(n):
 
 
 class TestCommutator:
-    """``_commutator`` takes row blocks of the two GEMMs: the dense
-    max|G G^T - G^T G| to rounding, also when the rows span several blocks."""
+    """``_commutator`` sums the entries' pair products over output-row
+    blocks: the dense max|G G^T - G^T G| to rounding, also when the rows
+    span several blocks and a block's pairs several chunks."""
 
     SPECS = {
         "ring": (dg.SegmentedRing((("A", 40), ("B", 23))), 1.3),
@@ -340,7 +353,8 @@ class TestCommutator:
     @staticmethod
     def assert_dense(g):
         dense = float(np.max(np.abs(g @ g.T - g.T @ g)))
-        assert abs(spectra._commutator(g) - dense) <= 1e-12 * np.max(np.sum(np.abs(g), axis=1)) ** 2
+        rows, cols = np.nonzero(g)
+        assert abs(spectra._commutator(rows, cols, g[rows, cols], len(g)) - dense) <= 1e-12 * np.max(np.sum(np.abs(g), axis=1)) ** 2
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_gauge_and_raw_matrix_match_the_dense_commutator(self, name):
@@ -356,6 +370,20 @@ class TestCommutator:
         for n in (1, 2, 9, 50, 700):
             g = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
             self.assert_dense(g)
+
+    def test_many_offset_cap_circulant_holds_no_n_by_n_array(self):
+        # 45 offset pairs at the cap: 66 million pair products in all, summed
+        # in chunks of about 2**18 (about 23 MiB traced at peak)
+        n = 4096
+        a = [int(q <= 45 or q >= n - 45) for q in range(1, n)]
+        h = dg.build(dg.validate_circulant(n, a), 1.02)
+        ls = spectra._log_scale(h)
+        rows, cols, entries = h.entries()
+        entries = entries * np.exp(ls[cols] - ls[rows])
+        commutator, peak = traced_peak(lambda: spectra._commutator(rows, cols, entries, n))
+        g_norm = float(np.max(np.bincount(rows, np.abs(entries))))
+        assert commutator <= 1e-14 * g_norm ** 2  # a circulant's gauge is normal
+        assert peak < n * n * 8 / 4
 
 def ring_alpha(ring, t):
     """alpha_n = t**(N_B/L) exp(2 pi i n / L), the label of the closed form's
