@@ -49,6 +49,13 @@ def _write(out_dir: Path, name: str, chunks: Iterable[str], manifest: RunManifes
     manifest.outputs.append(name)
 
 
+def _tolerance(args, default: float) -> float:
+    """--tolerance, refused unless finite and non-negative, or ``default``."""
+    if args.tolerance is not None and not 0 <= args.tolerance < np.inf:
+        raise DecayGraphError(f"--tolerance must be finite and non-negative, got {args.tolerance}")
+    return default if args.tolerance is None else args.tolerance
+
+
 def _finish(out_dir: Path, manifest: RunManifest, started: float) -> None:
     manifest.duration_s = time.perf_counter() - started
     (out_dir / "manifest.json").write_text(manifest.to_json())
@@ -62,6 +69,7 @@ def cmd_build(args, out_dir: Path, manifest: RunManifest) -> int:
 
 
 def cmd_spectrum(args, out_dir: Path, manifest: RunManifest) -> int:
+    tol = _tolerance(args, 1e-8)
     doc = _load_document(args)
     if args.analytic and isinstance(doc.spec, RawMatrix):
         raise DecayGraphError(
@@ -85,7 +93,6 @@ def cmd_spectrum(args, out_dir: Path, manifest: RunManifest) -> int:
             _write(out_dir, "profiles_analytic.csv", io.profiles_chunks(analytic), manifest)
     if numeric is not None and analytic is not None:
         dev = figures.match_deviation(numeric, analytic.values)
-        tol = args.tolerance if args.tolerance is not None else 1e-8
         print(f"max eigenvalue mismatch after optimal pairing: {dev:.3e} (tolerance {tol:.1e})")
         if dev > tol:
             rc = 1
@@ -93,13 +100,13 @@ def cmd_spectrum(args, out_dir: Path, manifest: RunManifest) -> int:
 
 
 def cmd_decay(args, out_dir: Path, manifest: RunManifest) -> int:
+    threshold = _tolerance(args, decay.PURITY_THRESHOLD)
     doc = _load_document(args)
     if isinstance(doc.spec, (RawMatrix, ProductLattice)):
         raise DecayGraphError(
             "decay analysis runs on validated 1D families (ring, circulant, obc_chain); "
             "product lattices decompose axiswise and raw matrices carry no claim"
         )
-    threshold = args.tolerance if args.tolerance is not None else decay.PURITY_THRESHOLD
     # no system: the closed form's columns go block by block, never its N x N basis
     result = decay.pure_decay_check(None, doc.spec, doc.t, threshold)
     _write(out_dir, "decay_report.json", (io.decay_report_json(result.report, result),), manifest)
@@ -111,6 +118,7 @@ def cmd_decay(args, out_dir: Path, manifest: RunManifest) -> int:
 
 
 def cmd_charges(args, out_dir: Path, manifest: RunManifest) -> int:
+    tol = _tolerance(args, decay.QUANTIZATION_TOL)
     doc = _load_document(args)
     if isinstance(doc.spec, (RawMatrix, ObcChain)):
         raise DecayGraphError(
@@ -119,7 +127,6 @@ def cmd_charges(args, out_dir: Path, manifest: RunManifest) -> int:
     cm = decay.charge_map(doc.spec, doc.t)
     _write(out_dir, "charges.csv", (io.charges_csv(cm),), manifest)
     sigma, dev = cm.sign()
-    tol = args.tolerance if args.tolerance is not None else decay.QUANTIZATION_TOL
     print(
         f"charges: sigma={sigma:+d}, amplitude-vs-combinatorial deviation {dev:.3e}, "
         f"total {cm.total:.3e}, quantized={cm.quantized}"
@@ -160,9 +167,10 @@ def cmd_drive(args, out_dir: Path, manifest: RunManifest) -> int:
     # each certified block goes to sweep.csv as it comes; kept are max|x| per frequency
     # and the rows within PEAK_TIE of the running maximum, every row the tie rule can pick
     peaks, tied = np.empty(len(cfg.omega_grid)), {}
+    i = selection = None  # the peak's row and mode selection, made once the sweep ends
 
     def sweep():
-        nonlocal tied
+        nonlocal tied, i, selection
         for s, x in response._drive(h, cfg, cfg.omega_grid, sys):
             peaks[s] = np.max(np.abs(x), axis=1)
             top = (1 - response.PEAK_TIE) * peaks[:s.stop].max()
@@ -171,20 +179,15 @@ def cmd_drive(args, out_dir: Path, manifest: RunManifest) -> int:
             # the header goes with the first block
             yield from itertools.islice(io.sweep_chunks(cfg.omega_grid[s], x), min(s.start, 1), None)
             del x  # not held through the next block's solve
-
-    _write(out_dir, "sweep.csv", sweep(), manifest)
-    # an E -> -E symmetric spectrum has mirror peaks at +-omega: ties go to the lowest omega
-    i = int(np.flatnonzero(peaks >= (1 - response.PEAK_TIE) * peaks.max())[0])
-    try:
+        # an E -> -E symmetric spectrum has mirror peaks at +-omega: ties go to the lowest
+        # omega; the selection is made here, so a failed one leaves no sweep.csv either
+        i = int(np.flatnonzero(peaks >= (1 - response.PEAK_TIE) * peaks.max())[0])
         if raw:
             selection = response.mode_selection_check(tied[i], sys)
         else:
             selection = response.transform_mode_selection(tied[i], h)
-    except BaseException:
-        # a failed selection leaves no sweep.csv either
-        (out_dir / "sweep.csv").unlink()
-        manifest.outputs.remove("sweep.csv")
-        raise
+
+    _write(out_dir, "sweep.csv", sweep(), manifest)
     omega = float(cfg.omega_grid[i])
     _write(out_dir, "selection.json", (io.selection_json(selection, omega),), manifest)
     print(

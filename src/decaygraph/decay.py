@@ -231,25 +231,22 @@ def charges_from_fit(report: DecayReport, spec, h: Hamiltonian) -> np.ndarray:
     return amplitude_charges(np.exp(log_amp), h.edge_array, h.ts)
 
 
-def _mode_profiles(sys: EigenSystem, spec, t: float, groups: list[list[int]] | None = None) -> np.ndarray:
-    """Amplitude profile of every mode, one column per mode, or of the modes
-    of ``groups``, whole value groups of ``sys``, in increasing mode order.
+def _mode_profiles(sys: EigenSystem, spec, t: float, groups: list[list[int]]) -> np.ndarray:
+    """Amplitude profile of the modes of ``groups``, value groups of ``sys``
+    or single modes, one column per mode in increasing mode order.
 
-    Every mode gives |v|, but in a dense system the members of a
-    degenerate group, whose vectors the solver mixes, take the group's
-    d sqrt(diag(Q Q^H)) max-normalized: d = t**w / max t**w, Q an
+    Every mode gives |v|, but the members of a group of several modes,
+    whose vectors a dense solver mixes, take the group's d sqrt(diag(Q Q^H))
+    max-normalized: d the unit-max gauge (``spectra._axis_gauge``), Q an
     orthonormal basis of the gauged columns v / d (0 where d <
     AMPLITUDE_FLOOR, reported as UnderflowSites).  It ignores the mixing,
     and is the pure profile d iff Q Q^H has a constant diagonal.
     """
-    modes = np.arange(sys.dim) if groups is None else np.sort(np.concatenate(groups))
-    profiles = np.abs(sys.right_vectors if groups is None else sys.right_vectors[:, modes])
-    if sys.meta.get("route") == "closed_form":
-        return profiles
-    groups = [g for g in (sys.degenerate_groups() if groups is None else groups) if len(g) > 1]
+    modes = np.sort(np.concatenate(groups))
+    profiles = np.abs(sys.right_vectors[:, modes])
+    groups = [g for g in groups if len(g) > 1]
     if groups:
-        ls = spec.potential() * np.log(t)
-        d = np.exp(ls - ls.max())[:, None]
+        d = spectra._axis_gauge(spec, t)[:, None]
         for group in groups:
             gauged = np.zeros((len(d), len(group)), dtype=complex)
             np.divide(sys.right_vectors[:, group], d, out=gauged, where=d >= AMPLITUDE_FLOOR)
@@ -259,29 +256,22 @@ def _mode_profiles(sys: EigenSystem, spec, t: float, groups: list[list[int]] | N
     return profiles
 
 
-def _profile_groups(sys: EigenSystem) -> list[list[int]]:
-    """The mode groups ``_mode_profiles`` keeps whole: a dense system's
-    value groups, or every closed-form mode on its own."""
-    if sys.meta.get("route") == "closed_form":
-        return [[n] for n in range(sys.dim)]
-    return sys.degenerate_groups()
-
-
-def _group_profile(sys: EigenSystem, spec, t: float, groups: list[list[int]], mode: int) -> np.ndarray:
-    """``_mode_profiles``' profile of ``mode``, from its group alone."""
-    group = next(g for g in groups if mode in g)
-    return _mode_profiles(sys, spec, t, [group])[:, group.index(mode)]
-
-
-def _closed_form_profiles(h: Hamiltonian, modes) -> np.ndarray:
-    """|v| of the closed-form columns ``modes`` of the lattice ``h``, built
-    alone (``closed_form_columns``), one column per mode."""
-    return np.abs(spectra.closed_form_columns(h, modes).right_vectors)
-
-
-def _least_damped_closed_form(spec, t: float, h: Hamiltonian) -> int:
-    """The closed form's least-damped mode, picked from ``mode_values``."""
-    return least_damped_mode(spectra.mode_values(spec, t), spectra.RESIDUAL_FACTOR * h.norm_inf())
+def _profile_source(sys: EigenSystem | None, spec, t: float):
+    """(groups, profiles, least-damped mode) of the modes a profile is read
+    from, ``profiles(block)`` the columns of a list of groups in increasing
+    mode order.  With no system they are the closed form's of ``spec`` at
+    ``t``, each mode its own group, built alone (``closed_form_columns``),
+    so its N x N basis is never held; a given system's come from
+    ``_mode_profiles``, a closed-form system's modes each alone and a dense
+    system's value groups whole."""
+    if sys is None:
+        h = build(spec, t)
+        return ([[n] for n in range(h.dim)],
+                lambda block: np.abs(spectra.closed_form_columns(h, np.concatenate(block)).right_vectors),
+                least_damped_mode(spectra.mode_values(spec, t), spectra.RESIDUAL_FACTOR * h.norm_inf()))
+    alone = sys.meta.get("route") == "closed_form"
+    groups = [[n] for n in range(sys.dim)] if alone else sys.degenerate_groups()
+    return groups, lambda block: _mode_profiles(sys, spec, t, block), least_damped_mode(sys)
 
 
 @dataclass(frozen=True)
@@ -304,29 +294,22 @@ def pure_decay_check(
     both figures.
 
     The modes are those of ``sys``, or with no system the closed form's of
-    ``spec`` at ``t``, built column block by column block, so its N x N
-    basis is never held.  They go in blocks of about 2**18 entries, a dense
-    system's degenerate groups each whole in one block (``_mode_profiles``);
-    per block, one amplitude check and one stacked fit per chain
-    (``_fit_chains``) give each residual the bits of a per-mode
-    ``np.polyfit``, and a running per-site min and max give the spread.
+    ``spec`` at ``t``, read through ``_profile_source`` in blocks of about
+    2**18 entries, each group whole in one block; per block, one amplitude
+    check and one stacked fit per chain (``_fit_chains``) give each residual
+    the bits of a per-mode ``np.polyfit``, and a running per-site min and
+    max give the spread.
     """
-    if sys is None:
-        h = build(spec, t)
-        step = _block_rows(h.dim)
-        report = _closed_form_profiles(h, [_least_damped_closed_form(spec, t, h)])[:, 0]
-        blocks = (_closed_form_profiles(h, np.arange(i, min(i + step, h.dim))) for i in range(0, h.dim, step))
-    else:
-        groups = _profile_groups(sys)
-        report = _group_profile(sys, spec, t, groups, least_damped_mode(sys))
-        blocks = (_mode_profiles(sys, spec, t, block) for block in _packed(groups, _block_rows(sys.dim)))
-    report = extract_decay_constants(report, spec, t)
+    groups, profiles, mode = _profile_source(sys, spec, t)
+    group = next(g for g in groups if mode in g)
+    report = extract_decay_constants(profiles([group])[:, group.index(mode)], spec, t)
     chains = [c.sites for c in report.per_chain]
     residuals, low, high = [], np.inf, -np.inf
-    for profiles in blocks:
-        log_amp = np.log(_amplitude(profiles.T, spec))
+    for block in _packed(groups, _block_rows(spec.length)):
+        columns = profiles(block)
+        log_amp = np.log(_amplitude(columns.T, spec))
         residuals += [np.max(_fit_chains(log_amp, sites)[2]) for sites in chains]
-        low, high = np.minimum(low, profiles.min(axis=1)), np.maximum(high, profiles.max(axis=1))
+        low, high = np.minimum(low, columns.min(axis=1)), np.maximum(high, columns.max(axis=1))
     purity, cross = float(max(residuals)), float(np.max(high - low))
     report = replace(report, purity=purity, cross_mode_deviation=cross)
     return PurityResult(purity, cross, purity <= threshold and cross <= threshold, report)
@@ -410,13 +393,13 @@ class ChargeMap:
 
 def decay_profile(spec, t: float, sys: EigenSystem | None = None, mode: int | None = None) -> np.ndarray:
     """Amplitude profile of one mode (least-damped by default) of ``sys``,
-    or of that mode's closed-form column alone when no system is given.  A
-    dense mode inside a degenerate subspace, where numerical vectors mix,
-    takes the subspace's profile (``_mode_profiles``), not a closed form."""
-    if sys is None:
-        h = build(spec, t)
-        return _closed_form_profiles(h, [_least_damped_closed_form(spec, t, h) if mode is None else mode])[:, 0]
-    return _group_profile(sys, spec, t, _profile_groups(sys), least_damped_mode(sys) if mode is None else mode)
+    or of that mode's closed-form column alone when no system is given
+    (``_profile_source``).  A dense mode inside a degenerate subspace, where
+    numerical vectors mix, takes the subspace's profile, not a closed form."""
+    groups, profiles, least = _profile_source(sys, spec, t)
+    mode = least if mode is None else range(spec.length)[mode]  # IndexError out of range, as a list
+    group = next(g for g in groups if mode in g)
+    return profiles([group])[:, group.index(mode)]
 
 
 def charge_map(spec, t: float | None = None) -> ChargeMap:

@@ -280,28 +280,28 @@ def fig3d_vector() -> CheckResult:
     return res
 
 
-def _selected_drive(spec, t: float, excess: float, source: int = 0):
+def _least_damped_drive(spec, t: float):
+    """(h, sys, top, drive): the lattice, its gauged dense system, max Im(E),
+    and ``drive(gamma, source)``, the steady state at the least-damped mode's
+    frequency under loss gamma, driven at ``source``."""
     h = build(spec, t)
     sys = spectra.gauged_eigendecompose(h)
-    sel = spectra.least_damped_mode(sys)
-    gamma = float(np.max(sys.values.imag)) + excess
-    omega = float(sys.values[sel].real)
-    cfg = response.DriveConfig(source, gamma, np.array([omega]))
-    return h, sys, sel, response.steady_state(h, cfg, omega, sys)
+    omega = float(sys.values[spectra.least_damped_mode(sys)].real)
+
+    def drive(gamma: float, source: int = 0) -> np.ndarray:
+        cfg = response.DriveConfig(source, gamma, np.array([omega]))
+        return response.steady_state(h, cfg, omega, sys)
+
+    return h, sys, float(np.max(sys.values.imag)), drive
 
 
 def fig4b() -> CheckResult:
     res = CheckResult("fig4b", True)
-    t = T_DEFAULT
-    h = build(RING_12, t)
-    sys = spectra.gauged_eigendecompose(h)
-    sel = spectra.least_damped_mode(sys)
-    omega = float(sys.values[sel].real)
-    g0 = float(np.max(sys.values.imag)) + 0.01
+    _, sys, top, drive = _least_damped_drive(RING_12, T_DEFAULT)
+    g0 = top + 0.01
     overlaps = []
     for factor in (2.0, 1.5, 1.1):
-        cfg = response.DriveConfig(0, factor * g0, np.array([omega]))
-        x = response.steady_state(h, cfg, omega, sys)
+        x = drive(factor * g0)
         check = response.mode_selection_check(x, sys)
         overlaps.append(check.overlap)
     res.record("overlap_monotone", overlaps[0] < overlaps[1] < overlaps[2], overlaps)
@@ -309,16 +309,15 @@ def fig4b() -> CheckResult:
     res.record("selects_least_damped", check.matches)
     res.record("log_residual_at_1.1g0_reported", True,
                response.log_profile(x, RING_12).residual)
-    _, _, _, x_iso = _selected_drive(RING_12, t, ISOLATION_EXCESS)
-    iso = response.log_profile(x_iso, RING_12).residual
+    iso = response.log_profile(drive(top + ISOLATION_EXCESS), RING_12).residual
     res.record("log_linear_when_isolated", iso <= 1e-3, iso)
     return res
 
 
 def fig4c() -> CheckResult:
     res = CheckResult("fig4c", True)
-    t = T_DEFAULT
-    _, sys, sel, x = _selected_drive(COMPLETE_4, t, ISOLATION_EXCESS)
+    _, sys, top, drive = _least_damped_drive(COMPLETE_4, T_DEFAULT)
+    x = drive(top + ISOLATION_EXCESS)
     amp = np.abs(x)
     res.record("monotone_decay_over_nodes", bool(np.all(np.diff(amp) < 0)),
                (amp / amp.max()).tolist())
@@ -330,24 +329,15 @@ def fig4c() -> CheckResult:
 
 def fig4d() -> CheckResult:
     res = CheckResult("fig4d", True, expected_fail_control=True)
-    t = T_DEFAULT
-    h = build(OBC_12, t)
-    sys = spectra.gauged_eigendecompose(h)
-    gamma = float(np.max(sys.values.imag)) + 0.05 * h.norm_inf()
-    sel = spectra.least_damped_mode(sys)
-    omega = float(sys.values[sel].real)
+    h, _, top, drive = _least_damped_drive(OBC_12, T_DEFAULT)
+    gamma = top + 0.05 * h.norm_inf()
     profiles = []
     for source in (0, 3, 5):
-        cfg = response.DriveConfig(source, gamma, np.array([omega]))
-        x = response.steady_state(h, cfg, omega, sys)
+        x = drive(gamma, source)
         residual = response.log_profile(x, OBC_12).residual
         res.record(f"oscillatory_source_{source + 1}", residual > 1e-3, residual)
         profiles.append(np.abs(x) / np.max(np.abs(x)))
-    spread = max(
-        float(np.max(np.abs(profiles[i] - profiles[j])))
-        for i in range(3)
-        for j in range(i + 1, 3)
-    )
+    spread = float(np.max(np.ptp(profiles, axis=0)))  # the largest pairwise gap
     res.record("profiles_differ_by_source", spread > 1e-2, spread)
     return res
 

@@ -30,7 +30,7 @@ from .errors import SingularSystem, ZeroAmplitude
 from .lattice import Hamiltonian, ObcChain
 # bench/tracer.py wraps eigendecompose at this binding site, which nothing here calls
 from .spectra import (  # noqa: F401
-    RESIDUAL_FACTOR, EigenSystem, closed_form_columns, eigendecompose, least_damped_mode,
+    RESIDUAL_FACTOR, EigenSystem, _axis_gauge, closed_form_columns, eigendecompose, least_damped_mode,
     least_damped_set, mode_values,
 )
 
@@ -137,7 +137,7 @@ def _gauge_route(h: Hamiltonian, source: int):
     D**-1 must both lie within float64, else the span is named.
     """
     axes = h.axes
-    values = mode_values(h.spec, h.t if len(h.ts) == 1 else None)
+    values = mode_values(h.spec, h.ts[0])
     dims = tuple(s.length for s, _ in axes)
     log_d = np.zeros(())
     for (s, t), i in zip(axes, np.unravel_index(source, dims)):
@@ -383,8 +383,7 @@ def _mode_overlaps(h: Hamiltonian, x: np.ndarray) -> np.ndarray:
     axes = h.axes
     y, norms = x.reshape((1,) + tuple(s.length for s, _ in axes)), np.ones(1)
     for k, (spec, t) in enumerate(axes):
-        ls = spec.potential() * np.log(t)
-        d = np.exp(ls - ls.max())
+        d = _axis_gauge(spec, t)
         y = y * d.reshape((-1,) + (1,) * (len(axes) - 1 - k))
         sq = np.full(spec.length, np.sum(d * d))
         if isinstance(spec, ObcChain):
@@ -399,7 +398,7 @@ def transform_mode_selection(x: np.ndarray, h: Hamiltonian) -> ModeSelection:
     transforms (``_mode_overlaps``), the values from ``mode_values``, and
     the modes it reports built alone and certified through ``h``
     (``spectra.closed_form_columns``)."""
-    values = mode_values(h.spec, h.t if len(h.ts) == 1 else None)
+    values = mode_values(h.spec, h.ts[0])
     selection = _selection(_mode_overlaps(h, x), values, RESIDUAL_FACTOR * h.norm_inf())
     closed_form_columns(h, sorted({selection.selected_mode, selection.least_damped}))
     return selection

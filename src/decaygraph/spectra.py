@@ -142,10 +142,7 @@ def _certified(h: Hamiltonian, values, vectors, left, what: str, meta: dict) -> 
 def _log_scale(h: Hamiltonian) -> np.ndarray:
     """ln of the gauge D = diag(t**w) of a built lattice: w ln t per site, a
     product's the Kronecker sum of its axes' (axis 0 slowest)."""
-    ls = np.zeros(1)
-    for spec, t in h.axes:
-        ls = (ls[:, None] + spec.potential() * np.log(t)).ravel()
-    return ls
+    return _kron_sum(spec.potential() * np.log(t) for spec, t in h.axes).real
 
 
 def _commutator(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n: int) -> float:
@@ -419,9 +416,14 @@ def _axis_columns(spec, t: float, cols: np.ndarray) -> np.ndarray:
         vectors = np.empty((n, len(cols)), dtype=complex)
         for i in range(0, n, step):  # gathered in row blocks: no N x N phase table
             vectors[i:i + step] = roots[np.outer(j[i:i + step], cols) % n]
-    log_scale = spec.potential() * np.log(t)
-    vectors *= np.exp(log_scale - log_scale.max())[:, None]
+    vectors *= _axis_gauge(spec, t)[:, None]
     return _normalize_columns(vectors)
+
+
+def _axis_gauge(spec, t: float) -> np.ndarray:
+    """One axis's gauge t**w at unit maximum, exp(w ln t - max(w ln t))."""
+    ls = spec.potential() * np.log(t)
+    return np.exp(ls - ls.max())
 
 
 def closed_form_columns(h: Hamiltonian, modes: list[int]) -> EigenSystem:
@@ -433,9 +435,10 @@ def closed_form_columns(h: Hamiltonian, modes: list[int]) -> EigenSystem:
         vectors = np.ones((1, len(modes)), dtype=complex)
         for (spec, t), m in zip(h.axes, np.unravel_index(modes, h.spec.dims)):
             vectors = (vectors[:, None] * _axis_columns(spec, t, m)[None]).reshape(-1, len(modes))
-        values, vectors = mode_values(h.spec)[modes], _normalize_columns(vectors)
+        vectors = _normalize_columns(vectors)
     else:
-        values, vectors = mode_values(h.spec, h.t)[modes], _axis_columns(h.spec, h.t, modes)
+        vectors = _axis_columns(h.spec, h.t, modes)
+    values = mode_values(h.spec, h.ts[0])[modes]  # a product's ignores t
     return _certified(h, values, vectors, None, f"closed-form {h.kind} modes", {"route": "closed_form"})
 
 

@@ -478,13 +478,18 @@ def per_row_sweep_csv(omegas, x) -> str:
 def per_mode_pure_decay_check(sys, spec, t: float, threshold: float = 1e-8):
     """pure_decay_check as one full DecayReport per mode (reference): the
     purity is the worst report's, and the least-damped mode's report is
-    kept."""
+    kept.  With no system the modes are the whole closed form's; a
+    closed-form mode gives |v|, and a dense system's degenerate groups
+    their subspace profiles."""
     from dataclasses import replace
 
     import decaygraph as dg
     from decaygraph import decay
 
-    profiles = decay._mode_profiles(sys, spec, t)
+    sys = dg.closed_form(spec, t) if sys is None else sys
+    alone = sys.meta["route"] == "closed_form"
+    groups = [[n] for n in range(sys.dim)] if alone else sys.degenerate_groups()
+    profiles = decay._mode_profiles(sys, spec, t, groups)
     reports = [dg.extract_decay_constants(p, spec, t) for p in profiles.T]
     purity = float(max(r.purity for r in reports))
     cross = float(np.max(np.ptp(profiles, axis=1)))

@@ -153,6 +153,8 @@ class TestPureDecayCheck:
 
 
 def decay_system(spec, t, route):
+    if route == "none":
+        return None
     if route == "closed_form":
         return dg.closed_form(spec, t)
     return dg.eigendecompose(dg.build(spec, t))
@@ -177,11 +179,15 @@ class TestPureDecayOnePass:
         (dg.ObcChain(12), T, "closed_form"),
         (dg.ObcChain(12), T, "dense"),
         (dg.ObcChain(13), T, "closed_form"),
+        (dg.SegmentedRing((("A", 13), ("B", 17))), T, "none"),
+        (dg.validate_circulant(8, [1, 1, 0, 0, 0, 1, 1]), T, "none"),
+        (dg.ObcChain(12), T, "none"),
     ], ids=[
         "two-segment", "two-segment-dense", "two-segment-300", "four-segment",
         "four-segment-dense", "uniform", "uniform-dense", "balanced-dense-swap",
         "balanced-300", "circulant", "circulant-dense", "circulant-dense-swap",
         "open-chain", "open-chain-dense", "open-chain-sine-nodes",
+        "two-segment-no-system", "circulant-no-system", "open-chain-no-system",
     ])
     def test_equals_per_mode_reference(self, spec, t, route):
         sys = decay_system(spec, t, route)
@@ -241,7 +247,7 @@ class TestSubspacePurity:
             z = rng.normal(size=(len(group), len(group))) + 1j * rng.normal(size=(len(group), len(group)))
             vectors[:, group] = vectors[:, group] @ np.linalg.qr(z)[0]
         mixed = dataclasses.replace(sys, right_vectors=vectors)
-        want, got = (decay._mode_profiles(s, spec, t) for s in (sys, mixed))
+        want, got = (decay._mode_profiles(s, spec, t, sys.degenerate_groups()) for s in (sys, mixed))
         assert groups and not np.allclose(np.abs(vectors), np.abs(sys.right_vectors))
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
         # the pure profile: the closed form's, shared by every mode
@@ -280,15 +286,17 @@ class TestDecayProfileOneColumn:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", dg.DegenerateAmbiguity)
             full = dg.closed_form(spec, t)
-        want = decay._mode_profiles(full, spec, t)
+        want = np.abs(full.right_vectors)
 
         def refuse(*args, **kwargs):
             raise AssertionError("decay_profile built the whole closed form")
 
         monkeypatch.setattr(dg.spectra, "closed_form", refuse)
         assert dg.decay_profile(spec, t).tobytes() == want[:, dg.least_damped_mode(full)].tobytes()
-        for mode in range(full.dim):
+        for mode in range(-1, full.dim):
             assert dg.decay_profile(spec, t, mode=mode).tobytes() == want[:, mode].tobytes()
+        with pytest.raises(IndexError):
+            dg.decay_profile(spec, t, mode=full.dim)
 
     def test_cap_ring_peaks_under_an_eighth_of_the_basis(self):
         ring = dg.SegmentedRing((("A", 2048), ("B", 2048)))

@@ -622,6 +622,24 @@ class TestCli:
             run_cli(tmp_path, *command, *spec, "--tolerance", 1, "--out", tmp_path / "o")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", [["spectrum", "--numeric", "--analytic"], ["decay"], ["charges"]],
+                             ids=["spectrum", "decay", "charges"])
+    def test_tolerance_must_be_finite_and_non_negative(self, tmp_path, ring_spec, capsys, monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before --tolerance was checked")
+
+        for module, name in ((spectra, "gauged_eigendecompose"), (spectra, "closed_form"),
+                             (decay, "pure_decay_check"), (decay, "charge_map")):
+            monkeypatch.setattr(module, name, refuse)
+        for value in ("nan", "inf", "-inf", "-1e-9"):
+            out = tmp_path / value
+            assert run_cli(tmp_path, *command, "--spec", ring_spec, f"--tolerance={value}", "--out", out) == 2
+            message = f"--tolerance must be finite and non-negative, got {float(value)}"
+            assert capsys.readouterr().err == f"error: {message}\n"
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["error"] == {"class": "DecayGraphError", "message": message}
+            assert manifest["outputs"] == []
+
     def test_validation_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"lattice":{"kind":"circulant","n":4,"a":[1,0,0],"t":2}}')
